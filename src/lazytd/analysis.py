@@ -426,8 +426,7 @@ def displacement_scaling(
     displacements, diverged = [], []
     for a in alphas:
         rhs = make_lazy_rhs(model, mrp, mu, lam, a)
-        probe = lambda w, _a=a: _a * np.max(np.abs(model.value(w)))
-        run = integrate(rhs, w0, config, divergence_probe=probe)
+        run = integrate(rhs, w0, config, divergence_probe=rhs.scaled_value_norm)
         diverged.append(bool(run.diverged))
         displacements.append(float(np.max(np.linalg.norm(run.params - run.params[0], axis=1))))
     ok = not any(diverged) and all(d > 0 for d in displacements)

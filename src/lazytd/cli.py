@@ -34,45 +34,54 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # optional flags default to None and carry the runner's parameter name
+    # as dest, so that a flag left out leaves the library's default in force
     parser = argparse.ArgumentParser(prog="lazytd", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("spiral", help="3-state spiral-manifold run")
     _add_common(p)
     p.add_argument("--alpha", type=float, default=1.0)
-    p.add_argument("--mode", choices=["ode", "stochastic"], default="ode")
-    p.add_argument("--integrator", choices=["euler", "rk4"], default="rk4")
-    p.add_argument("--dt", type=float, default=1e-2)
-    p.add_argument("--horizon", type=float, default=2000.0)
-    p.add_argument("--beta", type=float, default=2e-3)
+    p.add_argument("--mode", choices=["ode", "stochastic"])
+    p.add_argument("--integrator", choices=["euler", "rk4"])
+    p.add_argument("--dt", type=float)
+    p.add_argument("--horizon", type=float)
+    p.add_argument("--beta", type=float)
 
     p = sub.add_parser("nn", help="ReLU network run on a cyclic chain")
     _add_common(p)
     p.add_argument("--regime", choices=["over", "under"], required=True)
-    p.add_argument("--alpha", type=float, default=None)
-    p.add_argument("--gamma", type=float, default=0.9)
-    p.add_argument("--units", type=int, default=None)
-    p.add_argument("--states", type=int, default=None)
-    p.add_argument("--mode", choices=["ode", "stochastic"], default="ode")
-    p.add_argument("--dt", type=float, default=None)
-    p.add_argument("--horizon", type=float, default=None)
+    p.add_argument("--alpha", type=float)
+    p.add_argument("--gamma", type=float)
+    p.add_argument("--units", dest="n_units", type=int)
+    p.add_argument("--states", dest="n_states", type=int)
+    p.add_argument("--mode", choices=["ode", "stochastic"])
+    p.add_argument("--dt", type=float)
+    p.add_argument("--horizon", type=float)
 
     p = sub.add_parser("sweep", help="grid of network runs")
     _add_common(p)
     p.add_argument("--kind", choices=["alpha", "gamma"], required=True)
     p.add_argument("--grid", type=str, required=True,
                    help="comma-separated grid values, e.g. 0.8,0.85,0.9")
-    p.add_argument("--regime", choices=["over", "under"], default="over")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--regime", choices=["over", "under"])
+    p.add_argument("--workers", type=int,
+                   help="threads; they share the interpreter lock, so they do not cut wall time")
 
     p = sub.add_parser("meanfield", help="particle-ensemble run")
     _add_common(p)
-    p.add_argument("--particles", type=int, default=200)
-    p.add_argument("--states", type=int, default=5)
-    p.add_argument("--gamma", type=float, default=0.9)
-    p.add_argument("--dt", type=float, default=0.1)
-    p.add_argument("--horizon", type=float, default=1500.0)
+    p.add_argument("--particles", dest="n_particles", type=int)
+    p.add_argument("--states", dest="n_states", type=int)
+    p.add_argument("--gamma", type=float)
+    p.add_argument("--dt", type=float)
+    p.add_argument("--horizon", type=float)
     return parser
+
+
+def _given(args: argparse.Namespace) -> dict:
+    """The run flags given on the command line, keyed by runner parameter."""
+    return {k: v for k, v in vars(args).items()
+            if v is not None and k not in ("command", "config", "out")}
 
 
 def _dispatch(args: argparse.Namespace):
@@ -83,28 +92,17 @@ def _dispatch(args: argparse.Namespace):
         return run_from_config(cfg)
 
     out = None if args.out is None else str(args.out)
+    kw = _given(args)
     if args.command == "spiral":
-        kw = dict(alpha=args.alpha, mode=args.mode, integrator=args.integrator,
-                  dt=args.dt, horizon=args.horizon, beta=args.beta, out_dir=out)
-        if args.seed is not None:
-            kw["seed"] = args.seed
-        return run_spiral(**kw)
+        return run_spiral(out_dir=out, **kw)
     if args.command == "nn":
-        return run_nn(args.regime, gamma=args.gamma, seed=args.seed, alpha=args.alpha,
-                      n_units=args.units, n_states=args.states, mode=args.mode,
-                      dt=args.dt, horizon=args.horizon, out_dir=out)
+        return run_nn(kw.pop("regime"), out_dir=out, **kw)
     if args.command == "sweep":
-        grid = [float(x) for x in args.grid.split(",") if x.strip()]
-        base = {"regime": args.regime}
-        if args.seed is not None:
-            base["seed"] = args.seed
-        return run_sweep(args.kind, grid, base=base, out_dir=out, workers=args.workers)
+        grid = [float(x) for x in kw.pop("grid").split(",") if x.strip()]
+        base = {k: kw.pop(k) for k in ("regime", "seed") if k in kw}
+        return run_sweep(kw.pop("kind"), grid, base=base, out_dir=out, **kw)
     if args.command == "meanfield":
-        kw = dict(n_particles=args.particles, n_states=args.states, gamma=args.gamma,
-                  dt=args.dt, horizon=args.horizon, out_dir=out)
-        if args.seed is not None:
-            kw["seed"] = args.seed
-        return run_meanfield(**kw)
+        return run_meanfield(out_dir=out, **kw)
     raise LazyTdError(f"unknown command {args.command!r}")
 
 

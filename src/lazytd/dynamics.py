@@ -10,6 +10,7 @@ so that constant-step runs line up with the averaged flow they track.
 from __future__ import annotations
 
 import csv
+from bisect import bisect_right
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
 
@@ -112,11 +113,17 @@ def sample_chain(mrp: Mrp, mu: StationaryMeasure, steps: int, rng: np.random.Gen
         rng = np.random.default_rng(rng)
     cum = np.cumsum(mrp.P, axis=1)
     cum[:, -1] = 1.0
+    # bisect on the rows as Python lists: a per-step np.searchsorted costs
+    # microseconds of call overhead on rows of a few entries. The draws stay
+    # an array, since a list of them would add a float object per step.
+    rows = cum.tolist()
     draws = rng.random(steps)
     path = np.empty(steps, dtype=np.int64)
-    path[0] = int(np.searchsorted(np.cumsum(mu.mu), draws[0], side="right"))
-    for t in range(1, steps):
-        path[t] = int(np.searchsorted(cum[path[t - 1]], draws[t], side="right"))
+    s = int(np.searchsorted(np.cumsum(mu.mu), draws[0], side="right"))
+    path[0] = s
+    for t, u in enumerate(draws[1:], start=1):
+        s = bisect_right(rows[s], u)
+        path[t] = s
     return path
 
 
@@ -135,14 +142,17 @@ def stochastic_td_step(
 
     delta uses the alpha-scaled model and the parameter step carries the
     matching 1/alpha factor, so alpha = 1 is the plain unscaled update.
+    The gradient at s is row s of the Jacobian, pulled back from a one-hot
+    vector rather than read off a full Jacobian.
     """
     alpha, lam = config.alpha, config.lam
-    V = model.value(w)
+    V, vjp = model.value_and_vjp(w)
     if not np.all(np.isfinite(V)) or alpha * np.max(np.abs(V)) > config.divergence_threshold:
         raise Diverged(f"scaled value norm exceeded {config.divergence_threshold:g}")
-    J = model.jacobian(w)
+    one_hot = np.zeros(model.d)
+    one_hot[s] = 1.0
     delta = reward + gamma * alpha * V[s_next] - alpha * V[s]
-    z_new = gamma * lam * z + J[s]
+    z_new = gamma * lam * z + vjp(one_hot)
     w_new = w + beta * delta * z_new / alpha
     if np.max(np.abs(w_new)) > config.divergence_threshold:
         raise Diverged(f"parameter norm exceeded {config.divergence_threshold:g}")
@@ -254,27 +264,35 @@ def make_lazy_rhs(model: ValueModel, mrp: Mrp, mu: StationaryMeasure, lam: float
     """Closure over the resolvent pieces of the backup operator.
 
     The returned callable evaluates the scaled drift without redoing the
-    linear solves, which is what the integrators want.
+    linear solves, which is what the integrators want; it asks the model
+    for one value vector and one vector-Jacobian product per call.
+
+    It also carries ``rhs.scaled_value_norm(w)``, the max-norm of the scaled
+    value vector, for use as the divergence probe. When ``w`` is the very
+    array of the latest rhs call (as in ``integrate``, which evaluates the
+    next step's first stage before probing), it reuses that call's value
+    instead of evaluating the model again; ``w`` must not have been
+    modified in place since.
     """
     if alpha < 1.0:
         raise DomainError(f"alpha must be >= 1, got {alpha}")
     r_lam, P_lam = td_resolvent(mrp, lam)
     gP = mrp.gamma * P_lam
     muv = mu.mu
-    fused = getattr(model, "value_and_jacobian", None)
+    latest = [None, None]  # the last rhs argument and its scaled value
 
-    if fused is not None:
-        def rhs(w: np.ndarray) -> np.ndarray:
-            value, J = fused(w)
-            V = alpha * value
-            td = r_lam + gP @ V - V
-            return J.T @ (muv * td) / alpha
-    else:
-        def rhs(w: np.ndarray) -> np.ndarray:
-            V = alpha * model.value(w)
-            td = r_lam + gP @ V - V
-            return model.jacobian(w).T @ (muv * td) / alpha
+    def rhs(w: np.ndarray) -> np.ndarray:
+        value, vjp = model.value_and_vjp(w)
+        V = alpha * value
+        latest[0], latest[1] = w, V
+        td = r_lam + gP @ V - V
+        return vjp(muv * td) / alpha
 
+    def scaled_value_norm(w: np.ndarray) -> float:
+        V = latest[1] if latest[0] is w else alpha * model.value(w)
+        return float(np.max(np.abs(V)))
+
+    rhs.scaled_value_norm = scaled_value_norm
     return rhs
 
 
@@ -295,6 +313,11 @@ def integrate(
     explosive step can overshoot straight past the threshold; otherwise it
     raises NonFiniteState. ``stop_when(w, t)`` is consulted at save points
     for early termination.
+
+    Each accepted state's first-stage rhs is evaluated right away, before
+    the divergence check, so a probe built on the rhs (see
+    ``make_lazy_rhs``) finds that state's value already computed. A run of
+    n steps makes 4n rhs calls with RK4 (n with Euler), plus at most one.
     """
     w = np.asarray(w0, dtype=float).copy()
     dt = config.dt
@@ -305,35 +328,36 @@ def integrate(
     times, saved = [0.0], [w.copy()]
     diverged, diverged_at = False, None
     t = 0.0
-    last_mag = _magnitude(w, divergence_probe)
-    for k in range(n_steps):
-        # blowup is detected and classified below; let the step overflow quietly
-        with np.errstate(over="ignore", invalid="ignore"):
+    # blowup is detected and classified below; let the steps overflow quietly
+    with np.errstate(over="ignore", invalid="ignore"):
+        k1 = rhs(w)
+        last_mag = _magnitude(w, divergence_probe)
+        for k in range(n_steps):
             if use_rk4:
-                k1 = rhs(w)
                 k2 = rhs(w + 0.5 * dt * k1)
                 k3 = rhs(w + 0.5 * dt * k2)
                 k4 = rhs(w + dt * k3)
                 w_new = w + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             else:
-                w_new = w + dt * rhs(w)
-        t = (k + 1) * dt
-        if not np.all(np.isfinite(w_new)):
-            if last_mag > 1e-3 * thresh:
+                w_new = w + dt * k1
+            t = (k + 1) * dt
+            if not np.all(np.isfinite(w_new)):
+                if last_mag > 1e-3 * thresh:
+                    diverged, diverged_at = True, t
+                    break
+                raise NonFiniteState(f"non-finite state at t={t:g}")
+            k1 = rhs(w_new)
+            mag = _magnitude(w_new, divergence_probe)
+            if not np.isfinite(mag) or mag > thresh:
                 diverged, diverged_at = True, t
                 break
-            raise NonFiniteState(f"non-finite state at t={t:g}")
-        mag = _magnitude(w_new, divergence_probe)
-        if not np.isfinite(mag) or mag > thresh:
-            diverged, diverged_at = True, t
-            break
-        w = w_new
-        last_mag = mag
-        if (k + 1) % config.save_every == 0 or k == n_steps - 1:
-            times.append(t)
-            saved.append(w.copy())
-            if stop_when is not None and stop_when(w, t):
-                break
+            w = w_new
+            last_mag = mag
+            if (k + 1) % config.save_every == 0 or k == n_steps - 1:
+                times.append(t)
+                saved.append(w.copy())
+                if stop_when is not None and stop_when(w, t):
+                    break
     return Trajectory(
         times=np.asarray(times),
         params=np.asarray(saved),
@@ -345,6 +369,5 @@ def integrate(
 def _magnitude(w: np.ndarray, probe) -> float:
     mag = float(np.max(np.abs(w)))
     if probe is not None:
-        with np.errstate(over="ignore", invalid="ignore"):
-            mag = max(mag, float(probe(w)))
+        mag = max(mag, float(probe(w)))
     return mag

@@ -203,9 +203,8 @@ def run_spiral(
         cfg = TrainConfig(lam=lam, alpha=alpha, mode="lazy-ode", dt=dt, horizon=horizon,
                           integrator=integrator, save_every=save_every, seed=seed)
         rhs = make_lazy_rhs(model, mrp, mu, lam, alpha)
-        probe = lambda w: alpha * np.max(np.abs(model.value(w)))
         stop = lambda w, t: projected_td_error(model, mrp, mu, lam, alpha, w) < stop_tol
-        run = integrate(rhs, w0, cfg, divergence_probe=probe, stop_when=stop)
+        run = integrate(rhs, w0, cfg, divergence_probe=rhs.scaled_value_norm, stop_when=stop)
     elif mode == "stochastic":
         cfg = TrainConfig(lam=lam, alpha=alpha, mode="stochastic", beta0=beta,
                           horizon=horizon, save_every=save_every, seed=seed)
@@ -249,20 +248,28 @@ def _nn_setup(gamma: float, seed: int, n_units: int, n_states: int):
     return mrp, mu, model, w0, vstar
 
 
-def linearized_rates(model, w0, mrp: Mrp, mu: StationaryMeasure, lam: float) -> tuple[float, float]:
+def linearized_rates(model, w0, mrp: Mrp, mu: StationaryMeasure, lam: float,
+                     return_unstable: bool = False):
     """(fastest, slowest-nonzero) decay rates of the flow linearized at w0.
 
     Real parts of the eigenvalues of J^T Gamma (gamma P_lam - I) J; the
-    scaling drops out, so one spectrum serves every alpha.
+    scaling drops out, so one spectrum serves every alpha. Real parts
+    within 1e-12 * max(fast, 1) of zero are the flat directions. Positive
+    ones beyond that make the linearization unstable; they play no part in
+    the two rates, and ``return_unstable=True`` returns them as a third
+    item, largest first.
     """
     J = model.jacobian(w0)
     _, P_lam = td_resolvent(mrp, lam)
     A = J.T @ (mu.mu[:, None] * (mrp.gamma * P_lam - np.eye(mrp.d))) @ J
     re = np.linalg.eigvals(A).real
     fast = float(-re.min())
-    nonzero = -re[re < -1e-12 * max(fast, 1.0)]
+    tol = 1e-12 * max(fast, 1.0)
+    nonzero = -re[re < -tol]
     slow = float(nonzero.min()) if nonzero.size else fast
-    return fast, slow
+    if not return_unstable:
+        return fast, slow
+    return fast, slow, np.sort(re[re > tol])[::-1]
 
 
 def run_nn(
@@ -335,7 +342,7 @@ def run_nn(
             _emit(out_dir, config, run, report, include_params=False)
         return report
 
-    fast, slow = linearized_rates(model, w0, mrp, mu, lam)
+    fast, slow, unstable = linearized_rates(model, w0, mrp, mu, lam, return_unstable=True)
     if dt is None:
         dt = stability_factor / fast
     if horizon is None:
@@ -355,15 +362,16 @@ def run_nn(
     cfg = TrainConfig(lam=lam, alpha=alpha, mode="lazy-ode", dt=dt, horizon=horizon,
                       save_every=save_every, seed=seed)
     rhs = make_lazy_rhs(model, mrp, mu, lam, alpha)
-    probe = lambda w: alpha * np.max(np.abs(model.value(w)))
     stop = None
     if regime == "under":
         stop = lambda w, t: projected_td_error(model, mrp, mu, lam, alpha, w) < stop_tol
-    run = integrate(rhs, w0, cfg, divergence_probe=probe, stop_when=stop)
+    run = integrate(rhs, w0, cfg, divergence_probe=rhs.scaled_value_norm, stop_when=stop)
     _attach_run_diagnostics(run, model, mrp, mu, lam, alpha, vstar)
 
     certificate = None
     extra = {"rate_fast": fast, "rate_slow": slow,
+             "unstable_count": int(unstable.size),
+             "rate_unstable": float(unstable[0]) if unstable.size else None,
              "rank": rank_profile(model, w0).rank}
     if regime == "over":
         geometry = LazyGeometry.from_model(model, w0, mrp, mu, rng=0)

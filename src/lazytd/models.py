@@ -35,6 +35,16 @@ class ValueModel(ABC):
     def jacobian(self, w: np.ndarray) -> np.ndarray:
         """Derivative of the value vector in the parameters, shape (d, p)."""
 
+    def value_and_vjp(self, w: np.ndarray):
+        """Value vector and the vector-Jacobian product g -> J(w)^T g.
+
+        This is all the TD drift needs of a model: one value vector per
+        evaluation and one pullback of a d-vector into parameter space.
+        Models whose Jacobian is costly to materialize override it.
+        """
+        J = self.jacobian(w)
+        return self.value(w), lambda g: J.T @ g
+
 
 class LinearModel(ValueModel):
     def __init__(self, features: np.ndarray):
@@ -107,6 +117,7 @@ class ReluNet(ValueModel):
         self.n_units = int(n_units)
         self.d, self.m = states.shape
         self.p = self.n_units * (self.m + 2)
+        self._ones_states = np.vstack([np.ones(self.d), states.T])  # (1 + m, d)
 
     def unpack(self, w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         w = np.asarray(w, dtype=float)
@@ -119,7 +130,19 @@ class ReluNet(ValueModel):
         return np.concatenate([np.ravel(a), np.ravel(b), np.ravel(c)])
 
     def _pre(self, b, c):
-        return self.states @ b.T - c[None, :]  # (d, N)
+        # np.dot, not @: matmul takes a path several times slower when the
+        # inner dimension is m = 1 (the grid nets), where both round each
+        # entry once and so agree bit for bit
+        pre = np.dot(self.states, b.T)  # (d, N)
+        pre -= c
+        return pre
+
+    def _forward(self, w):
+        """Output weights, activations, hinge indicators and value vector."""
+        a, b, c = self.unpack(w)
+        pre = self._pre(b, c)
+        act = np.maximum(pre, 0.0)
+        return a, act, (pre > 0.0).astype(float), act @ a / self.n_units
 
     def value(self, w):
         a, b, c = self.unpack(w)
@@ -129,13 +152,8 @@ class ReluNet(ValueModel):
         return self.value_and_jacobian(w)[1]
 
     def value_and_jacobian(self, w):
-        """Value and Jacobian off one activation pass (the hot path for the
-        integrators, which evaluate both at every stage)."""
-        a, b, c = self.unpack(w)
-        pre = self._pre(b, c)
-        act = np.maximum(pre, 0.0)
-        value = act @ a / self.n_units
-        ind = (pre > 0.0).astype(float)
+        """Value and the full (d, p) Jacobian off one activation pass."""
+        a, act, ind, value = self._forward(w)
         scaled = ind * (a[None, :] / self.n_units)    # (d, N)
         N, m, d = self.n_units, self.m, self.d
         J = np.empty((d, self.p))
@@ -143,6 +161,25 @@ class ReluNet(ValueModel):
         J[:, N:N + N * m] = (scaled[:, :, None] * self.states[:, None, :]).reshape(d, N * m)
         J[:, N + N * m:] = -scaled
         return value, J
+
+    def value_and_vjp(self, w):
+        """Value and J^T g off one activation pass, never forming J.
+
+        The pullback contracts g against the activations and the hinge
+        indicators directly: g @ act / N for the output weights,
+        (g * s) @ ind * a/N for the input weights and -(g @ ind) * a/N for
+        the biases. With a one-hot g it reproduces a row of the Jacobian
+        bit for bit, since every product with a zero weight is exact.
+        """
+        a, act, ind, value = self._forward(w)
+        a_n = a / self.n_units
+
+        def vjp(g: np.ndarray) -> np.ndarray:
+            # row 0: g @ ind, rows 1..m: (g * s_k) @ ind, all scaled by a/N
+            r = np.dot(self._ones_states * g, ind) * a_n
+            return np.concatenate([np.dot(g, act) / self.n_units, r[1:].T.ravel(), -r[0]])
+
+        return value, vjp
 
     def init_doubled(self, rng: np.random.Generator | int) -> np.ndarray:
         """Paired Gaussian initialization forcing value(w0) = 0.

@@ -7,6 +7,7 @@ import pytest
 from lazytd import (
     LinearModel,
     Mrp,
+    ReluNet,
     SpiralModel,
     TrainConfig,
     averaged_rhs,
@@ -57,6 +58,24 @@ def test_sample_chain_deterministic(chain3):
     a = sample_chain(mrp, mu, 1000, 5)
     b = sample_chain(mrp, mu, 1000, 5)
     np.testing.assert_array_equal(a, b)
+
+
+def test_sample_chain_matches_searchsorted_reference():
+    rng = np.random.default_rng(3)
+    P = rng.random((6, 6)) ** 3
+    P /= P.sum(axis=1, keepdims=True)
+    mrp = Mrp(P=P, rbar=np.zeros(6), gamma=0.5)
+    mu = stationary_measure(mrp)
+    steps = 5000
+    # the per-step searchsorted loop sample_chain replaces, same draws
+    cum = np.cumsum(P, axis=1)
+    cum[:, -1] = 1.0
+    draws = np.random.default_rng(11).random(steps)
+    ref = np.empty(steps, dtype=np.int64)
+    ref[0] = np.searchsorted(np.cumsum(mu.mu), draws[0], side="right")
+    for t in range(1, steps):
+        ref[t] = np.searchsorted(cum[ref[t - 1]], draws[t], side="right")
+    np.testing.assert_array_equal(sample_chain(mrp, mu, steps, 11), ref)
 
 
 # --------------------------------------------------------------- sampled step
@@ -115,6 +134,30 @@ def test_trace_modes_agree_at_small_step(chain3):
     # same chain path; trace variants differ at O(beta) per step
     gap = np.abs(rec.final_params - win.final_params).max()
     assert gap < 5e-4
+
+
+def test_sampled_run_matches_full_jacobian_rows():
+    # the engine pulls back a one-hot vector; the reference reads the row
+    # off the full Jacobian, and the two runs must agree bit for bit
+    mrp = Mrp(P=cyclic_chain(8, "backward"), rbar=np.linspace(-1, 1, 8), gamma=0.9)
+    mu = stationary_measure(mrp)
+    model = ReluNet(10, np.linspace(-1, 1, 8))
+    w0 = model.init_doubled(1)
+    cfg = TrainConfig(lam=0.5, alpha=20.0, beta0=0.05, horizon=300, save_every=1, seed=4)
+    run = run_stochastic_td(model, mrp, mu, cfg, w0)
+
+    path = sample_chain(mrp, mu, 301, np.random.default_rng(cfg.seed))
+    R = mrp.pair_reward()
+    w, z, ref = w0.copy(), np.zeros(model.p), [w0.copy()]
+    for k in range(300):
+        s, s_next = path[k], path[k + 1]
+        V = model.value(w)
+        delta = R[s, s_next] + mrp.gamma * cfg.alpha * V[s_next] - cfg.alpha * V[s]
+        z = mrp.gamma * cfg.lam * z + model.jacobian(w)[s]
+        w = w + cfg.beta0 * delta * z / cfg.alpha
+        ref.append(w.copy())
+    assert not run.diverged
+    np.testing.assert_array_equal(run.params, np.asarray(ref))
 
 
 # -------------------------------------------------------------- averaged flow
@@ -278,6 +321,38 @@ def test_spiral_unscaled_flow_diverges(chain3):
     # no samples past the divergence time, and all saved states finite
     assert run.times[-1] <= run.diverged_at
     assert np.all(np.isfinite(run.params))
+    # the probe that reuses the rhs's value stops at the same step
+    fused = integrate(rhs, np.zeros(1), cfg, divergence_probe=rhs.scaled_value_norm)
+    assert fused.diverged and fused.diverged_at == run.diverged_at
+    np.testing.assert_array_equal(fused.params, run.params)
+
+
+@pytest.mark.parametrize("integrator,stages", [("rk4", 4), ("euler", 1)])
+def test_integrate_rhs_calls_per_step(chain3, integrator, stages):
+    mrp, mu = chain3
+    model = ReluNet(4, np.linspace(-1, 1, 3))
+    rhs = make_lazy_rhs(model, mrp, mu, 0.0, 100.0)
+    w0 = model.init_doubled(0)
+    calls = []
+
+    def counted(w):
+        calls.append(1)
+        return rhs(w)
+
+    counted.scaled_value_norm = rhs.scaled_value_norm
+    value_calls = []
+    value = model.value
+    model.value = lambda w: value_calls.append(1) or value(w)
+    n = 250
+    cfg = TrainConfig(dt=1e-2, horizon=n * 1e-2, save_every=50, integrator=integrator)
+    run = integrate(counted, w0, cfg, divergence_probe=counted.scaled_value_norm)
+    assert not run.diverged
+    assert stages * n <= len(calls) <= stages * n + 1
+    # every probe found its state's value already computed by the rhs
+    assert value_calls == []
+    calls.clear()
+    integrate(counted, w0, cfg, stop_when=lambda w, t: t >= 1.0)
+    assert stages * 100 <= len(calls) <= stages * 100 + 1
 
 
 def test_integrate_raises_on_nonfinite_rhs():

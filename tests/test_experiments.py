@@ -7,10 +7,13 @@ import json
 import numpy as np
 import pytest
 
+from lazytd import LinearModel, Mrp, StationaryMeasure, cli
 from lazytd.analysis import fit_exponential_rate
 from lazytd.cli import main as cli_main
 from lazytd.experiments import (
     ExperimentConfig,
+    RunReport,
+    linearized_rates,
     run_from_config,
     run_meanfield,
     run_nn,
@@ -69,9 +72,23 @@ def test_nn_over_certificate_passes_small_config():
     cert = rep.certificate
     assert not rep.diverged
     assert rep.extra["rank"] == 8
+    assert rep.extra["unstable_count"] == 0 and rep.extra["rate_unstable"] is None
     assert cert["envelope_ok"]
     assert cert["r_squared"] >= 0.95
     assert cert["passed"]
+
+
+def test_linearized_rates_returns_unstable_eigenvalues():
+    # features (1, 2), both states jump to the second, equal weights that
+    # are not the chain's stationary measure: the classic off-policy
+    # counterexample, whose linearization grows at 3 gamma - 5/2
+    model = LinearModel(np.array([[1.0], [2.0]]))
+    mrp = Mrp(P=np.array([[0.0, 1.0], [0.0, 1.0]]), rbar=np.zeros(2), gamma=0.9)
+    mu = StationaryMeasure(np.array([0.5, 0.5]))
+    fast, slow, unstable = linearized_rates(model, np.zeros(1), mrp, mu, 0.0,
+                                            return_unstable=True)
+    np.testing.assert_allclose(unstable, [0.2])
+    assert linearized_rates(model, np.zeros(1), mrp, mu, 0.0) == (fast, slow)
 
 
 def test_nn_under_three_seeds_converge():
@@ -211,3 +228,43 @@ def test_cli_meanfield(tmp_path, capsys):
     code = cli_main(["meanfield", "--horizon", "20", "--out", str(tmp_path / "m")])
     assert code == 0
     assert (tmp_path / "m" / "snapshot_final.csv").exists()
+
+
+@pytest.mark.parametrize("argv,runner,expected", [
+    (["spiral"], "run_spiral", dict(alpha=1.0)),
+    (["spiral", "--mode", "stochastic", "--seed", "3"], "run_spiral",
+     dict(alpha=1.0, mode="stochastic", seed=3)),
+    (["spiral", "--alpha", "100", "--integrator", "euler", "--dt", "0.05",
+      "--horizon", "10", "--beta", "0.01"], "run_spiral",
+     dict(alpha=100.0, integrator="euler", dt=0.05, horizon=10.0, beta=0.01)),
+    (["nn", "--regime", "under"], "run_nn", dict()),
+    (["nn", "--regime", "over", "--units", "40", "--states", "8", "--gamma", "0.8",
+      "--mode", "stochastic", "--alpha", "50", "--dt", "0.1", "--horizon", "9"],
+     "run_nn", dict(n_units=40, n_states=8, gamma=0.8, mode="stochastic", alpha=50.0,
+                    dt=0.1, horizon=9.0)),
+    (["sweep", "--kind", "alpha", "--grid", "1,2"], "run_sweep",
+     dict(base={})),
+    (["sweep", "--kind", "gamma", "--grid", "0.8", "--regime", "under", "--seed", "5",
+      "--workers", "2"], "run_sweep", dict(base={"regime": "under", "seed": 5}, workers=2)),
+    (["meanfield"], "run_meanfield", dict()),
+    (["meanfield", "--particles", "20", "--states", "4", "--gamma", "0.5", "--dt", "0.2",
+      "--horizon", "3"], "run_meanfield",
+     dict(n_particles=20, n_states=4, gamma=0.5, dt=0.2, horizon=3.0)),
+])
+def test_cli_passes_only_given_flags(monkeypatch, capsys, argv, runner, expected):
+    # a flag left out must leave the runner's own default in force
+    received = {}
+
+    def fake(*args, **kwargs):
+        received.update(args=args, kwargs=kwargs)
+        return RunReport(experiment="fake", config={}, diverged=False)
+
+    monkeypatch.setattr(cli, runner, fake)
+    assert cli_main(argv) == 0
+    kwargs = received["kwargs"]
+    assert kwargs.pop("out_dir") is None
+    assert kwargs == expected
+    if runner == "run_nn":
+        assert received["args"] == (argv[2],)
+    if runner == "run_sweep":
+        assert received["args"] == (argv[2], [float(x) for x in argv[4].split(",")])

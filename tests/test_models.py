@@ -3,6 +3,8 @@ paired initialization, rank classification."""
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from lazytd import (
     LinearModel,
@@ -175,3 +177,36 @@ def test_jacobian_finite_difference_sweep(builder, seed):
         an = model.jacobian(w)
         np.testing.assert_allclose(an, fd, rtol=1e-4, atol=1e-8)
         checked += 1
+
+
+def _vjp_model(kind, rng):
+    if kind == "linear":
+        return LinearModel(rng.standard_normal((6, 3)))
+    if kind == "spiral":
+        return SpiralModel()
+    if kind == "relu-m1":
+        return ReluNet(8, np.linspace(-1, 1, 6))
+    if kind == "relu-m2":
+        return ReluNet(8, rng.uniform(-1, 1, (6, 2)))
+    base = ReluNet(8, np.linspace(-1, 1, 6))
+    return TangentModel(base, base.init_doubled(4))
+
+
+@settings(max_examples=40, deadline=None)
+@given(kind=st.sampled_from(["linear", "spiral", "relu-m1", "relu-m2", "tangent"]),
+       seed=st.integers(0, 10_000))
+def test_value_and_vjp_matches_finite_difference(kind, seed):
+    rng = np.random.default_rng(seed)
+    model = _vjp_model(kind, rng)
+    w = rng.standard_normal(model.p)
+    if isinstance(model, ReluNet):
+        assume(relu_kink_distance(model, w) > 1e-5)
+    g = rng.standard_normal(model.d)
+    value, vjp = model.value_and_vjp(w)
+    np.testing.assert_array_equal(value, model.value(w))
+    fd = finite_difference_jacobian(model, w)
+    np.testing.assert_allclose(vjp(g), fd.T @ g, rtol=1e-5, atol=1e-8)
+    # a one-hot pullback is the Jacobian row itself, bit for bit
+    J = model.jacobian(w)
+    for s in range(model.d):
+        np.testing.assert_array_equal(vjp(np.eye(model.d)[s]), J[s])
