@@ -31,9 +31,7 @@ from .models import (
 from .dynamics import (
     TrainConfig,
     Trajectory,
-    averaged_rhs,
     integrate,
-    lazy_rhs,
     make_lazy_rhs,
     run_stochastic_td,
     sample_chain,
@@ -54,6 +52,7 @@ from .analysis import (
 )
 from .meanfield import (
     EnsembleHistory,
+    EnsembleModel,
     FeatureMap,
     GaussianBumpFeatures,
     OptimalityReport,

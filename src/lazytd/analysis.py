@@ -429,18 +429,27 @@ def displacement_scaling(
         run = integrate(rhs, w0, config, divergence_probe=rhs.scaled_value_norm)
         diverged.append(bool(run.diverged))
         displacements.append(float(np.max(np.linalg.norm(run.params - run.params[0], axis=1))))
-    ok = not any(diverged) and all(d > 0 for d in displacements)
-    slope = float("nan")
-    if ok:
-        slope = float(np.polyfit(np.log(np.asarray(alphas, dtype=float)),
-                                 np.log(np.asarray(displacements)), 1)[0])
+    slope, passed = displacement_slope(alphas, displacements, diverged, slope_bound)
     return DisplacementReport(
         alphas=[float(a) for a in alphas],
         displacements=displacements,
         diverged=diverged,
         slope=slope,
-        passed=bool(ok and slope <= slope_bound),
+        passed=passed,
     )
+
+
+def displacement_slope(alphas, displacements, diverged, slope_bound: float = -0.8) -> tuple[float, bool]:
+    """Log-log slope of displacement against alpha, and whether the scaling
+    check passes: no run diverged, every displacement is positive and the
+    slope is at most ``slope_bound``. The slope is nan when a run diverged
+    or did not move."""
+    ok = not any(diverged) and all(d is not None and d > 0 for d in displacements)
+    slope = float("nan")
+    if ok:
+        slope = float(np.polyfit(np.log(np.asarray(alphas, dtype=float)),
+                                 np.log(np.asarray(displacements)), 1)[0])
+    return slope, bool(ok and slope <= slope_bound)
 
 
 def metric_drift(geometry: LazyGeometry, model: ValueModel, run: Trajectory) -> np.ndarray:

@@ -20,7 +20,6 @@ from .errors import Diverged, DomainError, NonFiniteState
 from .models import ValueModel
 from .mrp import Mrp, StationaryMeasure, td_resolvent
 
-MODES = ("stochastic", "averaged-ode", "lazy-ode")
 INTEGRATORS = ("euler", "rk4")
 TRACE_MODES = ("recursive", "windowed")
 
@@ -31,7 +30,6 @@ class TrainConfig:
 
     lam: float = 0.0                 # trace parameter in [0, 1)
     alpha: float = 1.0               # lazy scaling factor, >= 1
-    mode: str = "lazy-ode"
     beta0: float = 1e-3              # step size (constant unless t0 is set)
     t0: float | None = None          # decaying schedule beta0 / (1 + t/t0)
     horizon: float = 1000.0          # step count (stochastic) or end time (ode)
@@ -48,8 +46,6 @@ class TrainConfig:
             raise DomainError(f"lam must lie in [0,1), got {self.lam}")
         if self.alpha < 1.0:
             raise DomainError(f"alpha must be >= 1, got {self.alpha}")
-        if self.mode not in MODES:
-            raise DomainError(f"mode must be one of {MODES}")
         if self.integrator not in INTEGRATORS:
             raise DomainError(f"integrator must be one of {INTEGRATORS}")
         if self.trace_mode not in TRACE_MODES:
@@ -250,22 +246,14 @@ def _maybe_record(times, saved, t_now, w, model, alpha, config) -> None:
         saved.append(w.copy())
 
 
-def averaged_rhs(model: ValueModel, mrp: Mrp, mu: StationaryMeasure, lam: float, w: np.ndarray) -> np.ndarray:
-    """Drift of the averaged deterministic dynamics: J^T Gamma (T V - V)."""
-    return lazy_rhs(model, mrp, mu, lam, 1.0, w)
-
-
-def lazy_rhs(model: ValueModel, mrp: Mrp, mu: StationaryMeasure, lam: float, alpha: float, w: np.ndarray) -> np.ndarray:
-    """Drift of the scaled dynamics: (1/alpha) J^T Gamma (T(alpha V) - alpha V)."""
-    return make_lazy_rhs(model, mrp, mu, lam, alpha)(w)
-
-
 def make_lazy_rhs(model: ValueModel, mrp: Mrp, mu: StationaryMeasure, lam: float, alpha: float):
-    """Closure over the resolvent pieces of the backup operator.
+    """Drift of the scaled dynamics, (1/alpha) J^T Gamma (T(alpha V) - alpha V);
+    alpha = 1 is the averaged flow J^T Gamma (T V - V).
 
-    The returned callable evaluates the scaled drift without redoing the
-    linear solves, which is what the integrators want; it asks the model
-    for one value vector and one vector-Jacobian product per call.
+    The returned closure holds the resolvent pieces of the backup operator
+    T, so it evaluates the drift without redoing the linear solves, which
+    is what the integrators want; it asks the model for one value vector
+    and one vector-Jacobian product per call.
 
     It also carries ``rhs.scaled_value_norm(w)``, the max-norm of the scaled
     value vector, for use as the divergence probe. When ``w`` is the very

@@ -21,6 +21,7 @@ import numpy as np
 
 from .analysis import (
     LazyGeometry,
+    displacement_slope,
     fit_exponential_rate,
     metric_drift,
     overparametrized_certificate,
@@ -165,6 +166,31 @@ def _attach_run_diagnostics(run: Trajectory, model, mrp: Mrp, mu: StationaryMeas
     run.diagnostics["displacement"] = np.linalg.norm(run.params - run.params[0], axis=1)
 
 
+def _run_report(experiment: str, config: dict, run: Trajectory, t_start: float, out_dir,
+                fit=None, include_params: bool = False, **fields) -> RunReport:
+    """Report quoting the final diagnostics of ``run``, stamped with the wall
+    clock since ``t_start`` and written out when ``out_dir`` is given.
+    ``fit`` is the (rate, r_squared) pair, by default the exponential fit of
+    the projected residual."""
+    pe = run.diagnostics["projected_error"]
+    rate, r2 = fit_exponential_rate(run.times, pe) if fit is None else fit
+    report = RunReport(
+        experiment=experiment,
+        config=config,
+        diverged=run.diverged,
+        final_projected_error=float(pe[-1]),
+        final_value_error=float(run.diagnostics["value_error"][-1]),
+        fitted_rate=rate,
+        r_squared=r2,
+        displacement=float(run.diagnostics["displacement"].max()),
+        **fields,
+    )
+    report.wall_clock = time.perf_counter() - t_start
+    if out_dir is not None:
+        _emit(out_dir, config, run, report, include_params=include_params)
+    return report
+
+
 def run_spiral(
     alpha: float,
     out_dir: str | Path | None = None,
@@ -200,36 +226,21 @@ def run_spiral(
                   save_every=save_every, gamma=mrp.gamma, lam=lam)
 
     if mode == "ode":
-        cfg = TrainConfig(lam=lam, alpha=alpha, mode="lazy-ode", dt=dt, horizon=horizon,
+        cfg = TrainConfig(lam=lam, alpha=alpha, dt=dt, horizon=horizon,
                           integrator=integrator, save_every=save_every, seed=seed)
         rhs = make_lazy_rhs(model, mrp, mu, lam, alpha)
         stop = lambda w, t: projected_td_error(model, mrp, mu, lam, alpha, w) < stop_tol
         run = integrate(rhs, w0, cfg, divergence_probe=rhs.scaled_value_norm, stop_when=stop)
     elif mode == "stochastic":
-        cfg = TrainConfig(lam=lam, alpha=alpha, mode="stochastic", beta0=beta,
+        cfg = TrainConfig(lam=lam, alpha=alpha, beta0=beta,
                           horizon=horizon, save_every=save_every, seed=seed)
         run = run_stochastic_td(model, mrp, mu, cfg, w0)
     else:
         raise DomainError(f"unknown mode {mode!r}")
 
     _attach_run_diagnostics(run, model, mrp, mu, lam, alpha, vstar)
-    pe = run.diagnostics["projected_error"]
-    rate, r2 = fit_exponential_rate(run.times, pe)
-    report = RunReport(
-        experiment="spiral",
-        config=config,
-        diverged=run.diverged,
-        final_projected_error=float(pe[-1]),
-        final_value_error=float(run.diagnostics["value_error"][-1]),
-        fitted_rate=rate,
-        r_squared=r2,
-        displacement=float(run.diagnostics["displacement"].max()),
-        extra={"diverged_at": run.diverged_at, "theta_final": float(run.final_params[0])},
-    )
-    report.wall_clock = time.perf_counter() - t_start
-    if out_dir is not None:
-        _emit(out_dir, config, run, report, include_params=True)
-    return report
+    return _run_report("spiral", config, run, t_start, out_dir, include_params=True, extra={
+        "diverged_at": run.diverged_at, "theta_final": float(run.final_params[0])})
 
 
 def _nn_setup(gamma: float, seed: int, n_units: int, n_states: int):
@@ -317,30 +328,15 @@ def run_nn(
 
     if mode == "stochastic":
         steps = int(horizon) if horizon is not None else 100_000
-        cfg = TrainConfig(lam=lam, alpha=alpha, mode="stochastic", beta0=beta,
+        cfg = TrainConfig(lam=lam, alpha=alpha, beta0=beta,
                           horizon=steps, save_every=max(1, steps // 400), seed=seed)
         config = dict(experiment=f"nn-{regime}", mode=mode, gamma=gamma, seed=seed,
                       alpha=alpha, n_units=n_units, n_states=n_states, lam=lam,
                       beta=beta, horizon=steps, save_every=cfg.save_every)
         run = run_stochastic_td(model, mrp, mu, cfg, w0)
         _attach_run_diagnostics(run, model, mrp, mu, lam, alpha, vstar)
-        pe = run.diagnostics["projected_error"]
-        fitted, r2 = fit_exponential_rate(run.times, pe)
-        report = RunReport(
-            experiment=f"nn-{regime}",
-            config=config,
-            diverged=run.diverged,
-            final_projected_error=float(pe[-1]),
-            final_value_error=float(run.diagnostics["value_error"][-1]),
-            fitted_rate=fitted,
-            r_squared=r2,
-            displacement=float(run.diagnostics["displacement"].max()),
-            extra={"rank": rank_profile(model, w0).rank},
-        )
-        report.wall_clock = time.perf_counter() - t_start
-        if out_dir is not None:
-            _emit(out_dir, config, run, report, include_params=False)
-        return report
+        return _run_report(f"nn-{regime}", config, run, t_start, out_dir,
+                           extra={"rank": rank_profile(model, w0).rank})
 
     fast, slow, unstable = linearized_rates(model, w0, mrp, mu, lam, return_unstable=True)
     if dt is None:
@@ -359,7 +355,7 @@ def run_nn(
                   alpha=alpha, n_units=n_units, n_states=n_states, lam=lam, dt=dt,
                   horizon=horizon, stop_tol=stop_tol, beta=beta, save_every=save_every)
 
-    cfg = TrainConfig(lam=lam, alpha=alpha, mode="lazy-ode", dt=dt, horizon=horizon,
+    cfg = TrainConfig(lam=lam, alpha=alpha, dt=dt, horizon=horizon,
                       save_every=save_every, seed=seed)
     rhs = make_lazy_rhs(model, mrp, mu, lam, alpha)
     stop = None
@@ -368,7 +364,6 @@ def run_nn(
     run = integrate(rhs, w0, cfg, divergence_probe=rhs.scaled_value_norm, stop_when=stop)
     _attach_run_diagnostics(run, model, mrp, mu, lam, alpha, vstar)
 
-    certificate = None
     extra = {"rate_fast": fast, "rate_slow": slow,
              "unstable_count": int(unstable.size),
              "rate_unstable": float(unstable[0]) if unstable.size else None,
@@ -376,8 +371,7 @@ def run_nn(
     if regime == "over":
         geometry = LazyGeometry.from_model(model, w0, mrp, mu, rng=0)
         cert = overparametrized_certificate(geometry, model, run, alpha)
-        certificate = cert.to_dict()
-        fitted, r2 = cert.fitted_rate, cert.r_squared
+        fit = cert.fitted_rate, cert.r_squared
         extra["kappa"] = geometry.kappa
         extra["rate_bound"] = geometry.rate_bound
         try:
@@ -387,25 +381,10 @@ def run_nn(
             extra["metric_drift_note"] = str(exc)
     else:
         cert = underparametrized_certificate(model, mrp, mu, lam, [alpha], [run])
-        certificate = cert.to_dict()
-        fitted, r2 = fit_exponential_rate(run.times, run.diagnostics["projected_error"])
+        fit = None
 
-    report = RunReport(
-        experiment=f"nn-{regime}",
-        config=config,
-        diverged=run.diverged,
-        final_projected_error=float(run.diagnostics["projected_error"][-1]),
-        final_value_error=float(run.diagnostics["value_error"][-1]),
-        fitted_rate=fitted,
-        r_squared=r2,
-        displacement=float(run.diagnostics["displacement"].max()),
-        certificate=certificate,
-        extra=extra,
-    )
-    report.wall_clock = time.perf_counter() - t_start
-    if out_dir is not None:
-        _emit(out_dir, config, run, report, include_params=False)
-    return report
+    return _run_report(f"nn-{regime}", config, run, t_start, out_dir, fit=fit,
+                       certificate=cert.to_dict(), extra=extra)
 
 
 def run_sweep(
@@ -473,10 +452,9 @@ def run_sweep(
                        "nonincreasing_in_gamma": bool(monotone), "passed": bool(monotone)}
     else:
         disp = [r["displacement"] for r in rows]
-        ok = not any(r["diverged"] for r in rows) and all(d and d > 0 for d in disp)
-        slope = float(np.polyfit(np.log(ordered), np.log(disp), 1)[0]) if ok else float("nan")
+        slope, passed = displacement_slope(ordered, disp, [r["diverged"] for r in rows])
         certificate = {"kind": "displacement-scaling", "displacements": disp,
-                       "slope": slope, "passed": bool(ok and slope <= -0.8)}
+                       "slope": slope, "passed": passed}
 
     config = dict(experiment=f"{kind}-sweep", grid=list(grid), base=base, workers=workers)
     report = RunReport(
@@ -593,7 +571,7 @@ def run_meanfield(
     report = RunReport(
         experiment="meanfield",
         config=config,
-        diverged=False,
+        diverged=history.diverged,
         final_projected_error=None,
         final_value_error=float(gaps[-1]),
         certificate={
@@ -603,6 +581,7 @@ def run_meanfield(
             "gap_tail_nonincreasing": tail_monotone,
         },
         extra={
+            "diverged_at": history.diverged_at,
             "velocity_final": float(history.diagnostics["velocity_norm"][-1]),
             "bellman_final": float(history.diagnostics["bellman_residual"][-1]),
         },

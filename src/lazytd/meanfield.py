@@ -18,7 +18,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatch, DomainError, NonFiniteState
+from .dynamics import TrainConfig, integrate, make_lazy_rhs
+from .errors import DimensionMismatch, DomainError
+from .models import ValueModel
 from .mrp import Mrp, StationaryMeasure, exact_value, mu_norm
 
 
@@ -30,20 +32,12 @@ class FeatureMap(ABC):
     bounded: bool
 
     @abstractmethod
-    def phi(self, wbar: np.ndarray) -> np.ndarray:
-        """Feature values over states, shape (d,)."""
-
-    @abstractmethod
-    def grad(self, wbar: np.ndarray) -> np.ndarray:
-        """Gradient in the feature parameters, shape (d, wbar_dim)."""
-
     def phi_matrix(self, wbars: np.ndarray) -> np.ndarray:
         """Columns phi(.; wbar_i) for a batch, shape (d, N)."""
-        return np.column_stack([self.phi(wb) for wb in np.atleast_2d(wbars)])
 
+    @abstractmethod
     def grad_tensor(self, wbars: np.ndarray) -> np.ndarray:
-        """Stacked gradients, shape (N, d, wbar_dim)."""
-        return np.stack([self.grad(wb) for wb in np.atleast_2d(wbars)])
+        """Gradients in the feature parameters for a batch, shape (N, d, wbar_dim)."""
 
 
 class GaussianBumpFeatures(FeatureMap):
@@ -67,15 +61,6 @@ class GaussianBumpFeatures(FeatureMap):
         self.d, self.wbar_dim = states.shape
         self.bound = 1.0
 
-    def phi(self, wbar):
-        diff = self.states - np.asarray(wbar, dtype=float)[None, :]
-        return np.exp(-np.sum(diff**2, axis=1) / (2.0 * self.width**2))
-
-    def grad(self, wbar):
-        wbar = np.asarray(wbar, dtype=float)
-        diff = self.states - wbar[None, :]
-        return self.phi(wbar)[:, None] * diff / self.width**2
-
     def phi_matrix(self, wbars):
         wbars = np.atleast_2d(np.asarray(wbars, dtype=float))
         diff = self.states[:, None, :] - wbars[None, :, :]
@@ -83,9 +68,9 @@ class GaussianBumpFeatures(FeatureMap):
 
     def grad_tensor(self, wbars):
         wbars = np.atleast_2d(np.asarray(wbars, dtype=float))
-        diff = self.states[:, None, :] - wbars[None, :, :]     # (d, N, k)
+        diff = self.states[None, :, :] - wbars[:, None, :]     # (N, d, k)
         F = np.exp(-np.sum(diff**2, axis=2) / (2.0 * self.width**2))
-        return np.moveaxis(F[:, :, None] * diff / self.width**2, 0, 1)
+        return F[:, :, None] * diff / self.width**2
 
     def universal_for_states(self, centers: np.ndarray, cond_max: float = 1e12) -> bool:
         """True when bumps at the given centers span value space on the states."""
@@ -111,17 +96,6 @@ class ReluFeatures(FeatureMap):
         self.d, self.m = states.shape
         self.wbar_dim = self.m + 1
 
-    def phi(self, wbar):
-        wbar = np.asarray(wbar, dtype=float)
-        b, c = wbar[: self.m], wbar[self.m]
-        return np.maximum(self.states @ b - c, 0.0)
-
-    def grad(self, wbar):
-        wbar = np.asarray(wbar, dtype=float)
-        b, c = wbar[: self.m], wbar[self.m]
-        ind = (self.states @ b - c > 0.0).astype(float)
-        return np.column_stack([ind[:, None] * self.states, -ind])
-
     def phi_matrix(self, wbars):
         wbars = np.atleast_2d(np.asarray(wbars, dtype=float))
         pre = self.states @ wbars[:, : self.m].T - wbars[:, self.m][None, :]
@@ -130,9 +104,8 @@ class ReluFeatures(FeatureMap):
     def grad_tensor(self, wbars):
         wbars = np.atleast_2d(np.asarray(wbars, dtype=float))
         pre = self.states @ wbars[:, : self.m].T - wbars[:, self.m][None, :]
-        ind = (pre > 0.0).astype(float)                        # (d, N)
-        gb = ind[:, :, None] * self.states[:, None, :]         # (d, N, m)
-        return np.moveaxis(np.concatenate([gb, -ind[:, :, None]], axis=2), 0, 1)
+        ind = (pre > 0.0).astype(float).T[:, :, None]          # (N, d, 1)
+        return np.concatenate([ind * self.states[None, :, :], -ind], axis=2)
 
 
 @dataclass
@@ -191,6 +164,55 @@ def ensemble_value(ensemble: ParticleEnsemble, features: FeatureMap) -> np.ndarr
     return F @ ensemble.omega0 / ensemble.n
 
 
+class EnsembleModel(ValueModel):
+    """A particle ensemble as a value model, so the shared drift and
+    integrator drive it.
+
+    Parameters pack as w = [omega0_1..omega0_N, wbar_1..wbar_N], the wbar
+    rows raveled in particle order, and value(w) = (1/N) sum_i omega0_i
+    phi(.; wbar_i): the width-normalized function a lazily scaled network
+    computes, here run on the particle time scale (see ``particle_rhs``).
+    """
+
+    def __init__(self, features: FeatureMap, n: int):
+        self.features = features
+        self.n = int(n)
+        self.d = features.d
+        self.p = self.n * (1 + features.wbar_dim)
+
+    def pack(self, ensemble: ParticleEnsemble) -> np.ndarray:
+        return np.concatenate([ensemble.omega0, ensemble.wbar.ravel()])
+
+    def unpack(self, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Output weights (N,) and feature parameters (N, wbar_dim) of w."""
+        w = np.asarray(w, dtype=float)
+        if w.shape != (self.p,):
+            raise DimensionMismatch(f"expected parameter vector of length {self.p}")
+        return w[: self.n], w[self.n:].reshape(self.n, self.features.wbar_dim)
+
+    def value(self, w):
+        return ensemble_value(ParticleEnsemble(*self.unpack(w)), self.features)
+
+    def jacobian(self, w):
+        omega0, wbar = self.unpack(w)
+        G = np.moveaxis(self.features.grad_tensor(wbar), 0, 1)     # (d, N, k)
+        wbar_cols = (omega0[None, :, None] * G).reshape(self.d, -1)
+        return np.hstack([self.features.phi_matrix(wbar), wbar_cols]) / self.n
+
+    def value_and_vjp(self, w):
+        """Value and J^T g = [F^T g, omega0 * sum_s G[:, s, :] g_s] / N, with
+        the feature matrix F and gradient tensor G evaluated once per call."""
+        omega0, wbar = self.unpack(w)
+        F = self.features.phi_matrix(wbar)                          # (d, N)
+        G = self.features.grad_tensor(wbar)                         # (N, d, k)
+
+        def vjp(g: np.ndarray) -> np.ndarray:
+            wbar_part = omega0[:, None] * np.einsum("ndk,d->nk", G, g)
+            return np.concatenate([F.T @ g, wbar_part.ravel()]) / self.n
+
+        return F @ omega0 / self.n, vjp
+
+
 def _averaged_residual(V: np.ndarray, mrp: Mrp) -> np.ndarray:
     """One-step backup residual rbar + gamma P V - V, the expected TD error."""
     return mrp.rbar + mrp.gamma * mrp.P @ V - V
@@ -208,15 +230,28 @@ def particle_rhs(
     feature with the backup residual; the wbar component is omega0_i times
     the same correlation taken against the feature gradient. The
     homogeneous structure means particles with omega0 = 0 do not move in
-    wbar.
+    wbar. This is N times the averaged TD drift of ``EnsembleModel`` at
+    lambda = 0 and alpha = 1: particle time runs N times faster than the
+    flow time of the network dynamics.
     """
+    model = EnsembleModel(features, ensemble.n)
+    drift = make_lazy_rhs(model, mrp, mu, 0.0, 1.0)
+    return model.unpack(ensemble.n * drift(model.pack(ensemble)))
+
+
+def _state_diagnostics(
+    ensemble: ParticleEnsemble,
+    features: FeatureMap,
+    mrp: Mrp,
+    mu: StationaryMeasure,
+    vstar: np.ndarray,
+) -> tuple[float, float, float]:
+    """Maximal particle speed, weighted backup residual and weighted distance
+    to the exact value function ``vstar`` at one ensemble state."""
+    do, dw = particle_rhs(ensemble, features, mrp, mu)
+    speed = float(np.sqrt(do**2 + np.sum(dw**2, axis=1)).max())
     V = ensemble_value(ensemble, features)
-    weighted = mu.mu * _averaged_residual(V, mrp)          # (d,)
-    F = features.phi_matrix(ensemble.wbar)                 # (d, N)
-    omega0_dot = F.T @ weighted
-    G = features.grad_tensor(ensemble.wbar)                # (N, d, k)
-    wbar_dot = ensemble.omega0[:, None] * np.einsum("ndk,d->nk", G, weighted)
-    return omega0_dot, wbar_dot
+    return speed, mu_norm(_averaged_residual(V, mrp), mu), mu_norm(V - vstar, mu)
 
 
 @dataclass
@@ -226,6 +261,8 @@ class EnsembleHistory:
     times: np.ndarray
     snapshots: list[ParticleEnsemble]
     diagnostics: dict[str, np.ndarray] = field(default_factory=dict)
+    diverged: bool = False
+    diverged_at: float | None = None
 
     @property
     def final(self) -> ParticleEnsemble:
@@ -244,52 +281,32 @@ def integrate_ensemble(
     """Classical fourth-order integration of the coupled particle system.
 
     The empirical measure of the integrated particles is, by construction,
-    a solution of the underlying transport equation. Snapshots carry the
-    maximal particle speed, the weighted backup residual, and the distance
-    to the exact value function.
+    a solution of the underlying transport equation. The run is
+    ``dynamics.integrate`` on the particle velocities of ``particle_rhs``,
+    with its divergence handling: a run whose particles or value blow up
+    stops early with ``diverged`` set. Snapshots carry the maximal
+    particle speed, the weighted backup residual, and the distance to the
+    exact value function.
     """
-    if dt <= 0:
-        raise DomainError("dt must be positive")
+    n = ensemble.n
+    model = EnsembleModel(features, n)
+    drift = make_lazy_rhs(model, mrp, mu, 0.0, 1.0)
+    run = integrate(lambda w: n * drift(w), model.pack(ensemble),
+                    TrainConfig(dt=dt, horizon=horizon, save_every=save_every),
+                    divergence_probe=drift.scaled_value_norm)
+    snaps = [ParticleEnsemble(*model.unpack(w)) for w in run.params]
     vstar = exact_value(mrp)
-    om, wb = ensemble.omega0.copy(), ensemble.wbar.copy()
-
-    def f(o, w):
-        return particle_rhs(ParticleEnsemble(o, w), features, mrp, mu)
-
-    n_steps = int(round(horizon / dt))
-    times = [0.0]
-    snaps = [ParticleEnsemble(om.copy(), wb.copy())]
-    vel, bell, gap = [], [], []
-
-    def record(o, w):
-        do, dw = f(o, w)
-        vel.append(float(np.sqrt(do**2 + np.sum(dw**2, axis=1)).max()))
-        V = ensemble_value(ParticleEnsemble(o, w), features)
-        bell.append(mu_norm(_averaged_residual(V, mrp), mu))
-        gap.append(mu_norm(V - vstar, mu))
-
-    record(om, wb)
-    for k in range(n_steps):
-        o1, w1 = f(om, wb)
-        o2, w2 = f(om + 0.5 * dt * o1, wb + 0.5 * dt * w1)
-        o3, w3 = f(om + 0.5 * dt * o2, wb + 0.5 * dt * w2)
-        o4, w4 = f(om + dt * o3, wb + dt * w3)
-        om = om + (dt / 6.0) * (o1 + 2 * o2 + 2 * o3 + o4)
-        wb = wb + (dt / 6.0) * (w1 + 2 * w2 + 2 * w3 + w4)
-        if not (np.all(np.isfinite(om)) and np.all(np.isfinite(wb))):
-            raise NonFiniteState(f"non-finite particle state at t={(k + 1) * dt:g}")
-        if (k + 1) % save_every == 0 or k == n_steps - 1:
-            times.append((k + 1) * dt)
-            snaps.append(ParticleEnsemble(om.copy(), wb.copy()))
-            record(om, wb)
+    series = np.array([_state_diagnostics(s, features, mrp, mu, vstar) for s in snaps])
     return EnsembleHistory(
-        times=np.asarray(times),
+        times=run.times,
         snapshots=snaps,
         diagnostics={
-            "velocity_norm": np.asarray(vel),
-            "bellman_residual": np.asarray(bell),
-            "optimality_gap": np.asarray(gap),
+            "velocity_norm": series[:, 0],
+            "bellman_residual": series[:, 1],
+            "optimality_gap": series[:, 2],
         },
+        diverged=run.diverged,
+        diverged_at=run.diverged_at,
     )
 
 
@@ -415,11 +432,7 @@ def fixed_point_optimality(
     ``calibrate_gap_constant``), never assumed; without one the implication
     is reported as unchecked (None).
     """
-    do, dw = particle_rhs(ensemble, features, mrp, mu)
-    velocity = float(np.sqrt(do**2 + np.sum(dw**2, axis=1)).max())
-    V = ensemble_value(ensemble, features)
-    bell = mu_norm(_averaged_residual(V, mrp), mu)
-    gap = mu_norm(V - exact_value(mrp), mu)
+    velocity, bell, gap = _state_diagnostics(ensemble, features, mrp, mu, exact_value(mrp))
     stationary = velocity <= eps
     sep_ok = bool(separation.passed) if separation is not None else False
     tol = gap_constant * eps if gap_constant is not None else None
@@ -452,16 +465,13 @@ def linearized_gap_bound(
     The worst ratio of weighted error norm to maximal particle speed is
     bounded by sqrt(N) over the smallest singular value of that stacked
     linear map, so gap <= bound * velocity holds for any error reachable
-    by the tangent model at this configuration.
+    by the tangent model at this configuration. The stacked map is
+    N J^T Gamma (gamma P - I), J the Jacobian of ``EnsembleModel``.
     """
-    F = features.phi_matrix(ensemble.wbar)                     # (d, N)
-    G = features.grad_tensor(ensemble.wbar)                    # (N, d, k)
-    root = np.sqrt(mu.mu)
+    model = EnsembleModel(features, ensemble.n)
+    J = model.jacobian(model.pack(ensemble))
     drive = mu.mu[:, None] * (mrp.gamma * mrp.P - np.eye(mrp.d))   # Gamma(gamma P - I)
-    rows = [F.T @ drive]                                       # omega0 responses
-    for j in range(G.shape[2]):
-        rows.append(ensemble.omega0[:, None] * (G[:, :, j] @ drive))
-    L = np.vstack(rows) / root[None, :]                        # unit-mu-norm inputs
+    L = ensemble.n * J.T @ drive / np.sqrt(mu.mu)[None, :]     # unit-mu-norm inputs
     sv = np.linalg.svd(L, compute_uv=False)
     smin = sv[min(mrp.d, sv.size) - 1]
     if smin <= 0:
@@ -514,9 +524,7 @@ def calibrate_gap_constant(
     for delta in directions:
         delta = delta * (perturbation / max(np.linalg.norm(delta), 1e-300))
         ens = ParticleEnsemble(base + delta, centers.copy())
-        do, dw = particle_rhs(ens, features, mrp, mu)
-        vel = float(np.sqrt(do**2 + np.sum(dw**2, axis=1)).max())
-        gap = mu_norm(ensemble_value(ens, features) - vstar, mu)
+        vel, _, gap = _state_diagnostics(ens, features, mrp, mu, vstar)
         if vel > 0:
             worst = max(worst, gap / vel)
     return worst

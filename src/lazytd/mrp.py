@@ -101,11 +101,14 @@ class StationaryMeasure:
 def stationary_measure(mrp: Mrp, tol: float = 1e-12, max_iters: int = 10**6) -> StationaryMeasure:
     """Invariant distribution of ``mrp.P`` by power iteration.
 
-    Raises NonErgodic when the iteration does not settle within ``max_iters``
-    and FullSupportViolation when the computed measure has an entry at or
-    below 1e-14 (the full-support requirement all weighted norms rely on).
+    The iteration runs on the lazy chain (P + I)/2, which has the same
+    invariant measure and is aperiodic, so it also settles on irreducible
+    periodic chains. Raises NonErgodic when the iteration does not settle
+    within ``max_iters`` and FullSupportViolation when the computed measure
+    has an entry at or below 1e-14 (the full-support requirement all
+    weighted norms rely on).
     """
-    P = mrp.P
+    P = 0.5 * (mrp.P + np.eye(mrp.d))
     mu = np.full(mrp.d, 1.0 / mrp.d)
     for _ in range(max_iters):
         nxt = mu @ P

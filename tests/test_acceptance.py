@@ -237,7 +237,7 @@ def test_criterion_11_stochastic_ode_consistency():
     gaps = []
     for beta in (1e-2, 1e-3, 1e-4):
         steps = int(60.0 / beta)
-        cfg = TrainConfig(lam=0.0, alpha=1.0, mode="stochastic", beta0=beta,
+        cfg = TrainConfig(lam=0.0, alpha=1.0, beta0=beta,
                           horizon=steps, seed=0, save_every=max(1, steps // 2000))
         run = run_stochastic_td(model, mrp, mu, cfg, np.zeros(3))
         tail = run.params[len(run.params) // 2:]

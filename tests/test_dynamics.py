@@ -10,11 +10,9 @@ from lazytd import (
     ReluNet,
     SpiralModel,
     TrainConfig,
-    averaged_rhs,
     cyclic_chain,
     exact_value,
     integrate,
-    lazy_rhs,
     make_lazy_rhs,
     run_stochastic_td,
     sample_chain,
@@ -114,7 +112,7 @@ def test_stochastic_linear_approaches_fixed_point(chain3):
     model = LinearModel(features)
     lam = 0.4
     target = linear_td_fixed_point(features, mu.mu, mrp.P, mrp.rbar, mrp.gamma, lam)
-    cfg = TrainConfig(lam=lam, alpha=1.0, mode="stochastic", beta0=2e-3,
+    cfg = TrainConfig(lam=lam, alpha=1.0, beta0=2e-3,
                       horizon=100_000, seed=3, save_every=1000)
     run = run_stochastic_td(model, mrp, mu, cfg, np.zeros(2))
     tail = run.params[len(run.params) // 2:]
@@ -125,7 +123,7 @@ def test_stochastic_linear_approaches_fixed_point(chain3):
 def test_trace_modes_agree_at_small_step(chain3):
     mrp, mu = chain3
     model = LinearModel(np.eye(3))
-    common = dict(lam=0.6, alpha=1.0, mode="stochastic", beta0=1e-4,
+    common = dict(lam=0.6, alpha=1.0, beta0=1e-4,
                   horizon=2000, seed=11, save_every=2000)
     rec = run_stochastic_td(model, mrp, mu, TrainConfig(**common), np.zeros(3))
     win = run_stochastic_td(model, mrp, mu,
@@ -166,7 +164,7 @@ def test_averaged_rhs_zero_at_fixed_point(chain3):
     mrp, mu = chain3
     model = LinearModel(np.eye(3))
     for lam in (0.0, 0.5):
-        r = averaged_rhs(model, mrp, mu, lam, exact_value(mrp))
+        r = make_lazy_rhs(model, mrp, mu, lam, 1.0)(exact_value(mrp))
         np.testing.assert_allclose(r, np.zeros(3), atol=1e-10)
 
 
@@ -179,7 +177,7 @@ def test_averaged_rhs_matches_matrix_assembly(chain3):
     lam = 0.7
     r_lam, P_lam = series_td_components(mrp.P, mrp.rbar, mrp.gamma, lam)
     want = features.T @ (mu.mu * (r_lam + (mrp.gamma * P_lam - np.eye(3)) @ features @ w))
-    np.testing.assert_allclose(averaged_rhs(model, mrp, mu, lam, w), want, atol=1e-9)
+    np.testing.assert_allclose(make_lazy_rhs(model, mrp, mu, lam, 1.0)(w), want, atol=1e-9)
 
 
 def test_averaged_rhs_spiral_three_term_sum(chain3):
@@ -191,22 +189,11 @@ def test_averaged_rhs_spiral_three_term_sum(chain3):
     jac = model.jacobian(theta)[:, 0]
     td = td_operator(mrp, lam, V) - V
     want = sum(mu.mu[s] * td[s] * jac[s] for s in range(3))
-    got = averaged_rhs(model, mrp, mu, lam, theta)
+    got = make_lazy_rhs(model, mrp, mu, lam, 1.0)(theta)
     np.testing.assert_allclose(got, [want], atol=1e-12)
 
 
 # ------------------------------------------------------------------ lazy flow
-
-def test_lazy_rhs_reduces_to_averaged(chain3):
-    mrp, mu = chain3
-    rng = np.random.default_rng(13)
-    model = LinearModel(rng.standard_normal((3, 2)))
-    w = rng.standard_normal(2)
-    np.testing.assert_array_equal(
-        lazy_rhs(model, mrp, mu, 0.3, 1.0, w),
-        averaged_rhs(model, mrp, mu, 0.3, w),
-    )
-
 
 def test_lazy_flow_alpha_invariant_in_value_space(chain3):
     mrp, mu = chain3
@@ -233,7 +220,7 @@ def test_lazy_rhs_vanishes_at_tangent_fixed_point(chain3):
     # fixed point of the scaled flow: alpha * features @ w = linear fixed point
     target = linear_td_fixed_point(features, mu.mu, mrp.P, mrp.rbar, mrp.gamma, lam)
     w_fixed = target / alpha
-    assert np.linalg.norm(lazy_rhs(model, mrp, mu, lam, alpha, w_fixed)) < 1e-9
+    assert np.linalg.norm(make_lazy_rhs(model, mrp, mu, lam, alpha)(w_fixed)) < 1e-9
 
 
 def test_lazy_flow_reaches_tangent_fixed_point(chain3):
@@ -249,7 +236,7 @@ def test_lazy_flow_reaches_tangent_fixed_point(chain3):
 
 @pytest.mark.parametrize("bad", [
     dict(lam=1.0), dict(lam=-0.1), dict(alpha=0.5), dict(dt=0.0),
-    dict(mode="magic"), dict(integrator="ab3"), dict(beta0=0.0),
+    dict(integrator="ab3"), dict(beta0=0.0),
     dict(divergence_threshold=0.0), dict(save_every=0), dict(trace_mode="other"),
 ])
 def test_train_config_validation(bad):
@@ -268,7 +255,7 @@ def test_decaying_step_schedule():
 def test_stochastic_run_with_decaying_schedule(chain3):
     mrp, mu = chain3
     model = LinearModel(np.eye(3))
-    cfg = TrainConfig(lam=0.0, mode="stochastic", beta0=0.05, t0=5.0,
+    cfg = TrainConfig(lam=0.0, beta0=0.05, t0=5.0,
                       horizon=50_000, seed=2, save_every=5000)
     run = run_stochastic_td(model, mrp, mu, cfg, np.zeros(3))
     assert not run.diverged

@@ -174,6 +174,22 @@ def test_hinge_feature_ensemble_converges(chain5):
     assert hist.diagnostics["optimality_gap"][-1] < 1e-3
 
 
+def test_unstable_step_is_reported_as_divergence(chain5):
+    mrp, mu, states = chain5
+    feat = ReluFeatures(states)
+
+    def sampler(n, r):
+        return np.column_stack([r.standard_normal(n), r.standard_normal(n)])
+
+    ens = doubled_ensemble(12, sampler, rng=4)
+    # far beyond the RK4 stability limit of this ensemble: the first step explodes
+    hist = integrate_ensemble(ens, feat, mrp, mu, dt=20.0, horizon=4000.0, save_every=10)
+    assert hist.diverged and hist.diverged_at == 20.0
+    np.testing.assert_array_equal(hist.times, [0.0])
+    np.testing.assert_array_equal(hist.final.omega0, ens.omega0)
+    assert all(np.all(np.isfinite(v)) for v in hist.diagnostics.values())
+
+
 def test_particle_permutation_leaves_value_trajectory_unchanged(chain5):
     mrp, mu, states = chain5
     feat = GaussianBumpFeatures(states, width=0.4)

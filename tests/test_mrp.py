@@ -78,6 +78,13 @@ def test_stationary_matches_eigen_solve():
     assert abs(mu.sum() - 1.0) < 1e-12
 
 
+def test_stationary_periodic_chain():
+    # irreducible with period 2: plain power iteration oscillates forever
+    P = np.array([[0.0, 1.0, 0.0], [0.5, 0.0, 0.5], [0.0, 1.0, 0.0]])
+    mrp = Mrp(P=P, rbar=np.zeros(3), gamma=0.5)
+    np.testing.assert_allclose(stationary_measure(mrp).mu, [0.25, 0.5, 0.25], atol=1e-12)
+
+
 def test_stationary_full_support_violation():
     P = np.array([[1.0, 0.0], [0.5, 0.5]])  # absorbs in state 0
     mrp = Mrp(P=P, rbar=np.zeros(2), gamma=0.5)
