@@ -7,12 +7,10 @@ from .mrp import (
     contraction_modulus,
     cyclic_chain,
     exact_value,
-    load_mrp,
     mu_inner,
     mu_norm,
     mu_projection,
     random_chain,
-    save_mrp,
     stationary_measure,
     td_operator,
     td_resolvent,
@@ -25,7 +23,6 @@ from .models import (
     TangentModel,
     ValueModel,
     finite_difference_jacobian,
-    model_from_spec,
     rank_profile,
 )
 from .dynamics import (

@@ -42,21 +42,24 @@ class TrainConfig:
     trace_window: int = 100          # only used by the windowed trace
 
     def __post_init__(self):
+        # every check is written so that NaN fails it
         if not 0.0 <= self.lam < 1.0:
             raise DomainError(f"lam must lie in [0,1), got {self.lam}")
-        if self.alpha < 1.0:
+        if not self.alpha >= 1.0:
             raise DomainError(f"alpha must be >= 1, got {self.alpha}")
         if self.integrator not in INTEGRATORS:
             raise DomainError(f"integrator must be one of {INTEGRATORS}")
         if self.trace_mode not in TRACE_MODES:
             raise DomainError(f"trace_mode must be one of {TRACE_MODES}")
-        if self.dt <= 0:
-            raise DomainError("dt must be positive")
-        if self.divergence_threshold <= 0:
-            raise DomainError("divergence_threshold must be positive")
-        if self.beta0 <= 0:
-            raise DomainError("beta0 must be positive")
-        if self.save_every < 1:
+        for name in ("dt", "horizon"):
+            if not 0.0 < getattr(self, name) < np.inf:
+                raise DomainError(f"{name} must be positive and finite, got {getattr(self, name)}")
+        for name in ("beta0", "divergence_threshold"):
+            if not getattr(self, name) > 0.0:
+                raise DomainError(f"{name} must be positive, got {getattr(self, name)}")
+        if self.t0 is not None and not self.t0 > 0.0:
+            raise DomainError(f"t0 must be positive when set, got {self.t0}")
+        if not self.save_every >= 1:
             raise DomainError("save_every must be >= 1")
 
     def beta(self, t: float) -> float:
@@ -83,22 +86,42 @@ class Trajectory:
     def final_params(self) -> np.ndarray:
         return self.params[-1]
 
-    def to_csv(self, path: str | Path, include_params: bool = True) -> None:
-        """One row per saved time: time, parameter components, diagnostics."""
+    def table(self, include_params: bool = True) -> tuple[list[str], list[list[float]]]:
+        """Header and rows of the CSV record, one row per saved time: time,
+        parameter components, diagnostics in name order."""
         keys = sorted(self.diagnostics)
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            header = ["time"]
-            if include_params:
-                header += [f"w{j}" for j in range(self.params.shape[1])]
-            header += keys
-            writer.writerow(header)
-            for i, t in enumerate(self.times):
-                row = [repr(float(t))]
-                if include_params:
-                    row += [repr(float(x)) for x in self.params[i]]
-                row += [repr(float(self.diagnostics[k][i])) for k in keys]
-                writer.writerow(row)
+        header = ["time"]
+        cols = [self.times[:, None]]
+        if include_params:
+            header += [f"w{j}" for j in range(self.params.shape[1])]
+            cols.append(self.params)
+        header += keys
+        cols += [np.asarray(self.diagnostics[k])[:, None] for k in keys]
+        return header, np.hstack(cols).tolist()
+
+    def to_csv(self, path: str | Path, include_params: bool = True) -> None:
+        write_csv(path, *self.table(include_params))
+
+
+def _csv_cell(v) -> str:
+    """Text of one CSV cell: empty for None, lower-case booleans, and the
+    shortest round-tripping form of floats."""
+    if v is None:
+        return ""
+    if isinstance(v, bool):
+        return str(v).lower()
+    if isinstance(v, (float, np.floating)):
+        return repr(float(v))
+    return str(v)
+
+
+def write_csv(path: str | Path, header, rows) -> None:
+    """The package's one CSV writer: the csv module's default dialect (CRLF
+    line ends), every cell formatted by ``_csv_cell``."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows([_csv_cell(v) for v in row] for row in rows)
 
 
 def sample_chain(mrp: Mrp, mu: StationaryMeasure, steps: int, rng: np.random.Generator | int) -> np.ndarray:
@@ -133,22 +156,28 @@ def stochastic_td_step(
     beta: float,
     gamma: float,
     config: TrainConfig,
+    visits: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """One sampled TD(lambda) update with the recursive eligibility trace.
 
     delta uses the alpha-scaled model and the parameter step carries the
     matching 1/alpha factor, so alpha = 1 is the plain unscaled update.
     The gradient at s is row s of the Jacobian, pulled back from a one-hot
-    vector rather than read off a full Jacobian.
+    vector rather than read off a full Jacobian. Given ``visits``, a
+    weighting of the states, the trace is instead its pullback at w and
+    ``z`` is ignored (the windowed trace of ``run_stochastic_td``).
     """
     alpha, lam = config.alpha, config.lam
     V, vjp = model.value_and_vjp(w)
     if not np.all(np.isfinite(V)) or alpha * np.max(np.abs(V)) > config.divergence_threshold:
         raise Diverged(f"scaled value norm exceeded {config.divergence_threshold:g}")
-    one_hot = np.zeros(model.d)
-    one_hot[s] = 1.0
     delta = reward + gamma * alpha * V[s_next] - alpha * V[s]
-    z_new = gamma * lam * z + vjp(one_hot)
+    if visits is None:
+        one_hot = np.zeros(model.d)
+        one_hot[s] = 1.0
+        z_new = gamma * lam * z + vjp(one_hot)
+    else:
+        z_new = vjp(visits)
     w_new = w + beta * delta * z_new / alpha
     if np.max(np.abs(w_new)) > config.divergence_threshold:
         raise Diverged(f"parameter norm exceeded {config.divergence_threshold:g}")
@@ -185,27 +214,19 @@ def run_stochastic_td(
     for k in range(steps):
         s, s_next = int(path[k]), int(path[k + 1])
         beta = config.beta(t_now)
+        visits = None
+        if config.trace_mode == "windowed":
+            window.append(s)
+            if len(window) > config.trace_window:
+                window.pop(0)
+            # decay-weighted count of the window's states, newest weighted 1
+            decay = (gamma * lam) ** np.arange(len(window) - 1, -1, -1)
+            visits = np.bincount(window, weights=decay, minlength=model.d)
         try:
             # blowup raises Diverged below; let the arithmetic overflow quietly
             with np.errstate(over="ignore", invalid="ignore"):
-                if config.trace_mode == "recursive":
-                    w_new, z = stochastic_td_step(model, w, z, s, s_next,
-                                                  R[s, s_next], beta, gamma, config)
-                else:
-                    window.append(s)
-                    if len(window) > config.trace_window:
-                        window.pop(0)
-                    V = model.value(w)
-                    if (not np.all(np.isfinite(V))
-                            or alpha * np.max(np.abs(V)) > config.divergence_threshold):
-                        raise Diverged("scaled value norm exceeded the divergence threshold")
-                    J = model.jacobian(w)
-                    decay = (gamma * lam) ** np.arange(len(window) - 1, -1, -1)
-                    z = decay @ J[np.asarray(window)]
-                    delta = R[s, s_next] + gamma * alpha * V[s_next] - alpha * V[s]
-                    w_new = w + beta * delta * z / alpha
-                    if np.max(np.abs(w_new)) > config.divergence_threshold:
-                        raise Diverged("parameter norm exceeded the divergence threshold")
+                w_new, z = stochastic_td_step(model, w, z, s, s_next, R[s, s_next],
+                                              beta, gamma, config, visits)
         except Diverged:
             diverged, diverged_at = True, t_now
             _maybe_record(times, saved, t_now, w, model, alpha, config)

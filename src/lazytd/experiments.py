@@ -28,7 +28,14 @@ from .analysis import (
     projected_td_error,
     underparametrized_certificate,
 )
-from .dynamics import TrainConfig, Trajectory, integrate, make_lazy_rhs, run_stochastic_td
+from .dynamics import (
+    TrainConfig,
+    Trajectory,
+    integrate,
+    make_lazy_rhs,
+    run_stochastic_td,
+    write_csv,
+)
 from .errors import DomainError, RankCollapse
 from .meanfield import (
     GaussianBumpFeatures,
@@ -133,22 +140,17 @@ def _jsonable(obj):
     return obj
 
 
-def _emit(out_dir, config: dict, run: Trajectory | None, report: RunReport,
-          include_params: bool = False, extra_files: dict | None = None) -> list[str]:
+def _emit(out_dir, report: RunReport, tables: dict, listed=()) -> None:
+    """Write one run's output files: config.json, one CSV per entry of
+    ``tables`` ({name: (header, rows)}) and report.json, whose manifest
+    names them plus the files of ``listed``, written by other runs."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    manifest = []
-    (out / "config.json").write_text(json.dumps(_jsonable(config), indent=2, sort_keys=True))
-    manifest.append("config.json")
-    if run is not None:
-        run.to_csv(out / "trajectory.csv", include_params=include_params)
-        manifest.append("trajectory.csv")
-    for name, text in (extra_files or {}).items():
-        (out / name).write_text(text)
-        manifest.append(name)
-    report.manifest = sorted(manifest + ["report.json"])
+    (out / "config.json").write_text(json.dumps(_jsonable(report.config), indent=2, sort_keys=True))
+    for name, (header, rows) in tables.items():
+        write_csv(out / name, header, rows)
+    report.manifest = sorted(["config.json", "report.json", *tables, *listed])
     (out / "report.json").write_text(report.to_json())
-    return report.manifest
 
 
 def _attach_run_diagnostics(run: Trajectory, model, mrp: Mrp, mu: StationaryMeasure,
@@ -166,17 +168,27 @@ def _attach_run_diagnostics(run: Trajectory, model, mrp: Mrp, mu: StationaryMeas
     run.diagnostics["displacement"] = np.linalg.norm(run.params - run.params[0], axis=1)
 
 
+def _report(experiment: str, config: dict, t_start: float, out_dir, tables: dict,
+            listed=(), **fields) -> RunReport:
+    """Every runner's report: built from ``fields``, stamped with the wall
+    clock since ``t_start``, and written out by ``_emit`` with ``tables``
+    and ``listed`` when ``out_dir`` is given."""
+    report = RunReport(experiment=experiment, config=config, **fields)
+    report.wall_clock = time.perf_counter() - t_start
+    if out_dir is not None:
+        _emit(out_dir, report, tables, listed)
+    return report
+
+
 def _run_report(experiment: str, config: dict, run: Trajectory, t_start: float, out_dir,
                 fit=None, include_params: bool = False, **fields) -> RunReport:
-    """Report quoting the final diagnostics of ``run``, stamped with the wall
-    clock since ``t_start`` and written out when ``out_dir`` is given.
-    ``fit`` is the (rate, r_squared) pair, by default the exponential fit of
-    the projected residual."""
+    """Report quoting the final diagnostics of ``run``, with the run as
+    trajectory.csv. ``fit`` is the (rate, r_squared) pair, by default the
+    exponential fit of the projected residual."""
     pe = run.diagnostics["projected_error"]
     rate, r2 = fit_exponential_rate(run.times, pe) if fit is None else fit
-    report = RunReport(
-        experiment=experiment,
-        config=config,
+    return _report(
+        experiment, config, t_start, out_dir, {"trajectory.csv": run.table(include_params)},
         diverged=run.diverged,
         final_projected_error=float(pe[-1]),
         final_value_error=float(run.diagnostics["value_error"][-1]),
@@ -185,10 +197,6 @@ def _run_report(experiment: str, config: dict, run: Trajectory, t_start: float, 
         displacement=float(run.diagnostics["displacement"].max()),
         **fields,
     )
-    report.wall_clock = time.perf_counter() - t_start
-    if out_dir is not None:
-        _emit(out_dir, config, run, report, include_params=include_params)
-    return report
 
 
 def run_spiral(
@@ -457,37 +465,11 @@ def run_sweep(
                        "slope": slope, "passed": passed}
 
     config = dict(experiment=f"{kind}-sweep", grid=list(grid), base=base, workers=workers)
-    report = RunReport(
-        experiment=f"{kind}-sweep",
-        config=config,
-        diverged=any(r["diverged"] for r in rows),
-        certificate=certificate,
-        extra={"rows": rows},
-    )
-    report.wall_clock = time.perf_counter() - t_start
-    if out_dir is not None:
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        header = ",".join(rows[0].keys())
-        lines = [header]
-        for r in rows:
-            lines.append(",".join(_csv_cell(r[k]) for k in rows[0]))
-        (out / "summary.csv").write_text("\n".join(lines) + "\n")
-        (out / "config.json").write_text(json.dumps(_jsonable(config), indent=2, sort_keys=True))
-        report.manifest = sorted(["summary.csv", "config.json", "report.json"]
-                                 + [f"run_{v:g}/report.json" for v in ordered])
-        (out / "report.json").write_text(report.to_json())
-    return report
-
-
-def _csv_cell(v) -> str:
-    if v is None:
-        return ""
-    if isinstance(v, bool):
-        return str(v).lower()
-    if isinstance(v, (float, np.floating)):
-        return repr(float(v))
-    return str(v)
+    summary = (list(rows[0]), [list(r.values()) for r in rows])
+    return _report(f"{kind}-sweep", config, t_start, out_dir, {"summary.csv": summary},
+                   listed=[f"run_{v:g}/report.json" for v in ordered],
+                   diverged=any(r["diverged"] for r in rows),
+                   certificate=certificate, extra={"rows": rows})
 
 
 def run_meanfield(
@@ -554,7 +536,8 @@ def run_meanfield(
 
     profile_grid = np.linspace(center_low, center_high, 33)
     g_vals = g_profile(history.final, features, mrp, mu, profile_grid)
-    h_vals = h1_profile(history.final, np.linspace(center_low - 0.5, center_high + 0.5, 13))
+    edges = np.linspace(center_low - 0.5, center_high + 0.5, 13)
+    h_vals = h1_profile(history.final, edges)
 
     # trajectory-style record of the diagnostics for the CSV
     run = Trajectory(
@@ -568,11 +551,16 @@ def run_meanfield(
         },
     )
 
-    report = RunReport(
-        experiment="meanfield",
-        config=config,
+    tables = {
+        "trajectory.csv": run.table(include_params=False),
+        "snapshot_initial.csv": history.snapshots[0].table(),
+        "snapshot_final.csv": history.final.table(),
+        "g_profile.csv": (["wbar", "g"], zip(profile_grid, g_vals)),
+        "h1_profile.csv": (["bin_center", "h1"], zip(0.5 * (edges[:-1] + edges[1:]), h_vals)),
+    }
+    return _report(
+        "meanfield", config, t_start, out_dir, tables,
         diverged=history.diverged,
-        final_projected_error=None,
         final_value_error=float(gaps[-1]),
         certificate={
             "optimality": final_report.to_dict(),
@@ -586,39 +574,6 @@ def run_meanfield(
             "bellman_final": float(history.diagnostics["bellman_residual"][-1]),
         },
     )
-    report.wall_clock = time.perf_counter() - t_start
-    if out_dir is not None:
-        extra_files = {
-            "snapshot_initial.csv": _snapshot_csv(history.snapshots[0]),
-            "snapshot_final.csv": _snapshot_csv(history.final),
-            "g_profile.csv": _profile_csv("wbar,g", profile_grid, g_vals),
-            "h1_profile.csv": _profile_csv(
-                "bin_center,h1",
-                0.5 * (np.linspace(center_low - 0.5, center_high + 0.5, 13)[:-1]
-                       + np.linspace(center_low - 0.5, center_high + 0.5, 13)[1:]),
-                h_vals,
-            ),
-        }
-        _emit(out_dir, config, run, report, include_params=False, extra_files=extra_files)
-    return report
-
-
-def _snapshot_csv(ensemble) -> str:
-    k = ensemble.wbar.shape[1]
-    header = "i,omega0," + ",".join(f"wbar_{j + 1}" for j in range(k))
-    lines = [header]
-    for i in range(ensemble.n):
-        cells = [str(i), repr(float(ensemble.omega0[i]))]
-        cells += [repr(float(x)) for x in ensemble.wbar[i]]
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
-
-
-def _profile_csv(header: str, xs, ys) -> str:
-    lines = [header]
-    for x, y in zip(np.asarray(xs).ravel(), np.asarray(ys).ravel()):
-        lines.append(f"{repr(float(x))},{repr(float(y))}")
-    return "\n".join(lines) + "\n"
 
 
 def run_from_config(config: ExperimentConfig) -> RunReport:

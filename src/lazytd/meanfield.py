@@ -131,6 +131,12 @@ class ParticleEnsemble:
     def copy(self) -> "ParticleEnsemble":
         return ParticleEnsemble(self.omega0.copy(), self.wbar.copy())
 
+    def table(self) -> tuple[list[str], list[list]]:
+        """Header and rows of the CSV snapshot, one row per particle."""
+        header = ["i", "omega0"] + [f"wbar_{j + 1}" for j in range(self.wbar.shape[1])]
+        cols = np.column_stack([self.omega0, self.wbar]).tolist()
+        return header, [[i, *row] for i, row in enumerate(cols)]
+
 
 def doubled_ensemble(
     n_particles: int,

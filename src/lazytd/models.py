@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, DomainError, OddWidth
+from .errors import DimensionMismatch, OddWidth
 
 SPIRAL_A = np.array([10.0, -7.0, -3.0])
 SPIRAL_B = np.array([2.3094, -9.815, 7.5056])
@@ -268,27 +268,3 @@ def rank_profile(model: ValueModel, w: np.ndarray, cutoff: float = 1e-10) -> Ran
         sigma_max=smax,
         overparametrized=(rank == model.d),
     )
-
-
-def model_from_spec(spec: dict) -> ValueModel:
-    """Build a model from a configuration block.
-
-    kind "linear" needs `features` (row-major list plus `d`); "spiral"
-    accepts optional `a`, `b`, `growth`, `frequency`, `shift`; "relu" needs
-    `n_units` and `states`; "tangent-of" wraps a nested `base` spec at
-    `anchor` (defaulting to zero parameters).
-    """
-    kind = spec.get("kind")
-    if kind == "linear":
-        d = int(spec["d"])
-        return LinearModel(np.asarray(spec["features"], dtype=float).reshape(d, -1))
-    if kind == "spiral":
-        kw = {k: spec[k] for k in ("a", "b", "growth", "frequency", "shift") if k in spec}
-        return SpiralModel(**kw)
-    if kind == "relu":
-        return ReluNet(int(spec["n_units"]), np.asarray(spec["states"], dtype=float))
-    if kind == "tangent-of":
-        base = model_from_spec(spec["base"])
-        anchor = np.asarray(spec.get("anchor", np.zeros(base.p)), dtype=float)
-        return TangentModel(base, anchor)
-    raise DomainError(f"unknown model kind {kind!r}")

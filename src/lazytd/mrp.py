@@ -8,9 +8,7 @@ weighted projections onto model tangent spaces.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -103,11 +101,19 @@ def stationary_measure(mrp: Mrp, tol: float = 1e-12, max_iters: int = 10**6) -> 
 
     The iteration runs on the lazy chain (P + I)/2, which has the same
     invariant measure and is aperiodic, so it also settles on irreducible
-    periodic chains. Raises NonErgodic when the iteration does not settle
-    within ``max_iters`` and FullSupportViolation when the computed measure
-    has an entry at or below 1e-14 (the full-support requirement all
-    weighted norms rely on).
+    periodic chains. Raises FullSupportViolation for a reducible chain
+    (some state cannot reach another, so no invariant measure has the full
+    support all weighted norms rely on) or when the computed measure has
+    an entry at or below 1e-14, and NonErgodic when the iteration does not
+    settle within ``max_iters``.
     """
+    # transitive closure of "reaches in one step or stays", by squaring
+    reach = (mrp.P > 0) | np.eye(mrp.d, dtype=bool)
+    while not reach.all():
+        closure = (reach.astype(float) @ reach.astype(float)) > 0
+        if np.array_equal(closure, reach):
+            raise FullSupportViolation("chain is reducible: some state cannot reach another")
+        reach = closure
     P = 0.5 * (mrp.P + np.eye(mrp.d))
     mu = np.full(mrp.d, 1.0 / mrp.d)
     for _ in range(max_iters):
@@ -118,9 +124,7 @@ def stationary_measure(mrp: Mrp, tol: float = 1e-12, max_iters: int = 10**6) -> 
         mu = nxt
     else:
         raise NonErgodic(f"power iteration did not converge within {max_iters} sweeps")
-    # Extra sweeps flush out transient mass that stalls just above the
-    # convergence tolerance (e.g. on a chain with an absorbing class), so a
-    # support violation actually shows up as a near-zero entry.
+    # extra sweeps carry the measure well past the stopping tolerance
     for _ in range(256):
         mu = mu @ P
     mu = mu / mu.sum()
@@ -242,41 +246,3 @@ def random_chain(d: int, rng: np.random.Generator) -> np.ndarray:
     """Random row-stochastic matrix with strictly positive entries."""
     P = rng.uniform(0.1, 1.0, size=(d, d))
     return P / P.sum(axis=1, keepdims=True)
-
-
-def save_mrp(mrp: Mrp, path: str | Path) -> None:
-    payload = {
-        "d": mrp.d,
-        "P": mrp.P.ravel().tolist(),
-        "rbar": mrp.rbar.tolist(),
-        "gamma": mrp.gamma,
-    }
-    if mrp.reward_table is not None:
-        payload["reward_table"] = mrp.reward_table.ravel().tolist()
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True))
-
-
-def load_mrp(path: str | Path) -> Mrp:
-    """Read an MRP specification file (JSON; P and reward table row-major).
-
-    A file may carry ``seed`` instead of ``P`` to request a randomly
-    generated chain of size ``d``.
-    """
-    payload = json.loads(Path(path).read_text())
-    d = int(payload["d"])
-    if "P" in payload:
-        P = np.asarray(payload["P"], dtype=float).reshape(d, d)
-    elif "seed" in payload:
-        P = random_chain(d, np.random.default_rng(int(payload["seed"])))
-    else:
-        raise DomainError("MRP file needs either 'P' or 'seed'")
-    table = payload.get("reward_table")
-    if table is not None:
-        return Mrp(
-            P=P,
-            rbar=None,
-            gamma=float(payload["gamma"]),
-            reward_table=np.asarray(table, dtype=float).reshape(d, d),
-        )
-    rbar = np.asarray(payload["rbar"], dtype=float)
-    return Mrp(P=P, rbar=rbar, gamma=float(payload["gamma"]))

@@ -238,6 +238,9 @@ def test_lazy_flow_reaches_tangent_fixed_point(chain3):
     dict(lam=1.0), dict(lam=-0.1), dict(alpha=0.5), dict(dt=0.0),
     dict(integrator="ab3"), dict(beta0=0.0),
     dict(divergence_threshold=0.0), dict(save_every=0), dict(trace_mode="other"),
+    dict(dt=np.nan), dict(alpha=np.nan), dict(beta0=np.nan), dict(horizon=np.nan),
+    dict(divergence_threshold=np.nan), dict(horizon=0.0), dict(horizon=-1.0),
+    dict(t0=0.0), dict(t0=np.nan),
 ])
 def test_train_config_validation(bad):
     from lazytd.errors import DomainError

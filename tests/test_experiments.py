@@ -2,6 +2,7 @@
 reproducibility, file outputs, report coherence."""
 
 import csv
+import io
 import json
 
 import numpy as np
@@ -189,6 +190,31 @@ def test_sweep_summary_file(tmp_path):
     assert lines[0].startswith("grid_value,")
     assert len(lines) == 2
     assert (tmp_path / "run_0.9" / "trajectory.csv").exists()
+
+
+def test_every_csv_shares_one_dialect(tmp_path):
+    # one writer for every CSV: CRLF line ends throughout, and reading a file
+    # with csv.reader then writing it back with csv.writer reproduces it
+    run_spiral(100.0, horizon=5.0, out_dir=tmp_path / "spiral")
+    run_meanfield(n_particles=20, horizon=5.0, out_dir=tmp_path / "meanfield")
+    run_sweep("alpha", [50.0, 100.0], out_dir=tmp_path / "sweep",
+              base={"regime": "over", "n_units": 20, "n_states": 5, "horizon": 50.0})
+    checked = 0
+    for report in sorted(tmp_path.rglob("report.json")):
+        for name in json.loads(report.read_text())["manifest"]:
+            if not name.endswith(".csv"):
+                continue
+            text = (report.parent / name).read_bytes().decode()
+            assert text.endswith("\r\n") and text.count("\n") == text.count("\r\n"), name
+            with open(report.parent / name, newline="") as fh:
+                rows = list(csv.reader(fh))
+            assert len({len(r) for r in rows}) == 1, name
+            buf = io.StringIO(newline="")
+            csv.writer(buf).writerows(rows)
+            assert buf.getvalue() == text, name
+            checked += 1
+    # spiral 1, meanfield 5, sweep summary 1, two sweep trajectories
+    assert checked == 9
 
 
 # --------------------------------------------------------------------- CLI

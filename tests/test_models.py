@@ -139,25 +139,6 @@ def test_rank_profile_wide_relu_full_rank():
     assert prof.overparametrized
 
 
-def test_model_from_spec_builds_each_kind():
-    from lazytd import model_from_spec
-
-    rng = np.random.default_rng(5)
-    F = rng.standard_normal((4, 2))
-    lin = model_from_spec({"kind": "linear", "d": 4, "features": F.ravel().tolist()})
-    np.testing.assert_allclose(lin.features, F)
-    spi = model_from_spec({"kind": "spiral"})
-    np.testing.assert_allclose(spi.value(np.zeros(1)), np.zeros(3), atol=1e-14)
-    rel = model_from_spec({"kind": "relu", "n_units": 6,
-                           "states": np.linspace(-1, 1, 5).tolist()})
-    assert rel.p == 18
-    tan = model_from_spec({"kind": "tangent-of", "base": {"kind": "spiral"},
-                           "anchor": [0.0]})
-    np.testing.assert_allclose(tan.jacobian(np.ones(1)), spi.jacobian(np.zeros(1)))
-    with pytest.raises(Exception):
-        model_from_spec({"kind": "mystery"})
-
-
 @pytest.mark.parametrize("builder,seed", [
     ("linear", 0), ("spiral", 1), ("relu", 2), ("tangent", 3),
 ])

@@ -10,12 +10,10 @@ from lazytd import (
     contraction_modulus,
     cyclic_chain,
     exact_value,
-    load_mrp,
     mu_inner,
     mu_norm,
     mu_projection,
     random_chain,
-    save_mrp,
     stationary_measure,
     td_operator,
     td_resolvent,
@@ -90,6 +88,15 @@ def test_stationary_full_support_violation():
     mrp = Mrp(P=P, rbar=np.zeros(2), gamma=0.5)
     with pytest.raises(FullSupportViolation):
         stationary_measure(mrp)
+
+
+@pytest.mark.parametrize("P", [
+    np.eye(2),  # every state absorbing: any measure is invariant
+    np.kron(np.eye(2), np.full((2, 2), 0.5)),  # two closed classes of two states
+], ids=["identity", "block-diagonal"])
+def test_stationary_rejects_reducible_chains(P):
+    with pytest.raises(FullSupportViolation):
+        stationary_measure(Mrp(P=P, rbar=np.zeros(len(P)), gamma=0.5))
 
 
 # ------------------------------------------------------------- exact value
@@ -273,24 +280,7 @@ def test_projection_idempotent_rank_deficient(proj_setup):
     np.testing.assert_allclose(mu_projection(Jdef, mu, once), once, atol=1e-10)
 
 
-# ------------------------------------------------------------------- file io
-
-def test_mrp_round_trip(tmp_path):
-    mrp = Mrp(P=cyclic_chain(4), rbar=np.arange(4.0), gamma=0.85)
-    path = tmp_path / "chain.json"
-    save_mrp(mrp, path)
-    back = load_mrp(path)
-    np.testing.assert_allclose(back.P, mrp.P)
-    np.testing.assert_allclose(back.rbar, mrp.rbar)
-    assert back.gamma == mrp.gamma
-
-
-def test_mrp_file_with_seed(tmp_path):
-    path = tmp_path / "seeded.json"
-    path.write_text('{"d": 4, "seed": 9, "rbar": [0,0,0,0], "gamma": 0.9}')
-    mrp = load_mrp(path)
-    np.testing.assert_allclose(mrp.P, random_chain(4, np.random.default_rng(9)))
-
+# ------------------------------------------------------------- construction
 
 def test_reward_table_derives_expected_reward():
     P = cyclic_chain(3)
