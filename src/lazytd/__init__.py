@@ -36,10 +36,8 @@ from .dynamics import (
 )
 from .analysis import (
     DecayCertificate,
-    DisplacementReport,
     FixedPointCertificate,
     LazyGeometry,
-    displacement_scaling,
     estimate_jacobian_lipschitz,
     fit_exponential_rate,
     metric_drift,
@@ -56,7 +54,6 @@ from .meanfield import (
     ParticleEnsemble,
     ReluFeatures,
     SeparationReport,
-    calibrate_gap_constant,
     doubled_ensemble,
     ensemble_value,
     fixed_point_optimality,

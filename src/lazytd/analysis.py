@@ -17,14 +17,14 @@ from typing import Sequence
 
 import numpy as np
 
-from .dynamics import Trajectory, TrainConfig, integrate, make_lazy_rhs
+from .dynamics import Trajectory
 from .errors import (
     InitNotZero,
     NotOverParametrized,
     NotUnderParametrized,
     RankCollapse,
 )
-from .models import ValueModel, rank_profile
+from .models import ValueModel, numerical_rank, rank_profile
 from .mrp import (
     Mrp,
     StationaryMeasure,
@@ -33,8 +33,6 @@ from .mrp import (
     mu_projection,
     td_resolvent,
 )
-
-RANK_CUTOFF = 1e-10
 
 
 def estimate_jacobian_lipschitz(
@@ -113,7 +111,7 @@ class LazyGeometry:
         J0 = model.jacobian(w0)
         U, S, _ = np.linalg.svd(J0, full_matrices=False)
         smax = float(S[0]) if S.size else 0.0
-        rank = int(np.sum(S > RANK_CUTOFF * smax)) if smax > 0 else 0
+        rank = numerical_rank(S)
         Ur, Sr = U[:, :rank], S[:rank]
         g0 = (Ur / Sr**2) @ Ur.T
         # Generalized extreme eigenvalues of the weighted norm against the
@@ -155,17 +153,10 @@ class LazyGeometry:
         """Norm of f in the initialization metric.
 
         When the model is rank deficient this is a pseudo-norm: only the
-        component of f inside the span contributes (use ``in_span`` to
-        detect that situation).
+        component of f inside the span contributes.
         """
         f = np.asarray(f, dtype=float)
         return float(np.sqrt(max(f @ self.g0 @ f, 0.0)))
-
-    def in_span(self, f: np.ndarray, tol: float = 1e-8) -> bool:
-        f = np.asarray(f, dtype=float)
-        resid = f - self.span @ (self.span.T @ f)
-        scale = np.linalg.norm(f)
-        return bool(np.linalg.norm(resid) <= tol * max(scale, 1.0))
 
     def lyapunov(self, f: np.ndarray, vstar: np.ndarray | None = None) -> float:
         """Squared distance to the target in the initialization norm."""
@@ -247,10 +238,6 @@ class DecayCertificate:
         if out["fitted_rate"] is None:
             out["fitted_rate"] = "no clean exponential"
         return out
-
-    @property
-    def theoretical_preconditions(self) -> bool:
-        return self.sigma_min_positive and self.init_within_radius and self.alpha_above_threshold
 
 
 def overparametrized_certificate(
@@ -393,52 +380,6 @@ def underparametrized_certificate(
     )
 
 
-@dataclass
-class DisplacementReport:
-    """Peak parameter displacement per scaling value, with its log-log slope."""
-
-    alphas: list[float]
-    displacements: list[float]
-    diverged: list[bool]
-    slope: float
-    passed: bool
-
-    def to_dict(self) -> dict:
-        return dict(self.__dict__)
-
-
-def displacement_scaling(
-    model: ValueModel,
-    mrp: Mrp,
-    mu: StationaryMeasure,
-    lam: float,
-    alphas: Sequence[float],
-    config: TrainConfig,
-    w0: np.ndarray,
-    slope_bound: float = -0.8,
-) -> DisplacementReport:
-    """Integrate the scaled flow per alpha and fit how far parameters travel.
-
-    The same time grid is used for every alpha, so in the exactly linear
-    case the displacements are proportional to 1/alpha and the fitted
-    log-log slope is -1 up to integrator error.
-    """
-    displacements, diverged = [], []
-    for a in alphas:
-        rhs = make_lazy_rhs(model, mrp, mu, lam, a)
-        run = integrate(rhs, w0, config, divergence_probe=rhs.scaled_value_norm)
-        diverged.append(bool(run.diverged))
-        displacements.append(float(np.max(np.linalg.norm(run.params - run.params[0], axis=1))))
-    slope, passed = displacement_slope(alphas, displacements, diverged, slope_bound)
-    return DisplacementReport(
-        alphas=[float(a) for a in alphas],
-        displacements=displacements,
-        diverged=diverged,
-        slope=slope,
-        passed=passed,
-    )
-
-
 def displacement_slope(alphas, displacements, diverged, slope_bound: float = -0.8) -> tuple[float, bool]:
     """Log-log slope of displacement against alpha, and whether the scaling
     check passes: no run diverged, every displacement is positive and the
@@ -464,8 +405,7 @@ def metric_drift(geometry: LazyGeometry, model: ValueModel, run: Trajectory) -> 
     drifts = np.empty(len(run.times))
     for i, w in enumerate(run.params):
         Jw = model.jacobian(w)
-        sv = np.linalg.svd(Jw, compute_uv=False)
-        rank = int(np.sum(sv > RANK_CUTOFF * sv[0])) if sv[0] > 0 else 0
+        rank = numerical_rank(np.linalg.svd(Jw, compute_uv=False))
         if rank < geometry.rank:
             raise RankCollapse(f"rank dropped from {geometry.rank} to {rank} at t={run.times[i]:g}")
         M = Ur.T @ (geometry.g0 @ (Jw @ Jw.T) - np.eye(geometry.j0.shape[0])) @ Ur

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import csv
 from bisect import bisect_right
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +21,6 @@ from .models import ValueModel
 from .mrp import Mrp, StationaryMeasure, td_resolvent
 
 INTEGRATORS = ("euler", "rk4")
-TRACE_MODES = ("recursive", "windowed")
 
 
 @dataclass
@@ -38,8 +37,6 @@ class TrainConfig:
     save_every: int = 100            # record state every this many steps
     divergence_threshold: float = 1e8
     seed: int = 0
-    trace_mode: str = "recursive"
-    trace_window: int = 100          # only used by the windowed trace
 
     def __post_init__(self):
         # every check is written so that NaN fails it
@@ -49,8 +46,6 @@ class TrainConfig:
             raise DomainError(f"alpha must be >= 1, got {self.alpha}")
         if self.integrator not in INTEGRATORS:
             raise DomainError(f"integrator must be one of {INTEGRATORS}")
-        if self.trace_mode not in TRACE_MODES:
-            raise DomainError(f"trace_mode must be one of {TRACE_MODES}")
         for name in ("dt", "horizon"):
             if not 0.0 < getattr(self, name) < np.inf:
                 raise DomainError(f"{name} must be positive and finite, got {getattr(self, name)}")
@@ -67,9 +62,6 @@ class TrainConfig:
         if self.t0 is None:
             return self.beta0
         return self.beta0 / (1.0 + t / self.t0)
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 @dataclass
@@ -156,28 +148,22 @@ def stochastic_td_step(
     beta: float,
     gamma: float,
     config: TrainConfig,
-    visits: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """One sampled TD(lambda) update with the recursive eligibility trace.
 
     delta uses the alpha-scaled model and the parameter step carries the
     matching 1/alpha factor, so alpha = 1 is the plain unscaled update.
     The gradient at s is row s of the Jacobian, pulled back from a one-hot
-    vector rather than read off a full Jacobian. Given ``visits``, a
-    weighting of the states, the trace is instead its pullback at w and
-    ``z`` is ignored (the windowed trace of ``run_stochastic_td``).
+    vector rather than read off a full Jacobian.
     """
     alpha, lam = config.alpha, config.lam
     V, vjp = model.value_and_vjp(w)
     if not np.all(np.isfinite(V)) or alpha * np.max(np.abs(V)) > config.divergence_threshold:
         raise Diverged(f"scaled value norm exceeded {config.divergence_threshold:g}")
     delta = reward + gamma * alpha * V[s_next] - alpha * V[s]
-    if visits is None:
-        one_hot = np.zeros(model.d)
-        one_hot[s] = 1.0
-        z_new = gamma * lam * z + vjp(one_hot)
-    else:
-        z_new = vjp(visits)
+    one_hot = np.zeros(model.d)
+    one_hot[s] = 1.0
+    z_new = gamma * lam * z + vjp(one_hot)
     w_new = w + beta * delta * z_new / alpha
     if np.max(np.abs(w_new)) > config.divergence_threshold:
         raise Diverged(f"parameter norm exceeded {config.divergence_threshold:g}")
@@ -193,40 +179,27 @@ def run_stochastic_td(
 ) -> Trajectory:
     """Run sampled TD(lambda) for config.horizon steps along one chain path.
 
-    The recursive trace accumulates gradients as they were at sampling time;
-    the windowed mode instead re-evaluates the gradients of the last
-    ``trace_window`` visited states at the current parameters, which is the
-    literal definition truncated to finite memory. Both agree to first order
-    in the step size.
+    The recursive trace accumulates gradients as they were at sampling time.
     """
     steps = int(config.horizon)
     rng = np.random.default_rng(config.seed)
     path = sample_chain(mrp, mu, steps + 1, rng)
     R = mrp.pair_reward()
-    gamma, lam, alpha = mrp.gamma, config.lam, config.alpha
+    gamma, alpha = mrp.gamma, config.alpha
 
     w = np.asarray(w0, dtype=float).copy()
     z = np.zeros(model.p)
-    window: list[int] = []
     times, saved = [0.0], [w.copy()]
     t_now = 0.0
     diverged, diverged_at = False, None
     for k in range(steps):
         s, s_next = int(path[k]), int(path[k + 1])
         beta = config.beta(t_now)
-        visits = None
-        if config.trace_mode == "windowed":
-            window.append(s)
-            if len(window) > config.trace_window:
-                window.pop(0)
-            # decay-weighted count of the window's states, newest weighted 1
-            decay = (gamma * lam) ** np.arange(len(window) - 1, -1, -1)
-            visits = np.bincount(window, weights=decay, minlength=model.d)
         try:
             # blowup raises Diverged below; let the arithmetic overflow quietly
             with np.errstate(over="ignore", invalid="ignore"):
                 w_new, z = stochastic_td_step(model, w, z, s, s_next, R[s, s_next],
-                                              beta, gamma, config, visits)
+                                              beta, gamma, config)
         except Diverged:
             diverged, diverged_at = True, t_now
             _maybe_record(times, saved, t_now, w, model, alpha, config)

@@ -413,6 +413,10 @@ def run_sweep(
         raise DomainError(f"sweep kind must be 'gamma' or 'alpha', got {kind!r}")
     if not grid:
         raise DomainError("sweep grid must be nonempty")
+    # each run's directory name; two values that format alike would share one
+    run_name = {v: f"run_{v:g}" for v in grid}
+    if len(set(run_name.values())) < len(grid):
+        raise DomainError(f"sweep grid values must have distinct run names, got {list(grid)}")
     base = dict(base or {})
     base.setdefault("regime", "over")
     t_start = time.perf_counter()
@@ -425,7 +429,7 @@ def run_sweep(
         else:
             kw["alpha"] = value
         if out_dir is not None:
-            kw["out_dir"] = Path(out_dir) / f"run_{value:g}"
+            kw["out_dir"] = Path(out_dir) / run_name[value]
         return run_nn(regime, **kw)
 
     if workers > 1:
@@ -467,7 +471,7 @@ def run_sweep(
     config = dict(experiment=f"{kind}-sweep", grid=list(grid), base=base, workers=workers)
     summary = (list(rows[0]), [list(r.values()) for r in rows])
     return _report(f"{kind}-sweep", config, t_start, out_dir, {"summary.csv": summary},
-                   listed=[f"run_{v:g}/report.json" for v in ordered],
+                   listed=[f"{run_name[v]}/report.json" for v in ordered],
                    diverged=any(r["diverged"] for r in rows),
                    certificate=certificate, extra={"rows": rows})
 
@@ -493,10 +497,9 @@ def run_meanfield(
     Integrates the exactly averaged particle system from a paired random
     initialization, then reports the fixed-point diagnostics: maximal
     particle speed, backup residual, distance to the exact value function,
-    the support-coverage surrogate, and the calibrated optimality
-    implication. There is no reference experiment to match here; all run
-    parameters are package defaults, chosen so the run settles within the
-    horizon.
+    the support-coverage surrogate, and the optimality implication. There
+    is no reference experiment to match here; all run parameters are
+    package defaults, chosen so the run settles within the horizon.
     """
     t_start = time.perf_counter()
     states = np.linspace(-1, 1, n_states)

@@ -8,7 +8,7 @@ the characteristic flow of the corresponding transport equation. The
 module also ships the diagnostics that make the fixed-point optimality
 statement testable at desk scale: the feature-space residual correlation,
 the first-moment profile of the output weights, a coverage surrogate for
-the support-separation condition, and a calibrated optimality report.
+the support-separation condition, and an optimality report.
 """
 
 from __future__ import annotations
@@ -127,9 +127,6 @@ class ParticleEnsemble:
     @property
     def n(self) -> int:
         return self.omega0.shape[0]
-
-    def copy(self) -> "ParticleEnsemble":
-        return ParticleEnsemble(self.omega0.copy(), self.wbar.copy())
 
     def table(self) -> tuple[list[str], list[list]]:
         """Header and rows of the CSV snapshot, one row per particle."""
@@ -411,7 +408,7 @@ class OptimalityReport:
     stationary: bool             # velocity_norm <= eps
     separation_passed: bool
     features_universal: bool
-    gap_tolerance: float | None  # calibrated bound implied when all hold
+    gap_tolerance: float | None  # gap bound implied when all hold
     implication_holds: bool | None
 
     def to_dict(self) -> dict:
@@ -434,8 +431,8 @@ def fixed_point_optimality(
     family the approximator equals the exact value function. The desk-scale
     surrogate: when the maximal particle speed is below ``eps`` and the
     separation surrogate passes, the optimality gap must fall below
-    ``gap_constant * eps``. The constant is measured by calibration (see
-    ``calibrate_gap_constant``), never assumed; without one the implication
+    ``gap_constant * eps``. The constant is computed at the ensemble (see
+    ``linearized_gap_bound``), never assumed; without one the implication
     is reported as unchecked (None).
     """
     velocity, bell, gap = _state_diagnostics(ensemble, features, mrp, mu, exact_value(mrp))
@@ -483,54 +480,3 @@ def linearized_gap_bound(
     if smin <= 0:
         return float("inf")
     return float(np.sqrt(ensemble.n) / smin)
-
-
-def calibrate_gap_constant(
-    features: FeatureMap,
-    mrp: Mrp,
-    mu: StationaryMeasure,
-    centers: np.ndarray,
-    rng: np.random.Generator | int = 0,
-    n_trials: int = 20,
-    perturbation: float = 1e-3,
-) -> float:
-    """Measure the gap/velocity ratio on the frozen-feature (linear) case.
-
-    Builds ensembles whose feature parameters are frozen on the given
-    centers (so the approximator is linear in the output weights), places
-    them at the best representation of the value function, perturbs the
-    output weights, and records the worst ratio of optimality gap to
-    maximal particle speed. Alongside random draws, the perturbations
-    include the provably worst direction of the frozen-feature velocity
-    map (its smallest singular vector). Passing a run's own terminal
-    feature parameters as centers makes the constant comparable to that
-    run. The constant is reported with the reports that use it, never
-    assumed.
-    """
-    if not isinstance(rng, np.random.Generator):
-        rng = np.random.default_rng(rng)
-    centers = np.atleast_2d(np.asarray(centers, dtype=float))
-    if centers.shape[1] != features.wbar_dim:
-        centers = centers.T
-    n = centers.shape[0]
-    F = features.phi_matrix(centers)                       # (d, n)
-    vstar = exact_value(mrp)
-    base, *_ = np.linalg.lstsq(F / n, vstar, rcond=None)   # best omega0 fit
-    # A value-space error e drives the output weights at rate F^T Gamma
-    # (gamma P - I) e; the achievable direction with the smallest rate per
-    # unit of weighted error norm realizes the worst gap/velocity ratio.
-    root = np.sqrt(mu.mu)
-    span = np.linalg.qr((F / n) * root[:, None])[0]        # weighted coords
-    unw = span / root[:, None]                             # unit-mu-norm value directions
-    vel_map = F.T @ (mu.mu[:, None] * ((mrp.gamma * mrp.P - np.eye(mrp.d)) @ unw))
-    _, _, Vt = np.linalg.svd(vel_map, full_matrices=False)
-    worst_delta, *_ = np.linalg.lstsq(F / n, unw @ Vt[-1], rcond=None)
-    directions = [worst_delta] + [rng.standard_normal(n) for _ in range(n_trials)]
-    worst = 0.0
-    for delta in directions:
-        delta = delta * (perturbation / max(np.linalg.norm(delta), 1e-300))
-        ens = ParticleEnsemble(base + delta, centers.copy())
-        vel, _, gap = _state_diagnostics(ens, features, mrp, mu, vstar)
-        if vel > 0:
-            worst = max(worst, gap / vel)
-    return worst

@@ -19,6 +19,7 @@ SPIRAL_A = np.array([10.0, -7.0, -3.0])
 SPIRAL_B = np.array([2.3094, -9.815, 7.5056])
 SPIRAL_GROWTH = 0.01
 SPIRAL_FREQUENCY = 0.866
+RANK_CUTOFF = 1e-10               # relative to the largest singular value
 
 
 class ValueModel(ABC):
@@ -251,15 +252,21 @@ class RankProfile:
         return not self.overparametrized
 
 
-def rank_profile(model: ValueModel, w: np.ndarray, cutoff: float = 1e-10) -> RankProfile:
+def numerical_rank(sv: np.ndarray) -> int:
+    """The package's one rank rule: the number of singular values (given in
+    descending order) above ``RANK_CUTOFF`` times the largest one."""
+    smax = float(sv[0]) if sv.size else 0.0
+    return int(np.sum(sv > RANK_CUTOFF * smax)) if smax > 0 else 0
+
+
+def rank_profile(model: ValueModel, w: np.ndarray) -> RankProfile:
     """Classify a model as over- or under-parametrized at ``w``.
 
-    rank counts singular values above ``cutoff`` times the largest one;
-    over-parametrized means the Jacobian spans all d state directions.
+    Over-parametrized means the Jacobian spans all d state directions.
     """
     sv = np.linalg.svd(model.jacobian(w), compute_uv=False)
     smax = float(sv[0]) if sv.size else 0.0
-    rank = int(np.sum(sv > cutoff * smax)) if smax > 0 else 0
+    rank = numerical_rank(sv)
     smin = float(sv[rank - 1]) if rank > 0 else 0.0
     return RankProfile(
         singular_values=sv,

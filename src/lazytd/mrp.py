@@ -80,16 +80,12 @@ class Mrp:
 
 @dataclass(frozen=True)
 class StationaryMeasure:
-    """Invariant distribution of the chain and the diagonal weighting it induces."""
+    """Invariant distribution of the chain, the weight of every mu-norm."""
 
     mu: np.ndarray
 
     def __post_init__(self):
         object.__setattr__(self, "mu", np.asarray(self.mu, dtype=float))
-
-    @property
-    def Gamma(self) -> np.ndarray:
-        return np.diag(self.mu)
 
     @property
     def d(self) -> int:

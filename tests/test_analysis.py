@@ -13,7 +13,6 @@ from lazytd import (
     Trajectory,
     TrainConfig,
     cyclic_chain,
-    displacement_scaling,
     estimate_jacobian_lipschitz,
     exact_value,
     fit_exponential_rate,
@@ -27,6 +26,7 @@ from lazytd import (
     td_operator,
     underparametrized_certificate,
 )
+from lazytd.analysis import displacement_slope
 from lazytd.errors import NotOverParametrized, NotUnderParametrized, RankCollapse
 
 from oracles import linear_td_fixed_point
@@ -272,28 +272,19 @@ def test_underparametrized_certificate_records_divergence(chain3):
 
 # ------------------------------------------------------------- displacement
 
-def test_displacement_scaling_tangent_slope_minus_one(chain3):
-    mrp, mu = chain3
-    rng = np.random.default_rng(9)
-    relu = ReluNet(8, np.linspace(-1, 1, 6))
-    w0 = relu.init_doubled(rng)
-    mrp6 = Mrp(P=cyclic_chain(6, "backward"), rbar=rng.standard_normal(6), gamma=0.9)
-    mu6 = stationary_measure(mrp6)
-    model = TangentModel(relu, w0)
-    cfg = TrainConfig(dt=0.5, horizon=4000.0, save_every=20)
-    report = displacement_scaling(model, mrp6, mu6, 0.0, [1e2, 1e3, 1e4], cfg, w0)
-    assert report.slope == pytest.approx(-1.0, abs=0.02)
-    assert report.passed
-
-
-def test_displacement_ratio_halving(chain3):
-    mrp, mu = chain3
-    base = SpiralModel()
-    model = TangentModel(base, np.zeros(1))
-    cfg = TrainConfig(dt=1e-3, horizon=3.0, save_every=50)
-    report = displacement_scaling(model, mrp, mu, 0.0, [100.0, 200.0], cfg, np.zeros(1))
-    d100, d200 = report.displacements
-    assert d200 <= 1.25 * (d100 / 2.0)
+@pytest.mark.parametrize("displacements, diverged, slope, passed", [
+    ([1e-2, 1e-3, 1e-4], [False] * 3, -1.0, True),
+    ([1e-2, 1e-3, 1e-4], [False, False, True], np.nan, False),
+    ([1e-2, 1e-3, 0.0], [False] * 3, np.nan, False),
+    ([1e-2, 10**-2.5, 1e-3], [False] * 3, -0.5, False),
+], ids=["one-over-alpha", "diverged", "zero-displacement", "slope-half"])
+def test_displacement_slope(displacements, diverged, slope, passed):
+    got, ok = displacement_slope([1e2, 1e3, 1e4], displacements, diverged)
+    if np.isnan(slope):
+        assert np.isnan(got)
+    else:
+        assert got == pytest.approx(slope, abs=1e-12)
+    assert ok is passed
 
 
 # -------------------------------------------------------------- metric drift

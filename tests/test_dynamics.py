@@ -120,20 +120,6 @@ def test_stochastic_linear_approaches_fixed_point(chain3):
     assert gap < 0.05 * max(1.0, np.abs(target).max())
 
 
-def test_trace_modes_agree_at_small_step(chain3):
-    mrp, mu = chain3
-    model = LinearModel(np.eye(3))
-    common = dict(lam=0.6, alpha=1.0, beta0=1e-4,
-                  horizon=2000, seed=11, save_every=2000)
-    rec = run_stochastic_td(model, mrp, mu, TrainConfig(**common), np.zeros(3))
-    win = run_stochastic_td(model, mrp, mu,
-                            TrainConfig(trace_mode="windowed", trace_window=400, **common),
-                            np.zeros(3))
-    # same chain path; trace variants differ at O(beta) per step
-    gap = np.abs(rec.final_params - win.final_params).max()
-    assert gap < 5e-4
-
-
 def test_sampled_run_matches_full_jacobian_rows():
     # the engine pulls back a one-hot vector; the reference reads the row
     # off the full Jacobian, and the two runs must agree bit for bit
@@ -237,7 +223,7 @@ def test_lazy_flow_reaches_tangent_fixed_point(chain3):
 @pytest.mark.parametrize("bad", [
     dict(lam=1.0), dict(lam=-0.1), dict(alpha=0.5), dict(dt=0.0),
     dict(integrator="ab3"), dict(beta0=0.0),
-    dict(divergence_threshold=0.0), dict(save_every=0), dict(trace_mode="other"),
+    dict(divergence_threshold=0.0), dict(save_every=0), dict(dt=np.inf),
     dict(dt=np.nan), dict(alpha=np.nan), dict(beta0=np.nan), dict(horizon=np.nan),
     dict(divergence_threshold=np.nan), dict(horizon=0.0), dict(horizon=-1.0),
     dict(t0=0.0), dict(t0=np.nan),

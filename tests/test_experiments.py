@@ -192,6 +192,17 @@ def test_sweep_summary_file(tmp_path):
     assert (tmp_path / "run_0.9" / "trajectory.csv").exists()
 
 
+@pytest.mark.parametrize("grid", [[0.9, 0.9000001], [0.9, 0.9]], ids=["same-6-digits", "repeated"])
+def test_sweep_rejects_values_sharing_a_run_name(tmp_path, grid):
+    # each run writes run_{v:g}, which keeps six significant digits: these
+    # grids would put two runs in one directory and one summary row
+    from lazytd.errors import DomainError
+    with pytest.raises(DomainError):
+        run_sweep("gamma", grid, base={"regime": "under", "n_units": 4, "n_states": 5},
+                  out_dir=tmp_path)
+    assert not any(tmp_path.iterdir())
+
+
 def test_every_csv_shares_one_dialect(tmp_path):
     # one writer for every CSV: CRLF line ends throughout, and reading a file
     # with csv.reader then writing it back with csv.writer reproduces it

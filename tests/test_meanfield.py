@@ -9,7 +9,6 @@ from lazytd import (
     Mrp,
     ParticleEnsemble,
     ReluFeatures,
-    calibrate_gap_constant,
     cyclic_chain,
     doubled_ensemble,
     ensemble_value,
@@ -350,21 +349,3 @@ def test_stalled_zero_weights_is_not_a_fixed_point(chain5):
     rep = fixed_point_optimality(ens, feat, mrp, mu, eps=1e-8)
     assert rep.velocity_norm > 1e-3  # output weights accelerate
     assert not rep.stationary
-
-
-def test_calibrated_implication_on_converged_run(chain5):
-    mrp, mu, states = chain5
-    feat = GaussianBumpFeatures(states, width=0.35)
-    ens = doubled_ensemble(200, uniform_sampler(-1.2, 1.2), rng=7)
-    hist = integrate_ensemble(ens, feat, mrp, mu, dt=0.1, horizon=1500.0, save_every=500)
-    cal = calibrate_gap_constant(feat, mrp, mu, states, rng=0)
-    assert cal > 0
-    sep = separation_check(hist.final, r0=6.0, wbar_grid=np.linspace(-1.1, 1.1, 9),
-                           resolution=0.4)
-    rep = fixed_point_optimality(
-        hist.final, feat, mrp, mu, eps=1e-4, separation=sep,
-        features_universal=feat.universal_for_states(states[:, None]),
-        gap_constant=cal,
-    )
-    assert rep.stationary
-    assert rep.optimality_gap < 1e-2
