@@ -34,32 +34,32 @@ from .mrp import (
     td_resolvent,
 )
 
+# the constants the guarantees are checked at
+ENVELOPE_SLACK = 0.05             # allowed excess of the Lyapunov series over its envelope
+R2_MIN = 0.95                     # fit quality of a clean exponential
+TRANSIENT = 0.1                   # leading share of a series left out of rate fits
+FIXED_POINT_TOL = 1e-6            # projected residual of a converged run
+SLOPE_BOUND = -0.8                # largest log-log displacement slope that passes
 
-def estimate_jacobian_lipschitz(
-    model: ValueModel,
-    w0: np.ndarray,
-    radius: float = 1.0,
-    n_pairs: int = 200,
-    rng: np.random.Generator | int = 0,
-) -> float:
+
+def estimate_jacobian_lipschitz(model: ValueModel, w0: np.ndarray) -> float:
     """Sampled lower bound on the Lipschitz constant of the Jacobian map.
 
-    Maximizes ||J(u) - J(v)|| / ||u - v|| over random pairs in a ball around
-    w0. A sampled maximum can only underestimate the true constant; callers
-    may override with a known value.
+    Maximizes ||J(u) - J(v)|| / ||u - v|| over 200 seeded random pairs in
+    the unit ball around w0. A sampled maximum can only underestimate the
+    true constant; callers may override with a known value.
     """
-    if not isinstance(rng, np.random.Generator):
-        rng = np.random.default_rng(rng)
+    rng = np.random.default_rng(0)
     w0 = np.asarray(w0, dtype=float)
     p = w0.size
 
     def draw():
         x = rng.standard_normal(p)
         x /= np.linalg.norm(x)
-        return w0 + radius * rng.random() ** (1.0 / p) * x
+        return w0 + rng.random() ** (1.0 / p) * x
 
     best = 0.0
-    for _ in range(n_pairs):
+    for _ in range(200):
         u, v = draw(), draw()
         gap = np.linalg.norm(u - v)
         if gap < 1e-12:
@@ -106,7 +106,6 @@ class LazyGeometry:
         mrp: Mrp,
         mu: StationaryMeasure,
         lipschitz_dv: float | None = None,
-        rng: np.random.Generator | int = 0,
     ) -> "LazyGeometry":
         J0 = model.jacobian(w0)
         U, S, _ = np.linalg.svd(J0, full_matrices=False)
@@ -120,7 +119,7 @@ class LazyGeometry:
         ratios = np.linalg.eigvalsh((C + C.T) / 2.0)
         kappa = float(np.sqrt(max(ratios[-1], 1.0 / ratios[0])))
         if lipschitz_dv is None:
-            lipschitz_dv = estimate_jacobian_lipschitz(model, w0, rng=rng)
+            lipschitz_dv = estimate_jacobian_lipschitz(model, w0)
         sigma_min = float(Sr[-1]) if rank else 0.0
         if lipschitz_dv > 0 and rank:
             radius_bound = (1.0 - mrp.gamma) ** 2 * sigma_min**2 / (
@@ -158,10 +157,9 @@ class LazyGeometry:
         f = np.asarray(f, dtype=float)
         return float(np.sqrt(max(f @ self.g0 @ f, 0.0)))
 
-    def lyapunov(self, f: np.ndarray, vstar: np.ndarray | None = None) -> float:
+    def lyapunov(self, f: np.ndarray) -> float:
         """Squared distance to the target in the initialization norm."""
-        target = self.vstar if vstar is None else vstar
-        return self.norm0(np.asarray(f, dtype=float) - target) ** 2
+        return self.norm0(np.asarray(f, dtype=float) - self.vstar) ** 2
 
     @property
     def rate_bound(self) -> float:
@@ -189,19 +187,16 @@ def projected_td_error(
     return mu_norm(proj, mu)
 
 
-def fit_exponential_rate(
-    times: np.ndarray,
-    values: np.ndarray,
-    transient: float = 0.1,
-) -> tuple[float | None, float]:
-    """Least-squares decay rate of log(values) after discarding the transient.
+def fit_exponential_rate(times: np.ndarray, values: np.ndarray) -> tuple[float | None, float]:
+    """Least-squares decay rate of log(values) after discarding the leading
+    ``TRANSIENT`` share of the samples.
 
     Returns (rate, r_squared); rate is None when fewer than three positive
     samples remain. Callers decide what r_squared is acceptable.
     """
     times = np.asarray(times, dtype=float)
     values = np.asarray(values, dtype=float)
-    start = int(np.floor(transient * len(times)))
+    start = int(np.floor(TRANSIENT * len(times)))
     t, v = times[start:], values[start:]
     keep = v > 0
     t, v = t[keep], v[keep]
@@ -245,15 +240,13 @@ def overparametrized_certificate(
     model: ValueModel,
     run: Trajectory,
     alpha: float,
-    envelope_slack: float = 0.05,
-    r2_min: float = 0.95,
-    transient: float = 0.1,
 ) -> DecayCertificate:
     """Check the exponential Lyapunov envelope on an over-parametrized run.
 
     Passing requires the Lyapunov series to stay below its guaranteed
-    envelope (with the stated slack) at every saved time and to decay as a
-    clean single exponential. The worst-case preconditions (initialization
+    envelope (up to ``ENVELOPE_SLACK``) at every saved time and to decay as
+    a clean single exponential (R^2 of the log-linear fit at least
+    ``R2_MIN``). The worst-case preconditions (initialization
     radius, scaling threshold) are reported but do not gate the pass, since
     they are loose by orders of magnitude at desk scale.
     """
@@ -270,10 +263,10 @@ def overparametrized_certificate(
     with np.errstate(divide="ignore", invalid="ignore"):
         ratios = np.where(envelope > 0, U / envelope, np.inf)
     margin = float(np.max(ratios))
-    envelope_ok = bool(margin <= 1.0 + envelope_slack) and not run.diverged
+    envelope_ok = bool(margin <= 1.0 + ENVELOPE_SLACK) and not run.diverged
 
-    fitted, r2 = fit_exponential_rate(run.times, U, transient=transient)
-    clean = fitted is not None and r2 >= r2_min
+    fitted, r2 = fit_exponential_rate(run.times, U)
+    clean = fitted is not None and r2 >= R2_MIN
     init_v = model.value(run.params[0])
     displacement = float(np.max(np.linalg.norm(run.params - run.params[0], axis=1)))
     return DecayCertificate(
@@ -318,12 +311,11 @@ def underparametrized_certificate(
     lam: float,
     alphas: Sequence[float],
     runs: Sequence[Trajectory],
-    proj_tol: float = 1e-6,
 ) -> FixedPointCertificate:
     """Check fixed-point convergence and the 1/alpha excess-error envelope.
 
     For each run the projected backup residual at the final iterate must
-    fall below ``proj_tol``. The excess of the final value error over
+    fall below ``FIXED_POINT_TOL``. The excess of the final value error over
     (1 - lam gamma)/(1 - gamma) times the best-in-tangent-space error must
     fit under C/alpha with the single constant C anchored at the smallest
     scaling in the grid; anchoring keeps the envelope test non-vacuous.
@@ -359,7 +351,7 @@ def underparametrized_certificate(
         proj_errors.append(pe)
         value_errors.append(err)
         excesses.append(err - base)
-        converged.append(pe <= proj_tol)
+        converged.append(pe <= FIXED_POINT_TOL)
 
     a_min = float(alphas[order[0]])
     C = max(excesses[order[0]] * a_min, 1e-12)
@@ -380,17 +372,17 @@ def underparametrized_certificate(
     )
 
 
-def displacement_slope(alphas, displacements, diverged, slope_bound: float = -0.8) -> tuple[float, bool]:
+def displacement_slope(alphas, displacements, diverged) -> tuple[float, bool]:
     """Log-log slope of displacement against alpha, and whether the scaling
     check passes: no run diverged, every displacement is positive and the
-    slope is at most ``slope_bound``. The slope is nan when a run diverged
+    slope is at most ``SLOPE_BOUND``. The slope is nan when a run diverged
     or did not move."""
     ok = not any(diverged) and all(d is not None and d > 0 for d in displacements)
     slope = float("nan")
     if ok:
         slope = float(np.polyfit(np.log(np.asarray(alphas, dtype=float)),
                                  np.log(np.asarray(displacements)), 1)[0])
-    return slope, bool(ok and slope <= slope_bound)
+    return slope, bool(ok and slope <= SLOPE_BOUND)
 
 
 def metric_drift(geometry: LazyGeometry, model: ValueModel, run: Trajectory) -> np.ndarray:

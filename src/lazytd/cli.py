@@ -41,7 +41,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("spiral", help="3-state spiral-manifold run")
     _add_common(p)
-    p.add_argument("--alpha", type=float, default=1.0)
+    p.add_argument("--alpha", type=float)
     p.add_argument("--mode", choices=["ode", "stochastic"])
     p.add_argument("--integrator", choices=["euler", "rk4"])
     p.add_argument("--dt", type=float)

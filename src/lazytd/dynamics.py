@@ -21,6 +21,7 @@ from .models import ValueModel
 from .mrp import Mrp, StationaryMeasure, td_resolvent
 
 INTEGRATORS = ("euler", "rk4")
+DIVERGENCE_THRESHOLD = 1e8        # a state or scaled value past this max-norm has diverged
 
 
 @dataclass
@@ -29,13 +30,11 @@ class TrainConfig:
 
     lam: float = 0.0                 # trace parameter in [0, 1)
     alpha: float = 1.0               # lazy scaling factor, >= 1
-    beta0: float = 1e-3              # step size (constant unless t0 is set)
-    t0: float | None = None          # decaying schedule beta0 / (1 + t/t0)
+    beta0: float = 1e-3              # constant step size of the sampled engine
     horizon: float = 1000.0          # step count (stochastic) or end time (ode)
     integrator: str = "rk4"
     dt: float = 1e-2                 # ode step
     save_every: int = 100            # record state every this many steps
-    divergence_threshold: float = 1e8
     seed: int = 0
 
     def __post_init__(self):
@@ -49,19 +48,10 @@ class TrainConfig:
         for name in ("dt", "horizon"):
             if not 0.0 < getattr(self, name) < np.inf:
                 raise DomainError(f"{name} must be positive and finite, got {getattr(self, name)}")
-        for name in ("beta0", "divergence_threshold"):
-            if not getattr(self, name) > 0.0:
-                raise DomainError(f"{name} must be positive, got {getattr(self, name)}")
-        if self.t0 is not None and not self.t0 > 0.0:
-            raise DomainError(f"t0 must be positive when set, got {self.t0}")
+        if not self.beta0 > 0.0:
+            raise DomainError(f"beta0 must be positive, got {self.beta0}")
         if not self.save_every >= 1:
             raise DomainError("save_every must be >= 1")
-
-    def beta(self, t: float) -> float:
-        """Step size at (cumulative) time t; constant or harmonically decaying."""
-        if self.t0 is None:
-            return self.beta0
-        return self.beta0 / (1.0 + t / self.t0)
 
 
 @dataclass
@@ -90,9 +80,6 @@ class Trajectory:
         header += keys
         cols += [np.asarray(self.diagnostics[k])[:, None] for k in keys]
         return header, np.hstack(cols).tolist()
-
-    def to_csv(self, path: str | Path, include_params: bool = True) -> None:
-        write_csv(path, *self.table(include_params))
 
 
 def _csv_cell(v) -> str:
@@ -158,15 +145,15 @@ def stochastic_td_step(
     """
     alpha, lam = config.alpha, config.lam
     V, vjp = model.value_and_vjp(w)
-    if not np.all(np.isfinite(V)) or alpha * np.max(np.abs(V)) > config.divergence_threshold:
-        raise Diverged(f"scaled value norm exceeded {config.divergence_threshold:g}")
+    if not np.all(np.isfinite(V)) or alpha * np.max(np.abs(V)) > DIVERGENCE_THRESHOLD:
+        raise Diverged(f"scaled value norm exceeded {DIVERGENCE_THRESHOLD:g}")
     delta = reward + gamma * alpha * V[s_next] - alpha * V[s]
     one_hot = np.zeros(model.d)
     one_hot[s] = 1.0
     z_new = gamma * lam * z + vjp(one_hot)
     w_new = w + beta * delta * z_new / alpha
-    if np.max(np.abs(w_new)) > config.divergence_threshold:
-        raise Diverged(f"parameter norm exceeded {config.divergence_threshold:g}")
+    if np.max(np.abs(w_new)) > DIVERGENCE_THRESHOLD:
+        raise Diverged(f"parameter norm exceeded {DIVERGENCE_THRESHOLD:g}")
     return w_new, z_new
 
 
@@ -184,8 +171,7 @@ def run_stochastic_td(
     steps = int(config.horizon)
     rng = np.random.default_rng(config.seed)
     path = sample_chain(mrp, mu, steps + 1, rng)
-    R = mrp.pair_reward()
-    gamma, alpha = mrp.gamma, config.alpha
+    gamma, alpha, beta = mrp.gamma, config.alpha, config.beta0
 
     w = np.asarray(w0, dtype=float).copy()
     z = np.zeros(model.p)
@@ -194,20 +180,19 @@ def run_stochastic_td(
     diverged, diverged_at = False, None
     for k in range(steps):
         s, s_next = int(path[k]), int(path[k + 1])
-        beta = config.beta(t_now)
         try:
             # blowup raises Diverged below; let the arithmetic overflow quietly
             with np.errstate(over="ignore", invalid="ignore"):
-                w_new, z = stochastic_td_step(model, w, z, s, s_next, R[s, s_next],
+                w_new, z = stochastic_td_step(model, w, z, s, s_next, mrp.rbar[s],
                                               beta, gamma, config)
         except Diverged:
             diverged, diverged_at = True, t_now
-            _maybe_record(times, saved, t_now, w, model, alpha, config)
+            _maybe_record(times, saved, t_now, w, model, alpha)
             break
         if not np.all(np.isfinite(w_new)):
-            if np.max(np.abs(w)) > 1e-3 * config.divergence_threshold:
+            if np.max(np.abs(w)) > 1e-3 * DIVERGENCE_THRESHOLD:
                 diverged, diverged_at = True, t_now
-                _maybe_record(times, saved, t_now, w, model, alpha, config)
+                _maybe_record(times, saved, t_now, w, model, alpha)
                 break
             raise NonFiniteState(f"non-finite parameters at step {k}")
         w = w_new
@@ -215,7 +200,7 @@ def run_stochastic_td(
         if (k + 1) % config.save_every == 0 or k == steps - 1:
             with np.errstate(over="ignore", invalid="ignore"):
                 probe = alpha * np.max(np.abs(model.value(w)))
-            if not np.isfinite(probe) or probe > config.divergence_threshold:
+            if not np.isfinite(probe) or probe > DIVERGENCE_THRESHOLD:
                 diverged, diverged_at = True, t_now
                 break
             times.append(t_now)
@@ -228,14 +213,14 @@ def run_stochastic_td(
     )
 
 
-def _maybe_record(times, saved, t_now, w, model, alpha, config) -> None:
+def _maybe_record(times, saved, t_now, w, model, alpha) -> None:
     """Record a terminal state only while it is still within the thresholds,
     so trajectories never carry states whose value has already blown up."""
     if t_now <= times[-1]:
         return
     with np.errstate(over="ignore", invalid="ignore"):
         probe = alpha * np.max(np.abs(model.value(w)))
-    if np.isfinite(probe) and probe <= config.divergence_threshold:
+    if np.isfinite(probe) and probe <= DIVERGENCE_THRESHOLD:
         times.append(t_now)
         saved.append(w.copy())
 
@@ -304,7 +289,6 @@ def integrate(
     w = np.asarray(w0, dtype=float).copy()
     dt = config.dt
     n_steps = int(round(config.horizon / dt))
-    thresh = config.divergence_threshold
     use_rk4 = config.integrator == "rk4"
 
     times, saved = [0.0], [w.copy()]
@@ -324,13 +308,13 @@ def integrate(
                 w_new = w + dt * k1
             t = (k + 1) * dt
             if not np.all(np.isfinite(w_new)):
-                if last_mag > 1e-3 * thresh:
+                if last_mag > 1e-3 * DIVERGENCE_THRESHOLD:
                     diverged, diverged_at = True, t
                     break
                 raise NonFiniteState(f"non-finite state at t={t:g}")
             k1 = rhs(w_new)
             mag = _magnitude(w_new, divergence_probe)
-            if not np.isfinite(mag) or mag > thresh:
+            if not np.isfinite(mag) or mag > DIVERGENCE_THRESHOLD:
                 diverged, diverged_at = True, t
                 break
             w = w_new

@@ -67,6 +67,10 @@ SPIRAL_BETA = 2e-3
 OVER_DEFAULTS = dict(n_units=100, n_states=30, alpha=500.0, seed=1454)
 UNDER_DEFAULTS = dict(n_units=10, n_states=50, alpha=100.0, seed=5)
 NN_BETA = 1e-3
+# default network step and horizon, over the fastest and the slowest
+# linearized decay rate at initialization
+NN_STABILITY_FACTOR = 1.5
+NN_TIME_FACTOR = 2.5
 
 EXPERIMENTS = ("spiral", "nn-over", "nn-under", "meanfield", "alpha-sweep", "gamma-sweep")
 
@@ -199,8 +203,29 @@ def _run_report(experiment: str, config: dict, run: Trajectory, t_start: float, 
     )
 
 
+def _train(model, mrp: Mrp, mu: StationaryMeasure, w0: np.ndarray, vstar: np.ndarray,
+           mode: str, cfg: TrainConfig, stop_tol: float | None = None) -> Trajectory:
+    """The one training path of the spiral and network runs: the averaged
+    flow ("ode") or sampled TD(lambda) ("stochastic") under ``cfg``, with
+    the series every report quotes attached. The averaged flow stops early
+    once the projected residual falls below ``stop_tol``, when given."""
+    if mode not in ("ode", "stochastic"):
+        raise DomainError(f"mode must be 'ode' or 'stochastic', got {mode!r}")
+    lam, alpha = cfg.lam, cfg.alpha
+    if mode == "ode":
+        rhs = make_lazy_rhs(model, mrp, mu, lam, alpha)
+        stop = None
+        if stop_tol is not None:
+            stop = lambda w, t: projected_td_error(model, mrp, mu, lam, alpha, w) < stop_tol
+        run = integrate(rhs, w0, cfg, divergence_probe=rhs.scaled_value_norm, stop_when=stop)
+    else:
+        run = run_stochastic_td(model, mrp, mu, cfg, w0)
+    _attach_run_diagnostics(run, model, mrp, mu, lam, alpha, vstar)
+    return run
+
+
 def run_spiral(
-    alpha: float,
+    alpha: float = 1.0,
     out_dir: str | Path | None = None,
     mode: str = "ode",
     integrator: str = "rk4",
@@ -211,7 +236,8 @@ def run_spiral(
     stop_tol: float = 1e-8,
     save_every: int = 100,
 ) -> RunReport:
-    """Spiral manifold on the 3-state chain: diverges unscaled, converges lazily.
+    """Spiral manifold on the 3-state chain: diverges unscaled (the default
+    alpha = 1), converges lazily.
 
     The averaged (ode) engine is the default; the sampled engine with the
     reference constant step size is available for visual comparison.
@@ -226,27 +252,13 @@ def run_spiral(
     mrp = spiral_mrp()
     mu = stationary_measure(mrp)
     model = SpiralModel()
-    vstar = exact_value(mrp)
     lam = 0.0
-    w0 = np.zeros(1)
     config = dict(experiment="spiral", alpha=alpha, mode=mode, integrator=integrator,
                   dt=dt, horizon=horizon, beta=beta, seed=seed, stop_tol=stop_tol,
                   save_every=save_every, gamma=mrp.gamma, lam=lam)
-
-    if mode == "ode":
-        cfg = TrainConfig(lam=lam, alpha=alpha, dt=dt, horizon=horizon,
-                          integrator=integrator, save_every=save_every, seed=seed)
-        rhs = make_lazy_rhs(model, mrp, mu, lam, alpha)
-        stop = lambda w, t: projected_td_error(model, mrp, mu, lam, alpha, w) < stop_tol
-        run = integrate(rhs, w0, cfg, divergence_probe=rhs.scaled_value_norm, stop_when=stop)
-    elif mode == "stochastic":
-        cfg = TrainConfig(lam=lam, alpha=alpha, beta0=beta,
-                          horizon=horizon, save_every=save_every, seed=seed)
-        run = run_stochastic_td(model, mrp, mu, cfg, w0)
-    else:
-        raise DomainError(f"unknown mode {mode!r}")
-
-    _attach_run_diagnostics(run, model, mrp, mu, lam, alpha, vstar)
+    cfg = TrainConfig(lam=lam, alpha=alpha, beta0=beta, dt=dt, horizon=horizon,
+                      integrator=integrator, save_every=save_every, seed=seed)
+    run = _train(model, mrp, mu, np.zeros(1), exact_value(mrp), mode, cfg, stop_tol)
     return _run_report("spiral", config, run, t_start, out_dir, include_params=True, extra={
         "diverged_at": run.diverged_at, "theta_final": float(run.final_params[0])})
 
@@ -267,16 +279,14 @@ def _nn_setup(gamma: float, seed: int, n_units: int, n_states: int):
     return mrp, mu, model, w0, vstar
 
 
-def linearized_rates(model, w0, mrp: Mrp, mu: StationaryMeasure, lam: float,
-                     return_unstable: bool = False):
-    """(fastest, slowest-nonzero) decay rates of the flow linearized at w0.
+def linearized_rates(model, w0, mrp: Mrp, mu: StationaryMeasure, lam: float):
+    """(fastest, slowest-nonzero, unstable) rates of the flow linearized at w0.
 
     Real parts of the eigenvalues of J^T Gamma (gamma P_lam - I) J; the
     scaling drops out, so one spectrum serves every alpha. Real parts
     within 1e-12 * max(fast, 1) of zero are the flat directions. Positive
     ones beyond that make the linearization unstable; they play no part in
-    the two rates, and ``return_unstable=True`` returns them as a third
-    item, largest first.
+    the two decay rates and come third, largest first.
     """
     J = model.jacobian(w0)
     _, P_lam = td_resolvent(mrp, lam)
@@ -286,8 +296,6 @@ def linearized_rates(model, w0, mrp: Mrp, mu: StationaryMeasure, lam: float,
     tol = 1e-12 * max(fast, 1.0)
     nonzero = -re[re < -tol]
     slow = float(nonzero.min()) if nonzero.size else fast
-    if not return_unstable:
-        return fast, slow
     return fast, slow, np.sort(re[re > tol])[::-1]
 
 
@@ -303,8 +311,6 @@ def run_nn(
     dt: float | None = None,
     horizon: float | None = None,
     beta: float = NN_BETA,
-    time_factor: float = 2.5,
-    stability_factor: float = 1.5,
     stop_tol: float = 1e-7,
     out_dir: str | Path | None = None,
 ) -> RunReport:
@@ -314,8 +320,8 @@ def run_nn(
     certificate. regime "under": narrow net, rank-deficient Jacobian,
     local-fixed-point certificate; this run stops early once the projected
     residual falls below ``stop_tol``. Step and horizon default to
-    ``stability_factor`` over the fastest linearized rate and
-    ``time_factor`` over the slowest, so runs resolve their own dynamics.
+    ``NN_STABILITY_FACTOR`` over the fastest linearized rate and
+    ``NN_TIME_FACTOR`` over the slowest, so runs resolve their own dynamics.
     Certificates are computed on the averaged ("ode") engine; mode
     "stochastic" runs the sampled algorithm at the reference constant step
     size instead (horizon then counts steps, default 1e5) and reports the
@@ -323,8 +329,6 @@ def run_nn(
     """
     if regime not in ("over", "under"):
         raise DomainError(f"regime must be 'over' or 'under', got {regime!r}")
-    if mode not in ("ode", "stochastic"):
-        raise DomainError(f"mode must be 'ode' or 'stochastic', got {mode!r}")
     defaults = OVER_DEFAULTS if regime == "over" else UNDER_DEFAULTS
     n_units = defaults["n_units"] if n_units is None else n_units
     n_states = defaults["n_states"] if n_states is None else n_states
@@ -333,51 +337,41 @@ def run_nn(
 
     t_start = time.perf_counter()
     mrp, mu, model, w0, vstar = _nn_setup(gamma, seed, n_units, n_states)
+    config = dict(experiment=f"nn-{regime}", mode=mode, gamma=gamma, seed=seed, alpha=alpha,
+                  n_units=n_units, n_states=n_states, lam=lam, beta=beta)
 
-    if mode == "stochastic":
+    if mode != "ode":  # the sampled engine; _train rejects any other mode
         steps = int(horizon) if horizon is not None else 100_000
         cfg = TrainConfig(lam=lam, alpha=alpha, beta0=beta,
                           horizon=steps, save_every=max(1, steps // 400), seed=seed)
-        config = dict(experiment=f"nn-{regime}", mode=mode, gamma=gamma, seed=seed,
-                      alpha=alpha, n_units=n_units, n_states=n_states, lam=lam,
-                      beta=beta, horizon=steps, save_every=cfg.save_every)
-        run = run_stochastic_td(model, mrp, mu, cfg, w0)
-        _attach_run_diagnostics(run, model, mrp, mu, lam, alpha, vstar)
+        config.update(horizon=steps, save_every=cfg.save_every)
+        run = _train(model, mrp, mu, w0, vstar, mode, cfg)
         return _run_report(f"nn-{regime}", config, run, t_start, out_dir,
                            extra={"rank": rank_profile(model, w0).rank})
 
-    fast, slow, unstable = linearized_rates(model, w0, mrp, mu, lam, return_unstable=True)
+    fast, slow, unstable = linearized_rates(model, w0, mrp, mu, lam)
     if dt is None:
-        dt = stability_factor / fast
+        dt = NN_STABILITY_FACTOR / fast
     if horizon is None:
         if regime == "over":
-            horizon = time_factor / slow
+            horizon = NN_TIME_FACTOR / slow
         else:
             # generous: the rank-deficient path can crawl far below the rate
             # of its linearization; the projected-residual stop bounds the
             # actual cost, the step cap bounds the worst case
             horizon = min(2000.0 / slow, 150_000 * dt)
-    n_steps = max(1, int(round(horizon / dt)))
-    save_every = max(1, n_steps // 400)
-    config = dict(experiment=f"nn-{regime}", mode=mode, gamma=gamma, seed=seed,
-                  alpha=alpha, n_units=n_units, n_states=n_states, lam=lam, dt=dt,
-                  horizon=horizon, stop_tol=stop_tol, beta=beta, save_every=save_every)
-
+    save_every = max(1, int(round(horizon / dt)) // 400)
+    config.update(dt=dt, horizon=horizon, stop_tol=stop_tol, save_every=save_every)
     cfg = TrainConfig(lam=lam, alpha=alpha, dt=dt, horizon=horizon,
                       save_every=save_every, seed=seed)
-    rhs = make_lazy_rhs(model, mrp, mu, lam, alpha)
-    stop = None
-    if regime == "under":
-        stop = lambda w, t: projected_td_error(model, mrp, mu, lam, alpha, w) < stop_tol
-    run = integrate(rhs, w0, cfg, divergence_probe=rhs.scaled_value_norm, stop_when=stop)
-    _attach_run_diagnostics(run, model, mrp, mu, lam, alpha, vstar)
+    run = _train(model, mrp, mu, w0, vstar, mode, cfg, stop_tol if regime == "under" else None)
 
     extra = {"rate_fast": fast, "rate_slow": slow,
              "unstable_count": int(unstable.size),
              "rate_unstable": float(unstable[0]) if unstable.size else None,
              "rank": rank_profile(model, w0).rank}
     if regime == "over":
-        geometry = LazyGeometry.from_model(model, w0, mrp, mu, rng=0)
+        geometry = LazyGeometry.from_model(model, w0, mrp, mu)
         cert = overparametrized_certificate(geometry, model, run, alpha)
         fit = cert.fitted_rate, cert.r_squared
         extra["kappa"] = geometry.kappa
@@ -593,10 +587,9 @@ def run_from_config(config: ExperimentConfig) -> RunReport:
         return run_nn("under", out_dir=out, **params)
     if config.experiment == "meanfield":
         return run_meanfield(out_dir=out, **params)
-    if config.experiment == "alpha-sweep":
-        params.pop("seed", None)
-        return run_sweep("alpha", out_dir=out, **params)
-    if config.experiment == "gamma-sweep":
-        params.pop("seed", None)
-        return run_sweep("gamma", out_dir=out, **params)
+    if config.experiment in ("alpha-sweep", "gamma-sweep"):
+        # as with ``sweep --seed``, the seed reaches every run through base
+        if "seed" in params:
+            params["base"] = {"seed": params.pop("seed"), **(params.get("base") or {})}
+        return run_sweep(config.experiment.split("-")[0], out_dir=out, **params)
     raise DomainError(f"unknown experiment {config.experiment!r}")

@@ -29,7 +29,6 @@ class FeatureMap(ABC):
 
     d: int
     wbar_dim: int
-    bounded: bool
 
     @abstractmethod
     def phi_matrix(self, wbars: np.ndarray) -> np.ndarray:
@@ -48,8 +47,6 @@ class GaussianBumpFeatures(FeatureMap):
     ``universal_for_states``).
     """
 
-    bounded = True
-
     def __init__(self, states: np.ndarray, width: float = 0.35):
         states = np.asarray(states, dtype=float)
         if states.ndim == 1:
@@ -59,7 +56,6 @@ class GaussianBumpFeatures(FeatureMap):
         self.states = states
         self.width = float(width)
         self.d, self.wbar_dim = states.shape
-        self.bound = 1.0
 
     def phi_matrix(self, wbars):
         wbars = np.atleast_2d(np.asarray(wbars, dtype=float))
@@ -72,11 +68,12 @@ class GaussianBumpFeatures(FeatureMap):
         F = np.exp(-np.sum(diff**2, axis=2) / (2.0 * self.width**2))
         return F[:, :, None] * diff / self.width**2
 
-    def universal_for_states(self, centers: np.ndarray, cond_max: float = 1e12) -> bool:
-        """True when bumps at the given centers span value space on the states."""
+    def universal_for_states(self, centers: np.ndarray) -> bool:
+        """True when bumps at the given centers span value space on the
+        states, with condition number below 1e12."""
         F = self.phi_matrix(centers)
         sv = np.linalg.svd(F, compute_uv=False)
-        return bool(sv.size >= self.d and sv[self.d - 1] > sv[0] / cond_max)
+        return bool(sv.size >= self.d and sv[self.d - 1] > sv[0] / 1e12)
 
 
 class ReluFeatures(FeatureMap):
@@ -85,8 +82,6 @@ class ReluFeatures(FeatureMap):
     Unbounded in the feature parameters, so the regularity the population
     theory assumes holds only on compact parameter sets.
     """
-
-    bounded = False
 
     def __init__(self, states: np.ndarray):
         states = np.asarray(states, dtype=float)
@@ -139,19 +134,19 @@ def doubled_ensemble(
     n_particles: int,
     wbar_sampler,
     rng: np.random.Generator | int,
-    omega0_scale: float = 1.0,
 ) -> ParticleEnsemble:
     """Paired ensemble with mirrored output weights, so the value vanishes.
 
-    ``wbar_sampler(count, rng)`` draws the shared feature parameters; each
-    draw appears twice, once with omega0 and once with -omega0.
+    The output weights omega0 are standard normal; ``wbar_sampler(count,
+    rng)`` draws the shared feature parameters. Each draw appears twice,
+    once with omega0 and once with -omega0.
     """
     if n_particles % 2 != 0:
         raise DomainError("doubled ensemble needs an even particle count")
     if not isinstance(rng, np.random.Generator):
         rng = np.random.default_rng(rng)
     half = n_particles // 2
-    omega0 = omega0_scale * rng.standard_normal(half)
+    omega0 = rng.standard_normal(half)
     wbar = np.atleast_2d(np.asarray(wbar_sampler(half, rng), dtype=float))
     if wbar.shape[0] != half:
         wbar = wbar.T

@@ -64,9 +64,9 @@ class LinearModel(ValueModel):
 class SpiralModel(ValueModel):
     """One-parameter spiral manifold in R^3.
 
-    value(theta) = exp(g theta) (a cos(f theta) - b sin(f theta)) + shift.
-
-    With the default shift = -a the model vanishes at theta = 0 and the
+    value(theta) = exp(g theta) (a cos(f theta) - b sin(f theta)) - a,
+    with a = ``SPIRAL_A``, b = ``SPIRAL_B``, g = ``SPIRAL_GROWTH`` and
+    f = ``SPIRAL_FREQUENCY``. The model vanishes at theta = 0 and the
     target value vector -a sits at the spiral's center (theta -> -inf). The
     slow outward growth rate g and winding frequency f are tuned so that,
     on the matching 3-state cyclic chain, the unscaled dynamics follow the
@@ -76,26 +76,18 @@ class SpiralModel(ValueModel):
     d = 3
     p = 1
 
-    def __init__(self, a=SPIRAL_A, b=SPIRAL_B, growth=SPIRAL_GROWTH,
-                 frequency=SPIRAL_FREQUENCY, shift=None):
-        self.a = np.asarray(a, dtype=float)
-        self.b = np.asarray(b, dtype=float)
-        self.growth = float(growth)
-        self.frequency = float(frequency)
-        self.shift = -self.a if shift is None else np.asarray(shift, dtype=float)
-
     def value(self, w):
         th = float(np.asarray(w).reshape(()))
-        g, f = self.growth, self.frequency
-        return np.exp(g * th) * (self.a * np.cos(f * th) - self.b * np.sin(f * th)) + self.shift
+        g, f = SPIRAL_GROWTH, SPIRAL_FREQUENCY
+        return np.exp(g * th) * (SPIRAL_A * np.cos(f * th) - SPIRAL_B * np.sin(f * th)) - SPIRAL_A
 
     def jacobian(self, w):
         # d/dth [e^{g th}(a cos - b sin)] = e^{g th}[(g a - f b) cos - (g b + f a) sin]
         th = float(np.asarray(w).reshape(()))
-        g, f = self.growth, self.frequency
+        g, f, a, b = SPIRAL_GROWTH, SPIRAL_FREQUENCY, SPIRAL_A, SPIRAL_B
         col = np.exp(g * th) * (
-            (g * self.a - f * self.b) * np.cos(f * th)
-            - (g * self.b + f * self.a) * np.sin(f * th)
+            (g * a - f * b) * np.cos(f * th)
+            - (g * b + f * a) * np.sin(f * th)
         )
         return col[:, None]
 
@@ -225,15 +217,15 @@ class TangentModel(ValueModel):
         return self.j0
 
 
-def finite_difference_jacobian(model: ValueModel, w: np.ndarray, step: float = 1e-6) -> np.ndarray:
-    """Central finite differences of model.value, the reference every analytic
-    Jacobian is checked against."""
+def finite_difference_jacobian(model: ValueModel, w: np.ndarray) -> np.ndarray:
+    """Central finite differences of model.value with step 1e-6, the reference
+    every analytic Jacobian is checked against."""
     w = np.asarray(w, dtype=float)
     cols = []
     for j in range(w.size):
         e = np.zeros_like(w)
-        e[j] = step
-        cols.append((model.value(w + e) - model.value(w - e)) / (2.0 * step))
+        e[j] = 1e-6
+        cols.append((model.value(w + e) - model.value(w - e)) / 2e-6)
     return np.column_stack(cols)
 
 

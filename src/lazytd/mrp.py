@@ -19,6 +19,7 @@ from .errors import (
     NonErgodic,
     SolveFailure,
 )
+from .models import RANK_CUTOFF
 
 ROW_SUM_TOL = 1e-12
 
@@ -27,55 +28,33 @@ ROW_SUM_TOL = 1e-12
 class Mrp:
     """A finite Markov reward process (transition matrix, rewards, discount).
 
-    Rewards are carried as the state-conditional expectation ``rbar``; an
-    optional pairwise ``reward_table`` r(s, s') may be supplied instead, in
-    which case ``rbar`` is derived from it row by row.
+    Rewards are carried as the state-conditional expectation ``rbar``; the
+    sampled engine pays rbar(s) on every transition out of s.
     """
 
     P: np.ndarray
-    rbar: np.ndarray | None
+    rbar: np.ndarray
     gamma: float
-    reward_table: np.ndarray | None = None
 
     def __post_init__(self):
         P = np.asarray(self.P, dtype=float)
         object.__setattr__(self, "P", P)
         if P.ndim != 2 or P.shape[0] != P.shape[1]:
             raise DimensionMismatch(f"transition matrix must be square, got {P.shape}")
-        d = P.shape[0]
         if np.any(P < 0):
             raise DomainError("transition matrix has negative entries")
         if np.max(np.abs(P.sum(axis=1) - 1.0)) > ROW_SUM_TOL:
             raise DomainError("transition matrix rows must sum to 1")
         if not 0.0 < self.gamma < 1.0:
             raise DomainError(f"discount factor must lie in (0,1), got {self.gamma}")
-        if self.reward_table is not None:
-            R = np.asarray(self.reward_table, dtype=float)
-            if R.shape != (d, d):
-                raise DimensionMismatch("reward table must be d x d")
-            object.__setattr__(self, "reward_table", R)
-            object.__setattr__(self, "rbar", (P * R).sum(axis=1))
-        elif self.rbar is None:
-            raise DomainError("either rbar or reward_table must be given")
-        else:
-            rbar = np.asarray(self.rbar, dtype=float)
-            if rbar.shape != (d,):
-                raise DimensionMismatch("expected reward vector must have length d")
-            object.__setattr__(self, "rbar", rbar)
+        rbar = np.asarray(self.rbar, dtype=float)
+        if rbar.shape != (P.shape[0],):
+            raise DimensionMismatch("expected reward vector must have length d")
+        object.__setattr__(self, "rbar", rbar)
 
     @property
     def d(self) -> int:
         return self.P.shape[0]
-
-    def pair_reward(self) -> np.ndarray:
-        """Pairwise reward r(s, s') as a d x d table.
-
-        When no table was supplied the reward is deterministic given the
-        departure state, r(s, s') = rbar(s).
-        """
-        if self.reward_table is not None:
-            return self.reward_table
-        return np.repeat(self.rbar[:, None], self.d, axis=1)
 
 
 @dataclass(frozen=True)
@@ -92,7 +71,7 @@ class StationaryMeasure:
         return self.mu.shape[0]
 
 
-def stationary_measure(mrp: Mrp, tol: float = 1e-12, max_iters: int = 10**6) -> StationaryMeasure:
+def stationary_measure(mrp: Mrp) -> StationaryMeasure:
     """Invariant distribution of ``mrp.P`` by power iteration.
 
     The iteration runs on the lazy chain (P + I)/2, which has the same
@@ -101,7 +80,7 @@ def stationary_measure(mrp: Mrp, tol: float = 1e-12, max_iters: int = 10**6) -> 
     (some state cannot reach another, so no invariant measure has the full
     support all weighted norms rely on) or when the computed measure has
     an entry at or below 1e-14, and NonErgodic when the iteration does not
-    settle within ``max_iters``.
+    settle to 1e-12 in l1 within 10^6 sweeps.
     """
     # transitive closure of "reaches in one step or stays", by squaring
     reach = (mrp.P > 0) | np.eye(mrp.d, dtype=bool)
@@ -112,14 +91,14 @@ def stationary_measure(mrp: Mrp, tol: float = 1e-12, max_iters: int = 10**6) -> 
         reach = closure
     P = 0.5 * (mrp.P + np.eye(mrp.d))
     mu = np.full(mrp.d, 1.0 / mrp.d)
-    for _ in range(max_iters):
+    for _ in range(10**6):
         nxt = mu @ P
-        if np.abs(nxt - mu).sum() < tol:
+        if np.abs(nxt - mu).sum() < 1e-12:
             mu = nxt
             break
         mu = nxt
     else:
-        raise NonErgodic(f"power iteration did not converge within {max_iters} sweeps")
+        raise NonErgodic("power iteration did not converge within 10^6 sweeps")
     # extra sweeps carry the measure well past the stopping tolerance
     for _ in range(256):
         mu = mu @ P
@@ -200,20 +179,20 @@ def td_operator(mrp: Mrp, lam: float, V: np.ndarray) -> np.ndarray:
     return r_lam + mrp.gamma * P_lam @ np.asarray(V, dtype=float)
 
 
-def mu_projection(J: np.ndarray, mu, W: np.ndarray, cutoff: float = 1e-10) -> np.ndarray:
+def mu_projection(J: np.ndarray, mu, W: np.ndarray) -> np.ndarray:
     """Weighted orthogonal projection of W onto the column space of J.
 
     Minimizes the mu-weighted distance; implemented as an ordinary least
-    squares problem after scaling rows by sqrt(mu), with singular values
-    below ``cutoff`` times the largest treated as zero (rank-deficient J is
-    fine).
+    squares problem after scaling rows by sqrt(mu), with the package's rank
+    rule (``models.RANK_CUTOFF``) deciding which singular values count as
+    zero, so rank-deficient J is fine.
     """
     J = np.asarray(J, dtype=float)
     W = np.asarray(W, dtype=float)
     root = np.sqrt(_mu_vector(mu))
     A = J * root[:, None]
     y = W * root
-    coef, *_ = np.linalg.lstsq(A, y, rcond=cutoff)
+    coef, *_ = np.linalg.lstsq(A, y, rcond=RANK_CUTOFF)
     return J @ coef
 
 

@@ -223,7 +223,7 @@ def test_underparametrized_certificate_tangent_model(chain3):
     cfg = TrainConfig(dt=1e-3, horizon=3.0, save_every=50)
     runs = [integrate(make_lazy_rhs(model, mrp, mu, 0.0, a), np.zeros(1), cfg)
             for a in alphas]
-    cert = underparametrized_certificate(model, mrp, mu, 0.0, alphas, runs, proj_tol=1e-6)
+    cert = underparametrized_certificate(model, mrp, mu, 0.0, alphas, runs)
     assert all(cert.converged)
     # exactly linear model: the reached point is the linear fixed point and
     # the excess over the bound is nonpositive, at every scaling

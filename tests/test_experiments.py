@@ -2,6 +2,7 @@
 reproducibility, file outputs, report coherence."""
 
 import csv
+import inspect
 import io
 import json
 
@@ -86,10 +87,8 @@ def test_linearized_rates_returns_unstable_eigenvalues():
     model = LinearModel(np.array([[1.0], [2.0]]))
     mrp = Mrp(P=np.array([[0.0, 1.0], [0.0, 1.0]]), rbar=np.zeros(2), gamma=0.9)
     mu = StationaryMeasure(np.array([0.5, 0.5]))
-    fast, slow, unstable = linearized_rates(model, np.zeros(1), mrp, mu, 0.0,
-                                            return_unstable=True)
+    unstable = linearized_rates(model, np.zeros(1), mrp, mu, 0.0)[2]
     np.testing.assert_allclose(unstable, [0.2])
-    assert linearized_rates(model, np.zeros(1), mrp, mu, 0.0) == (fast, slow)
 
 
 def test_nn_under_three_seeds_converge():
@@ -165,6 +164,37 @@ def test_run_from_config_matches_direct_call():
     b = run_spiral(100.0, seed=0)
     assert a.final_projected_error == b.final_projected_error
     assert a.extra["theta_final"] == b.extra["theta_final"]
+
+
+@pytest.mark.parametrize("base,seed", [({}, 13), ({"seed": 3}, 3)], ids=["top-level", "base-wins"])
+def test_config_file_sweep_passes_seed(tmp_path, base, seed):
+    # as with ``sweep --seed``, the file's seed reaches every run of the
+    # sweep, and a seed given in base takes precedence
+    text = json.dumps({"experiment": "alpha-sweep", "seed": 13, "out_dir": str(tmp_path),
+                       "params": {"grid": [100, 200],
+                                  "base": {"regime": "under", "n_units": 6, "n_states": 6, **base}}})
+    run_from_config(ExperimentConfig.from_json(text))
+    for v in (100, 200):
+        assert json.loads((tmp_path / f"run_{v}" / "config.json").read_text())["seed"] == seed
+
+
+def test_every_run_records_its_inputs(tmp_path):
+    # every runner parameter but out_dir is a key of the run's config.json;
+    # regime and kind are recorded through the experiment name
+    small = {"regime": "over", "n_units": 20, "n_states": 5, "horizon": 50.0}
+    runs = [
+        (run_spiral, "spiral", lambda out: run_spiral(100.0, horizon=5.0, out_dir=out)),
+        (run_nn, "nn-over", lambda out: run_nn(out_dir=out, **small)),
+        (run_meanfield, "meanfield", lambda out: run_meanfield(n_particles=20, horizon=5.0,
+                                                               out_dir=out)),
+        (run_sweep, "alpha-sweep", lambda out: run_sweep("alpha", [50.0], base=small, out_dir=out)),
+    ]
+    for runner, experiment, call in runs:
+        call(tmp_path / experiment)
+        config = json.loads((tmp_path / experiment / "config.json").read_text())
+        assert config["experiment"] == experiment
+        missing = set(inspect.signature(runner).parameters) - set(config) - {"out_dir", "regime", "kind"}
+        assert not missing, (experiment, missing)
 
 
 def test_singleton_sweep_matches_single_run():
@@ -268,9 +298,9 @@ def test_cli_meanfield(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv,runner,expected", [
-    (["spiral"], "run_spiral", dict(alpha=1.0)),
+    (["spiral"], "run_spiral", dict()),
     (["spiral", "--mode", "stochastic", "--seed", "3"], "run_spiral",
-     dict(alpha=1.0, mode="stochastic", seed=3)),
+     dict(mode="stochastic", seed=3)),
     (["spiral", "--alpha", "100", "--integrator", "euler", "--dt", "0.05",
       "--horizon", "10", "--beta", "0.01"], "run_spiral",
      dict(alpha=100.0, integrator="euler", dt=0.05, horizon=10.0, beta=0.01)),

@@ -282,13 +282,6 @@ def test_projection_idempotent_rank_deficient(proj_setup):
 
 # ------------------------------------------------------------- construction
 
-def test_reward_table_derives_expected_reward():
-    P = cyclic_chain(3)
-    table = np.arange(9.0).reshape(3, 3)
-    mrp = Mrp(P=P, rbar=None, gamma=0.9, reward_table=table)
-    np.testing.assert_allclose(mrp.rbar, (P * table).sum(axis=1))
-
-
 def test_mrp_validation():
     with pytest.raises(DomainError):
         Mrp(P=np.array([[0.5, 0.6], [0.5, 0.5]]), rbar=np.zeros(2), gamma=0.9)
