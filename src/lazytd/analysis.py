@@ -167,6 +167,27 @@ class LazyGeometry:
         return (1.0 - self.gamma) / (2.0 * self.kappa**2)
 
 
+def projected_error_fn(
+    model: ValueModel,
+    mrp: Mrp,
+    mu: StationaryMeasure,
+    lam: float,
+    alpha: float,
+):
+    """``projected_td_error`` of one run as a function of the parameters
+    alone: the backup resolvent is solved once, here, not at every point."""
+    r_lam, P_lam = td_resolvent(mrp, lam)
+    gP = mrp.gamma * P_lam
+
+    def error(w: np.ndarray) -> float:
+        V = alpha * model.value(w)
+        residual = r_lam + gP @ V - V
+        proj = mu_projection(model.jacobian(w), mu, residual)
+        return mu_norm(proj, mu)
+
+    return error
+
+
 def projected_td_error(
     model: ValueModel,
     mrp: Mrp,
@@ -180,11 +201,7 @@ def projected_td_error(
     Vanishes exactly at stationary points of the (scaled) averaged dynamics,
     which makes it the certificate of convergence to a local fixed point.
     """
-    r_lam, P_lam = td_resolvent(mrp, lam)
-    V = alpha * model.value(w)
-    residual = r_lam + mrp.gamma * P_lam @ V - V
-    proj = mu_projection(model.jacobian(w), mu, residual)
-    return mu_norm(proj, mu)
+    return projected_error_fn(model, mrp, mu, lam, alpha)(w)
 
 
 def fit_exponential_rate(times: np.ndarray, values: np.ndarray) -> tuple[float | None, float]:

@@ -10,6 +10,7 @@ so that constant-step runs line up with the averaged flow they track.
 from __future__ import annotations
 
 import csv
+import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -229,35 +230,36 @@ def make_lazy_rhs(model: ValueModel, mrp: Mrp, mu: StationaryMeasure, lam: float
     """Drift of the scaled dynamics, (1/alpha) J^T Gamma (T(alpha V) - alpha V);
     alpha = 1 is the averaged flow J^T Gamma (T V - V).
 
-    The returned closure holds the resolvent pieces of the backup operator
-    T, so it evaluates the drift without redoing the linear solves, which
-    is what the integrators want; it asks the model for one value vector
-    and one vector-Jacobian product per call.
+    With T V = r_lam + gamma P_lam V the drift is J^T (M V + c), where
+    M = Gamma (gamma P_lam - I) and c = Gamma r_lam / alpha are folded once
+    here, so each call asks the model for one value vector and one
+    vector-Jacobian product and does no scaling by alpha.
 
     It also carries ``rhs.scaled_value_norm(w)``, the max-norm of the scaled
-    value vector, for use as the divergence probe. When ``w`` is the very
-    array of the latest rhs call (as in ``integrate``, which evaluates the
-    next step's first stage before probing), it reuses that call's value
-    instead of evaluating the model again; ``w`` must not have been
-    modified in place since.
+    value vector, alpha max|V|, for use as the divergence probe. When ``w``
+    is the very array of the latest rhs call (as in ``integrate``, which
+    evaluates the next step's first stage before probing), it reuses that
+    call's value instead of evaluating the model again; ``w`` must not have
+    been modified in place since.
     """
     if alpha < 1.0:
         raise DomainError(f"alpha must be >= 1, got {alpha}")
     r_lam, P_lam = td_resolvent(mrp, lam)
-    gP = mrp.gamma * P_lam
-    muv = mu.mu
-    latest = [None, None]  # the last rhs argument and its scaled value
+    M = mu.mu[:, None] * (mrp.gamma * P_lam - np.eye(mrp.d))
+    c = mu.mu * r_lam / alpha
+    latest = [None, None]  # the last rhs argument and its unscaled value
 
     def rhs(w: np.ndarray) -> np.ndarray:
         value, vjp = model.value_and_vjp(w)
-        V = alpha * value
-        latest[0], latest[1] = w, V
-        td = r_lam + gP @ V - V
-        return vjp(muv * td) / alpha
+        latest[0], latest[1] = w, value
+        g = np.dot(M, value)
+        g += c
+        return vjp(g)
 
     def scaled_value_norm(w: np.ndarray) -> float:
-        V = latest[1] if latest[0] is w else alpha * model.value(w)
-        return float(np.max(np.abs(V)))
+        value = latest[1] if latest[0] is w else model.value(w)
+        # equal to max|alpha V| exactly: scaling by alpha > 0 keeps the order
+        return alpha * float(np.abs(value).max())
 
     rhs.scaled_value_norm = scaled_value_norm
     return rhs
@@ -285,11 +287,17 @@ def integrate(
     the divergence check, so a probe built on the rhs (see
     ``make_lazy_rhs``) finds that state's value already computed. A run of
     n steps makes 4n rhs calls with RK4 (n with Euler), plus at most one.
+    The stages and states are written in place into buffers the loop
+    reuses, so rhs must not keep its argument past the call; ``stop_when``
+    gets the saved copy.
     """
     w = np.asarray(w0, dtype=float).copy()
     dt = config.dt
+    half, sixth = 0.5 * dt, dt / 6.0
     n_steps = int(round(config.horizon / dt))
     use_rk4 = config.integrator == "rk4"
+    # the state buffers swap roles after every accepted step
+    stage, w_new = np.empty_like(w), np.empty_like(w)
 
     times, saved = [0.0], [w.copy()]
     diverged, diverged_at = False, None
@@ -297,32 +305,50 @@ def integrate(
     # blowup is detected and classified below; let the steps overflow quietly
     with np.errstate(over="ignore", invalid="ignore"):
         k1 = rhs(w)
-        last_mag = _magnitude(w, divergence_probe)
+        last_mag = float(np.abs(w).max())
+        if divergence_probe is not None:
+            last_mag = max(last_mag, float(divergence_probe(w)))
         for k in range(n_steps):
             if use_rk4:
-                k2 = rhs(w + 0.5 * dt * k1)
-                k3 = rhs(w + 0.5 * dt * k2)
-                k4 = rhs(w + dt * k3)
-                w_new = w + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+                np.multiply(k1, half, stage)
+                stage += w
+                k2 = rhs(stage)
+                np.multiply(k2, half, stage)
+                stage += w
+                k3 = rhs(stage)
+                np.multiply(k3, dt, stage)
+                stage += w
+                k4 = rhs(stage)
+                # w + dt/6 (k1 + 2 k2 + 2 k3 + k4), summed in this order
+                np.multiply(k2, 2.0, w_new)
+                w_new += k1
+                np.multiply(k3, 2.0, stage)
+                w_new += stage
+                w_new += k4
+                w_new *= sixth
             else:
-                w_new = w + dt * k1
+                np.multiply(k1, dt, w_new)
+            w_new += w
             t = (k + 1) * dt
-            if not np.all(np.isfinite(w_new)):
+            # one max-norm: nan or inf anywhere makes it non-finite
+            mag = float(np.abs(w_new).max())
+            if not math.isfinite(mag):
                 if last_mag > 1e-3 * DIVERGENCE_THRESHOLD:
                     diverged, diverged_at = True, t
                     break
                 raise NonFiniteState(f"non-finite state at t={t:g}")
             k1 = rhs(w_new)
-            mag = _magnitude(w_new, divergence_probe)
-            if not np.isfinite(mag) or mag > DIVERGENCE_THRESHOLD:
+            if divergence_probe is not None:
+                mag = max(mag, float(divergence_probe(w_new)))
+            if not math.isfinite(mag) or mag > DIVERGENCE_THRESHOLD:
                 diverged, diverged_at = True, t
                 break
-            w = w_new
+            w, w_new = w_new, w
             last_mag = mag
             if (k + 1) % config.save_every == 0 or k == n_steps - 1:
                 times.append(t)
                 saved.append(w.copy())
-                if stop_when is not None and stop_when(w, t):
+                if stop_when is not None and stop_when(saved[-1], t):
                     break
     return Trajectory(
         times=np.asarray(times),
@@ -331,9 +357,3 @@ def integrate(
         diverged_at=diverged_at,
     )
 
-
-def _magnitude(w: np.ndarray, probe) -> float:
-    mag = float(np.max(np.abs(w)))
-    if probe is not None:
-        mag = max(mag, float(probe(w)))
-    return mag

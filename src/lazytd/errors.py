@@ -49,5 +49,9 @@ class OddWidth(LazyTdError):
     """Paired (doubled) initialization needs an even number of units."""
 
 
+class FlatLinearization(LazyTdError):
+    """The flow linearized at initialization has no decaying direction."""
+
+
 class RankCollapse(LazyTdError):
     """Jacobian rank dropped along a trajectory that assumed it constant."""

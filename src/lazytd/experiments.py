@@ -25,7 +25,7 @@ from .analysis import (
     fit_exponential_rate,
     metric_drift,
     overparametrized_certificate,
-    projected_td_error,
+    projected_error_fn,
     underparametrized_certificate,
 )
 from .dynamics import (
@@ -36,7 +36,7 @@ from .dynamics import (
     run_stochastic_td,
     write_csv,
 )
-from .errors import DomainError, RankCollapse
+from .errors import DomainError, FlatLinearization, RankCollapse
 from .meanfield import (
     GaussianBumpFeatures,
     doubled_ensemble,
@@ -157,15 +157,16 @@ def _emit(out_dir, report: RunReport, tables: dict, listed=()) -> None:
     (out / "report.json").write_text(report.to_json())
 
 
-def _attach_run_diagnostics(run: Trajectory, model, mrp: Mrp, mu: StationaryMeasure,
-                            lam: float, alpha: float, vstar: np.ndarray) -> None:
-    """Per-saved-time series every report quotes: projected residual, value
-    error, and parameter displacement."""
+def _attach_run_diagnostics(run: Trajectory, model, mu: StationaryMeasure, alpha: float,
+                            vstar: np.ndarray, error, known: dict) -> None:
+    """Per-saved-time series every report quotes: projected residual (by
+    ``error``, or read from ``known`` {time: residual} where the run already
+    computed it), value error, and parameter displacement."""
     pe = np.empty(len(run.times))
     ve = np.empty(len(run.times))
-    for i, w in enumerate(run.params):
+    for i, (t, w) in enumerate(zip(run.times, run.params)):
         V = alpha * model.value(w)
-        pe[i] = projected_td_error(model, mrp, mu, lam, alpha, w)
+        pe[i] = known[t] if t in known else error(w)
         ve[i] = mu_norm(V - vstar, mu)
     run.diagnostics["projected_error"] = pe
     run.diagnostics["value_error"] = ve
@@ -212,15 +213,19 @@ def _train(model, mrp: Mrp, mu: StationaryMeasure, w0: np.ndarray, vstar: np.nda
     if mode not in ("ode", "stochastic"):
         raise DomainError(f"mode must be 'ode' or 'stochastic', got {mode!r}")
     lam, alpha = cfg.lam, cfg.alpha
+    error = projected_error_fn(model, mrp, mu, lam, alpha)
+    known = {}  # the residual at every saved time the early stop checked
     if mode == "ode":
         rhs = make_lazy_rhs(model, mrp, mu, lam, alpha)
         stop = None
         if stop_tol is not None:
-            stop = lambda w, t: projected_td_error(model, mrp, mu, lam, alpha, w) < stop_tol
+            def stop(w, t):
+                known[t] = error(w)
+                return known[t] < stop_tol
         run = integrate(rhs, w0, cfg, divergence_probe=rhs.scaled_value_norm, stop_when=stop)
     else:
         run = run_stochastic_td(model, mrp, mu, cfg, w0)
-    _attach_run_diagnostics(run, model, mrp, mu, lam, alpha, vstar)
+    _attach_run_diagnostics(run, model, mu, alpha, vstar, error, known)
     return run
 
 
@@ -282,15 +287,18 @@ def _nn_setup(gamma: float, seed: int, n_units: int, n_states: int):
 def linearized_rates(model, w0, mrp: Mrp, mu: StationaryMeasure, lam: float):
     """(fastest, slowest-nonzero, unstable) rates of the flow linearized at w0.
 
-    Real parts of the eigenvalues of J^T Gamma (gamma P_lam - I) J; the
-    scaling drops out, so one spectrum serves every alpha. Real parts
-    within 1e-12 * max(fast, 1) of zero are the flat directions. Positive
-    ones beyond that make the linearization unstable; they play no part in
-    the two decay rates and come third, largest first.
+    Real parts of the eigenvalues of J^T Gamma (gamma P_lam - I) J, taken
+    from Gamma (gamma P_lam - I) J J^T when there are fewer states than
+    parameters: the two products share their nonzero spectrum. The scaling
+    drops out, so one spectrum serves every alpha. Real parts within
+    1e-12 * max(fast, 1) of zero are the flat directions. Positive ones
+    beyond that make the linearization unstable; they play no part in the
+    two decay rates and come third, largest first.
     """
     J = model.jacobian(w0)
     _, P_lam = td_resolvent(mrp, lam)
-    A = J.T @ (mu.mu[:, None] * (mrp.gamma * P_lam - np.eye(mrp.d))) @ J
+    B = mu.mu[:, None] * (mrp.gamma * P_lam - np.eye(mrp.d))
+    A = B @ (J @ J.T) if J.shape[0] < J.shape[1] else J.T @ B @ J
     re = np.linalg.eigvals(A).real
     fast = float(-re.min())
     tol = 1e-12 * max(fast, 1.0)
@@ -350,6 +358,10 @@ def run_nn(
                            extra={"rank": rank_profile(model, w0).rank})
 
     fast, slow, unstable = linearized_rates(model, w0, mrp, mu, lam)
+    if (dt is None or horizon is None) and not fast > 0.0:
+        raise FlatLinearization(
+            f"the flow linearized at initialization has no decaying direction "
+            f"(fastest rate {fast:g}), so no step or horizon follows from it")
     if dt is None:
         dt = NN_STABILITY_FACTOR / fast
     if horizon is None:

@@ -8,6 +8,7 @@ model of any base model at an anchor point.
 
 from __future__ import annotations
 
+import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 
@@ -20,6 +21,11 @@ SPIRAL_B = np.array([2.3094, -9.815, 7.5056])
 SPIRAL_GROWTH = 0.01
 SPIRAL_FREQUENCY = 0.866
 RANK_CUTOFF = 1e-10               # relative to the largest singular value
+# (a_k, b_k) per state, and the same for the derivative:
+# d/dth [e^{g th}(a cos - b sin)] = e^{g th}[(g a - f b) cos - (g b + f a) sin]
+_SPIRAL_AB = list(zip(SPIRAL_A.tolist(), SPIRAL_B.tolist()))
+_SPIRAL_DAB = list(zip((SPIRAL_GROWTH * SPIRAL_A - SPIRAL_FREQUENCY * SPIRAL_B).tolist(),
+                       (SPIRAL_GROWTH * SPIRAL_B + SPIRAL_FREQUENCY * SPIRAL_A).tolist()))
 
 
 class ValueModel(ABC):
@@ -76,20 +82,42 @@ class SpiralModel(ValueModel):
     d = 3
     p = 1
 
-    def value(self, w):
+    @staticmethod
+    def _trig(w) -> tuple[float, float, float]:
+        """exp(g theta), cos(f theta) and sin(f theta): the one transcendental
+        evaluation that value, Jacobian and pullback are built from."""
         th = float(np.asarray(w).reshape(()))
         g, f = SPIRAL_GROWTH, SPIRAL_FREQUENCY
-        return np.exp(g * th) * (SPIRAL_A * np.cos(f * th) - SPIRAL_B * np.sin(f * th)) - SPIRAL_A
+        try:
+            return math.exp(g * th), math.cos(f * th), math.sin(f * th)
+        except (OverflowError, ValueError):
+            # past the float range numpy's rules apply: exp overflows to inf
+            # and cos, sin of inf are nan, which the divergence checks expect
+            return float(np.exp(g * th)), float(np.cos(f * th)), float(np.sin(f * th))
+
+    # the formulas below run on Python floats: each operation rounds exactly
+    # as numpy's elementwise one does, at a fraction of the call cost on
+    # 3-vectors
+    @staticmethod
+    def _value(e: float, cs: float, sn: float) -> np.ndarray:
+        return np.array([e * (a * cs - b * sn) - a for a, b in _SPIRAL_AB])
+
+    @staticmethod
+    def _slope(e: float, cs: float, sn: float) -> list[float]:
+        return [e * (da * cs - db * sn) for da, db in _SPIRAL_DAB]
+
+    def value(self, w):
+        return self._value(*self._trig(w))
 
     def jacobian(self, w):
-        # d/dth [e^{g th}(a cos - b sin)] = e^{g th}[(g a - f b) cos - (g b + f a) sin]
-        th = float(np.asarray(w).reshape(()))
-        g, f, a, b = SPIRAL_GROWTH, SPIRAL_FREQUENCY, SPIRAL_A, SPIRAL_B
-        col = np.exp(g * th) * (
-            (g * a - f * b) * np.cos(f * th)
-            - (g * b + f * a) * np.sin(f * th)
-        )
-        return col[:, None]
+        return np.array(self._slope(*self._trig(w)))[:, None]
+
+    def value_and_vjp(self, w):
+        """Value and g -> J^T g off one ``_trig`` call, bit for bit equal to
+        ``value`` and to ``jacobian(w).T @ g``."""
+        trig = self._trig(w)
+        row = np.array([self._slope(*trig)])
+        return self._value(*trig), lambda g: row @ g
 
 
 class ReluNet(ValueModel):
@@ -110,47 +138,60 @@ class ReluNet(ValueModel):
         self.n_units = int(n_units)
         self.d, self.m = states.shape
         self.p = self.n_units * (self.m + 2)
-        self._ones_states = np.vstack([np.ones(self.d), states.T])  # (1 + m, d)
+        # rows [s_1..s_m, -1]: pre-activations are [s, -1] @ [b^T; c]
+        self._states_aug = np.hstack([states, -np.ones((self.d, 1))])  # (d, m + 1)
+        self._states_aug_t = np.ascontiguousarray(self._states_aug.T)
 
-    def unpack(self, w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def _checked(self, w: np.ndarray) -> np.ndarray:
         w = np.asarray(w, dtype=float)
         if w.shape != (self.p,):
             raise DimensionMismatch(f"expected parameter vector of length {self.p}")
+        return w
+
+    def unpack(self, w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        w = self._checked(w)
         N, m = self.n_units, self.m
         return w[:N], w[N:N + N * m].reshape(N, m), w[N + N * m:]
 
     def pack(self, a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
         return np.concatenate([np.ravel(a), np.ravel(b), np.ravel(c)])
 
-    def _pre(self, b, c):
-        # np.dot, not @: matmul takes a path several times slower when the
-        # inner dimension is m = 1 (the grid nets), where both round each
-        # entry once and so agree bit for bit
-        pre = np.dot(self.states, b.T)  # (d, N)
-        pre -= c
-        return pre
+    def _rows(self, w: np.ndarray) -> np.ndarray:
+        """Parameters as the (m + 2, N) rows a, b_.1, ..., b_.m, c; for m = 1
+        the packing already is this layout, so the rows are a view of w."""
+        if self.m == 1:
+            return self._checked(w).reshape(3, self.n_units)
+        a, b, c = self.unpack(w)
+        return np.vstack([a, b.T, c])
+
+    def _flat(self, rows: np.ndarray) -> np.ndarray:
+        """The packed parameter vector of rows laid out as by ``_rows``."""
+        if self.m == 1:
+            return rows.ravel()
+        return np.concatenate([rows[0], rows[1:-1].T.ravel(), rows[-1]])
 
     def _forward(self, w):
-        """Output weights, activations, hinge indicators and value vector."""
-        a, b, c = self.unpack(w)
-        pre = self._pre(b, c)
-        act = np.maximum(pre, 0.0)
-        return a, act, (pre > 0.0).astype(float), act @ a / self.n_units
+        """Activations (d, N), output weights over N and the value vector."""
+        rows = self._rows(w)
+        # np.dot, not @: matmul takes a path several times slower on these
+        # small operands
+        act = np.maximum(np.dot(self._states_aug, rows[1:]), 0.0)
+        a_n = rows[0] / self.n_units
+        return act, a_n, np.dot(act, a_n)
 
     def value(self, w):
-        a, b, c = self.unpack(w)
-        return np.maximum(self._pre(b, c), 0.0) @ a / self.n_units
+        return self._forward(w)[2]
 
     def jacobian(self, w):
         return self.value_and_jacobian(w)[1]
 
     def value_and_jacobian(self, w):
         """Value and the full (d, p) Jacobian off one activation pass."""
-        a, act, ind, value = self._forward(w)
-        scaled = ind * (a[None, :] / self.n_units)    # (d, N)
+        act, a_n, value = self._forward(w)
+        scaled = (act > 0.0) * a_n                     # (d, N)
         N, m, d = self.n_units, self.m, self.d
         J = np.empty((d, self.p))
-        J[:, :N] = act / self.n_units
+        J[:, :N] = act / N
         J[:, N:N + N * m] = (scaled[:, :, None] * self.states[:, None, :]).reshape(d, N * m)
         J[:, N + N * m:] = -scaled
         return value, J
@@ -160,17 +201,21 @@ class ReluNet(ValueModel):
 
         The pullback contracts g against the activations and the hinge
         indicators directly: g @ act / N for the output weights,
-        (g * s) @ ind * a/N for the input weights and -(g @ ind) * a/N for
-        the biases. With a one-hot g it reproduces a row of the Jacobian
-        bit for bit, since every product with a zero weight is exact.
+        (g * s) @ ind * a/N for the input weights and (-g) @ ind * a/N for
+        the biases, each block written as rows of one output array. With a
+        one-hot g it reproduces a row of the Jacobian bit for bit, since
+        every product with a zero weight is exact.
         """
-        a, act, ind, value = self._forward(w)
-        a_n = a / self.n_units
+        act, a_n, value = self._forward(w)
+        ind = (act > 0.0).astype(float)
+        N, m = self.n_units, self.m
 
         def vjp(g: np.ndarray) -> np.ndarray:
-            # row 0: g @ ind, rows 1..m: (g * s_k) @ ind, all scaled by a/N
-            r = np.dot(self._ones_states * g, ind) * a_n
-            return np.concatenate([np.dot(g, act) / self.n_units, r[1:].T.ravel(), -r[0]])
+            out = np.empty((m + 2, N))
+            np.divide(np.dot(g, act), N, out[0])
+            # rows 1..m: (g * s_k) @ ind, row m + 1: (-g) @ ind
+            np.multiply(np.dot(self._states_aug_t * g, ind), a_n, out[1:])
+            return self._flat(out)
 
         return value, vjp
 

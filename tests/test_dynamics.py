@@ -19,6 +19,7 @@ from lazytd import (
     stationary_measure,
     stochastic_td_step,
     td_operator,
+    td_resolvent,
 )
 from lazytd.dynamics import write_csv
 from lazytd.errors import NonFiniteState
@@ -220,6 +221,38 @@ def test_lazy_flow_reaches_tangent_fixed_point(chain3):
     assert np.linalg.norm(rhs(run.final_params)) < 1e-8
 
 
+@pytest.mark.parametrize("lam", [0.0, 0.5])
+@pytest.mark.parametrize("alpha", [1.0, 500.0])
+def test_lazy_rhs_matches_textbook_drift(lam, alpha):
+    # J^T Gamma (T(alpha V) - alpha V) / alpha, assembled from the resolvent
+    # and the materialized Jacobian
+    mrp = Mrp(P=cyclic_chain(7, "backward"), rbar=np.linspace(-1, 2, 7), gamma=0.9)
+    mu = stationary_measure(mrp)
+    model = ReluNet(10, np.linspace(-1, 1, 7))
+    rhs = make_lazy_rhs(model, mrp, mu, lam, alpha)
+    r_lam, P_lam = td_resolvent(mrp, lam)
+    rng = np.random.default_rng(30)
+    for _ in range(4):
+        w = model.init_doubled(rng) + 0.1 * rng.standard_normal(model.p)
+        V = alpha * model.value(w)
+        want = model.jacobian(w).T @ (mu.mu * (r_lam + mrp.gamma * P_lam @ V - V)) / alpha
+        np.testing.assert_allclose(rhs(w), want, rtol=1e-12, atol=1e-14 * np.abs(want).max())
+
+
+def test_scaled_value_norm_is_exact(chain3):
+    mrp, mu = chain3
+    model = ReluNet(6, np.linspace(-1, 1, 3))
+    rng = np.random.default_rng(31)
+    for alpha in (1.0, 7.3, 500.0):
+        rhs = make_lazy_rhs(model, mrp, mu, 0.0, alpha)
+        for _ in range(5):
+            w = rng.standard_normal(model.p)
+            want = float(np.max(np.abs(alpha * model.value(w))))
+            assert rhs.scaled_value_norm(w) == want        # a fresh evaluation
+            rhs(w)
+            assert rhs.scaled_value_norm(w) == want        # the rhs call's value
+
+
 @pytest.mark.parametrize("bad", [
     dict(lam=1.0), dict(lam=-0.1), dict(alpha=0.5), dict(dt=0.0),
     dict(integrator="ab3"), dict(beta0=0.0),
@@ -240,6 +273,21 @@ def test_integrate_zero_rhs_is_constant():
     run = integrate(lambda w: np.zeros_like(w), np.array([2.0, -1.0]), cfg)
     assert not run.diverged
     np.testing.assert_array_equal(run.params[-1], [2.0, -1.0])
+
+
+def test_integrate_rk4_step_matches_textbook_combination():
+    # one step of w' = A w, against the four stages written out
+    A = np.array([[-1.0, 0.3, 0.0], [0.2, -0.5, 0.1], [0.0, -0.4, -2.0]])
+    w0 = np.array([1.0, -2.0, 0.5])
+    dt = 0.1
+    k1 = A @ w0
+    k2 = A @ (w0 + 0.5 * dt * k1)
+    k3 = A @ (w0 + 0.5 * dt * k2)
+    k4 = A @ (w0 + dt * k3)
+    want = w0 + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    run = integrate(lambda w: A @ w, w0, TrainConfig(dt=dt, horizon=dt, save_every=1))
+    np.testing.assert_array_equal(run.params[-1], want)
+    np.testing.assert_array_equal(run.params[0], w0)
 
 
 def test_integrate_exponential_decay_oracle():

@@ -335,3 +335,54 @@ def test_cli_passes_only_given_flags(monkeypatch, capsys, argv, runner, expected
         assert received["args"] == (argv[2],)
     if runner == "run_sweep":
         assert received["args"] == (argv[2], [float(x) for x in argv[4].split(",")])
+
+
+def _rates_in_parameter_space(model, w0, mrp, mu, lam):
+    # the p x p form, J^T Gamma (gamma P_lam - I) J, with the same rules
+    from lazytd import td_resolvent
+    J = model.jacobian(w0)
+    _, P_lam = td_resolvent(mrp, lam)
+    A = J.T @ (mu.mu[:, None] * (mrp.gamma * P_lam - np.eye(mrp.d))) @ J
+    re = np.linalg.eigvals(A).real
+    fast = float(-re.min())
+    tol = 1e-12 * max(fast, 1.0)
+    nonzero = -re[re < -tol]
+    return fast, float(nonzero.min()) if nonzero.size else fast, np.sort(re[re > tol])[::-1]
+
+
+@pytest.mark.parametrize("regime,n_units,n_states,seed", [
+    ("over", 40, 12, 3),    # d < p: the rates come from the d x d product
+    ("under", 4, 30, 5),    # d > p: the p x p form itself
+])
+def test_linearized_rates_match_parameter_space_form(regime, n_units, n_states, seed):
+    from lazytd.experiments import _nn_setup
+    mrp, mu, model, w0, _ = _nn_setup(0.9, seed, n_units, n_states)
+    assert (model.d < model.p) == (regime == "over")
+    for lam in (0.0, 0.5):
+        fast, slow, unstable = linearized_rates(model, w0, mrp, mu, lam)
+        want = _rates_in_parameter_space(model, w0, mrp, mu, lam)
+        np.testing.assert_allclose([fast, slow], want[:2], rtol=1e-10)
+        assert unstable.size == want[2].size == 0
+
+
+def test_linearized_rates_unstable_case_matches_parameter_space_form():
+    # three states, four parameters: the d x d path, on a chain whose
+    # off-policy weights leave one mode decaying and two growing
+    model = LinearModel(np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0], [2.0, 0.0, 1.0, 0.0]]))
+    P = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 1.0], [0.0, 0.0, 1.0]])
+    mrp = Mrp(P=P, rbar=np.zeros(3), gamma=0.9)
+    mu = StationaryMeasure(np.array([0.4, 0.4, 0.2]))
+    got = linearized_rates(model, np.zeros(4), mrp, mu, 0.0)
+    want = _rates_in_parameter_space(model, np.zeros(4), mrp, mu, 0.0)
+    assert got[2].size == want[2].size == 2
+    np.testing.assert_allclose(got[2], want[2], rtol=1e-10)
+    np.testing.assert_allclose(got[:2], want[:2], rtol=1e-10)
+
+
+def test_nn_without_active_hinge_raises_typed_error():
+    # every hinge of this net is off on the grid: its Jacobian at w0 is zero,
+    # so the linearized flow has no rate to derive a step or horizon from
+    from lazytd.errors import FlatLinearization, LazyTdError
+    with pytest.raises(FlatLinearization):
+        run_nn("under", n_units=4, n_states=5, seed=13)
+    assert issubclass(FlatLinearization, LazyTdError)

@@ -225,3 +225,34 @@ def test_relu_ensemble_matches_relu_net():
     np.testing.assert_allclose(da, want_a, rtol=1e-13, atol=1e-15)
     np.testing.assert_allclose(dbc[:, :2], want_b, rtol=1e-13, atol=1e-15)
     np.testing.assert_allclose(dbc[:, 2], want_c, rtol=1e-13, atol=1e-15)
+
+
+# ------------------------------------------------- kernels against reference
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_relu_value_and_vjp_match_reference_formulas(m):
+    # the fused kernel against value() and the materialized Jacobian
+    rng = np.random.default_rng(20 + m)
+    states = np.linspace(-1, 1, 9)[:, None] if m == 1 else rng.uniform(-1, 1, (9, m))
+    model = ReluNet(12, states)
+    for _ in range(5):
+        w = rng.standard_normal(model.p)
+        g = rng.standard_normal(model.d)
+        value, vjp = model.value_and_vjp(w)
+        np.testing.assert_array_equal(value, model.value(w))
+        np.testing.assert_allclose(vjp(g), model.jacobian(w).T @ g, rtol=1e-13, atol=1e-15)
+        # each pullback is its own array: the integrator keeps several alive
+        assert vjp(g) is not vjp(g)
+
+
+def test_spiral_value_and_vjp_match_reference_formulas():
+    model = SpiralModel()
+    rng = np.random.default_rng(3)
+    for th in (0.0, -250.0, 1.3, 40.0):
+        w = np.array([th])
+        g = rng.standard_normal(3)
+        value, vjp = model.value_and_vjp(w)
+        np.testing.assert_array_equal(value, model.value(w))
+        np.testing.assert_allclose(vjp(g), model.jacobian(w).T @ g, rtol=1e-14, atol=0)
+        assert vjp(g).shape == (1,)
