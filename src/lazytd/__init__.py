@@ -48,11 +48,9 @@ from .analysis import (
 from .meanfield import (
     EnsembleHistory,
     EnsembleModel,
-    FeatureMap,
     GaussianBumpFeatures,
     OptimalityReport,
     ParticleEnsemble,
-    ReluFeatures,
     SeparationReport,
     doubled_ensemble,
     ensemble_value,

@@ -268,19 +268,24 @@ def run_spiral(
         "diverged_at": run.diverged_at, "theta_final": float(run.final_params[0])})
 
 
-def _nn_setup(gamma: float, seed: int, n_units: int, n_states: int):
-    """Shared network-run construction: cyclic chain, target values drawn
-    i.i.d. standard normal on the grid, reward derived from them, paired
-    network initialization. The net is drawn first, then the target, both
-    from one seeded stream."""
+def _target_chain(n_states: int, gamma: float, rng: np.random.Generator):
+    """The chain of the network and particle runs: a cyclic chain whose exact
+    value function v* is drawn i.i.d. standard normal from ``rng``, with the
+    reward rbar = (I - gamma P) v* it follows from. Returns (mrp, mu, v*)."""
     P = cyclic_chain(n_states, "backward")
+    vstar = rng.standard_normal(n_states)
+    mrp = Mrp(P=P, rbar=(np.eye(n_states) - gamma * P) @ vstar, gamma=gamma)
+    return mrp, stationary_measure(mrp), vstar
+
+
+def _nn_setup(gamma: float, seed: int, n_units: int, n_states: int):
+    """Shared network-run construction: paired network initialization on
+    the target chain. The net is drawn first, then the target, both from
+    one seeded stream."""
     rng = np.random.default_rng(seed)
     model = ReluNet(n_units, np.linspace(-1, 1, n_states))
     w0 = model.init_doubled(rng)
-    vstar = rng.standard_normal(n_states)
-    rbar = (np.eye(n_states) - gamma * P) @ vstar
-    mrp = Mrp(P=P, rbar=rbar, gamma=gamma)
-    mu = stationary_measure(mrp)
+    mrp, mu, vstar = _target_chain(n_states, gamma, rng)
     return mrp, mu, model, w0, vstar
 
 
@@ -419,6 +424,8 @@ def run_sweep(
         raise DomainError(f"sweep kind must be 'gamma' or 'alpha', got {kind!r}")
     if not grid:
         raise DomainError("sweep grid must be nonempty")
+    if not workers >= 1:
+        raise DomainError(f"workers must be >= 1, got {workers}")
     # each run's directory name; two values that format alike would share one
     run_name = {v: f"run_{v:g}" for v in grid}
     if len(set(run_name.values())) < len(grid):
@@ -509,11 +516,9 @@ def run_meanfield(
     """
     t_start = time.perf_counter()
     states = np.linspace(-1, 1, n_states)
-    P = cyclic_chain(n_states, "backward")
+    # the target first, then the ensemble, from one seeded stream
     rng = np.random.default_rng(seed)
-    vstar = rng.standard_normal(n_states)
-    mrp = Mrp(P=P, rbar=(np.eye(n_states) - gamma * P) @ vstar, gamma=gamma)
-    mu = stationary_measure(mrp)
+    mrp, mu, _ = _target_chain(n_states, gamma, rng)
     features = GaussianBumpFeatures(states, width=width)
     ensemble = doubled_ensemble(
         n_particles,
@@ -548,20 +553,9 @@ def run_meanfield(
     edges = np.linspace(center_low - 0.5, center_high + 0.5, 13)
     h_vals = h1_profile(history.final, edges)
 
-    # trajectory-style record of the diagnostics for the CSV
-    run = Trajectory(
-        times=history.times,
-        params=np.zeros((len(history.times), 0)),
-        diagnostics={
-            "velocity_norm": history.diagnostics["velocity_norm"],
-            "bellman_residual": history.diagnostics["bellman_residual"],
-            "optimality_gap": history.diagnostics["optimality_gap"],
-            "separation_passed": np.array([float(s.passed) for s in separation]),
-        },
-    )
-
+    history.diagnostics["separation_passed"] = np.array([float(s.passed) for s in separation])
     tables = {
-        "trajectory.csv": run.table(include_params=False),
+        "trajectory.csv": history.table(include_params=False),
         "snapshot_initial.csv": history.snapshots[0].table(),
         "snapshot_final.csv": history.final.table(),
         "g_profile.csv": (["wbar", "g"], zip(profile_grid, g_vals)),

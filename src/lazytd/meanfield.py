@@ -13,56 +13,44 @@ the support-separation condition, and an optimality report.
 
 from __future__ import annotations
 
-from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import TrainConfig, integrate, make_lazy_rhs
+from .dynamics import TrainConfig, Trajectory, integrate, make_lazy_rhs
 from .errors import DimensionMismatch, DomainError
 from .models import ValueModel
 from .mrp import Mrp, StationaryMeasure, exact_value, mu_norm
 
 
-class FeatureMap(ABC):
-    """Feature family phi(. ; wbar) evaluated on a fixed finite state set."""
-
-    d: int
-    wbar_dim: int
-
-    @abstractmethod
-    def phi_matrix(self, wbars: np.ndarray) -> np.ndarray:
-        """Columns phi(.; wbar_i) for a batch, shape (d, N)."""
-
-    @abstractmethod
-    def grad_tensor(self, wbars: np.ndarray) -> np.ndarray:
-        """Gradients in the feature parameters for a batch, shape (N, d, wbar_dim)."""
-
-
-class GaussianBumpFeatures(FeatureMap):
-    """Radial bumps phi(s; c) = exp(-|s - c|^2 / 2 width^2).
+class GaussianBumpFeatures:
+    """Radial bumps phi(s; c) = exp(-|s - c|^2 / 2 width^2), the particles'
+    feature family phi(.; wbar) on a fixed finite state set.
 
     On a finite state set, bumps whose centers cover the states span all of
     value space, so the family is universal for our purposes (declared via
-    ``universal_for_states``).
+    ``universal_for_states``). Hinge particles need no family here: they
+    are ``models.ReluNet`` run at alpha = 1 on particle time.
     """
 
     def __init__(self, states: np.ndarray, width: float = 0.35):
         states = np.asarray(states, dtype=float)
         if states.ndim == 1:
             states = states[:, None]
-        if width <= 0:
-            raise DomainError("width must be positive")
+        if not 0.0 < width < np.inf:
+            raise DomainError(f"width must be positive and finite, got {width}")
         self.states = states
         self.width = float(width)
         self.d, self.wbar_dim = states.shape
 
     def phi_matrix(self, wbars):
+        """Columns phi(.; wbar_i) for a batch, shape (d, N)."""
         wbars = np.atleast_2d(np.asarray(wbars, dtype=float))
         diff = self.states[:, None, :] - wbars[None, :, :]
         return np.exp(-np.sum(diff**2, axis=2) / (2.0 * self.width**2))
 
     def grad_tensor(self, wbars):
+        """Gradients in the feature parameters for a batch, shape (N, d, wbar_dim)."""
         wbars = np.atleast_2d(np.asarray(wbars, dtype=float))
         diff = self.states[None, :, :] - wbars[:, None, :]     # (N, d, k)
         F = np.exp(-np.sum(diff**2, axis=2) / (2.0 * self.width**2))
@@ -74,33 +62,6 @@ class GaussianBumpFeatures(FeatureMap):
         F = self.phi_matrix(centers)
         sv = np.linalg.svd(F, compute_uv=False)
         return bool(sv.size >= self.d and sv[self.d - 1] > sv[0] / 1e12)
-
-
-class ReluFeatures(FeatureMap):
-    """Hinge features phi(s; (b, c)) = max(0, b . s - c), kink derivative 0.
-
-    Unbounded in the feature parameters, so the regularity the population
-    theory assumes holds only on compact parameter sets.
-    """
-
-    def __init__(self, states: np.ndarray):
-        states = np.asarray(states, dtype=float)
-        if states.ndim == 1:
-            states = states[:, None]
-        self.states = states
-        self.d, self.m = states.shape
-        self.wbar_dim = self.m + 1
-
-    def phi_matrix(self, wbars):
-        wbars = np.atleast_2d(np.asarray(wbars, dtype=float))
-        pre = self.states @ wbars[:, : self.m].T - wbars[:, self.m][None, :]
-        return np.maximum(pre, 0.0)
-
-    def grad_tensor(self, wbars):
-        wbars = np.atleast_2d(np.asarray(wbars, dtype=float))
-        pre = self.states @ wbars[:, : self.m].T - wbars[:, self.m][None, :]
-        ind = (pre > 0.0).astype(float).T[:, :, None]          # (N, d, 1)
-        return np.concatenate([ind * self.states[None, :, :], -ind], axis=2)
 
 
 @dataclass
@@ -141,8 +102,8 @@ def doubled_ensemble(
     rng)`` draws the shared feature parameters. Each draw appears twice,
     once with omega0 and once with -omega0.
     """
-    if n_particles % 2 != 0:
-        raise DomainError("doubled ensemble needs an even particle count")
+    if n_particles < 2 or n_particles % 2 != 0:
+        raise DomainError(f"doubled ensemble needs an even particle count >= 2, got {n_particles}")
     if not isinstance(rng, np.random.Generator):
         rng = np.random.default_rng(rng)
     half = n_particles // 2
@@ -156,7 +117,7 @@ def doubled_ensemble(
     )
 
 
-def ensemble_value(ensemble: ParticleEnsemble, features: FeatureMap) -> np.ndarray:
+def ensemble_value(ensemble: ParticleEnsemble, features: GaussianBumpFeatures) -> np.ndarray:
     """Value vector (1/N) sum_i omega0_i phi(.; wbar_i)."""
     F = features.phi_matrix(ensemble.wbar)
     return F @ ensemble.omega0 / ensemble.n
@@ -169,10 +130,10 @@ class EnsembleModel(ValueModel):
     Parameters pack as w = [omega0_1..omega0_N, wbar_1..wbar_N], the wbar
     rows raveled in particle order, and value(w) = (1/N) sum_i omega0_i
     phi(.; wbar_i): the width-normalized function a lazily scaled network
-    computes, here run on the particle time scale (see ``particle_rhs``).
+    computes, here run on the particle time scale (see ``_particle_system``).
     """
 
-    def __init__(self, features: FeatureMap, n: int):
+    def __init__(self, features: GaussianBumpFeatures, n: int):
         self.features = features
         self.n = int(n)
         self.d = features.d
@@ -216,9 +177,22 @@ def _averaged_residual(V: np.ndarray, mrp: Mrp) -> np.ndarray:
     return mrp.rbar + mrp.gamma * mrp.P @ V - V
 
 
+def _particle_system(features: GaussianBumpFeatures, n: int, mrp: Mrp, mu: StationaryMeasure):
+    """The model of an n-particle system, its particle velocity field and
+    the divergence probe of that field, built once per system.
+
+    The velocity is n times the averaged TD drift of ``EnsembleModel`` at
+    lambda = 0 and alpha = 1: particle time runs n times faster than the
+    flow time of the network dynamics.
+    """
+    model = EnsembleModel(features, n)
+    drift = make_lazy_rhs(model, mrp, mu, 0.0, 1.0)
+    return model, lambda w: n * drift(w), drift.scaled_value_norm
+
+
 def particle_rhs(
     ensemble: ParticleEnsemble,
-    features: FeatureMap,
+    features: GaussianBumpFeatures,
     mrp: Mrp,
     mu: StationaryMeasure,
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -228,39 +202,28 @@ def particle_rhs(
     feature with the backup residual; the wbar component is omega0_i times
     the same correlation taken against the feature gradient. The
     homogeneous structure means particles with omega0 = 0 do not move in
-    wbar. This is N times the averaged TD drift of ``EnsembleModel`` at
-    lambda = 0 and alpha = 1: particle time runs N times faster than the
-    flow time of the network dynamics.
+    wbar.
     """
-    model = EnsembleModel(features, ensemble.n)
-    drift = make_lazy_rhs(model, mrp, mu, 0.0, 1.0)
-    return model.unpack(ensemble.n * drift(model.pack(ensemble)))
+    model, velocity, _ = _particle_system(features, ensemble.n, mrp, mu)
+    return model.unpack(velocity(model.pack(ensemble)))
 
 
-def _state_diagnostics(
-    ensemble: ParticleEnsemble,
-    features: FeatureMap,
-    mrp: Mrp,
-    mu: StationaryMeasure,
-    vstar: np.ndarray,
-) -> tuple[float, float, float]:
+def _state_diagnostics(model: EnsembleModel, velocity, w: np.ndarray, mrp: Mrp,
+                       mu: StationaryMeasure, vstar: np.ndarray) -> tuple[float, float, float]:
     """Maximal particle speed, weighted backup residual and weighted distance
-    to the exact value function ``vstar`` at one ensemble state."""
-    do, dw = particle_rhs(ensemble, features, mrp, mu)
+    to the exact value function ``vstar`` at the packed state ``w``."""
+    do, dw = model.unpack(velocity(w))
     speed = float(np.sqrt(do**2 + np.sum(dw**2, axis=1)).max())
-    V = ensemble_value(ensemble, features)
+    V = model.value(w)
     return speed, mu_norm(_averaged_residual(V, mrp), mu), mu_norm(V - vstar, mu)
 
 
 @dataclass
-class EnsembleHistory:
-    """Snapshots of an integrated ensemble plus per-snapshot diagnostics."""
+class EnsembleHistory(Trajectory):
+    """A particle run: the trajectory of packed states ``integrate``
+    returned, with every saved state unpacked into a snapshot."""
 
-    times: np.ndarray
-    snapshots: list[ParticleEnsemble]
-    diagnostics: dict[str, np.ndarray] = field(default_factory=dict)
-    diverged: bool = False
-    diverged_at: float | None = None
+    snapshots: list[ParticleEnsemble] = field(default_factory=list)
 
     @property
     def final(self) -> ParticleEnsemble:
@@ -269,7 +232,7 @@ class EnsembleHistory:
 
 def integrate_ensemble(
     ensemble: ParticleEnsemble,
-    features: FeatureMap,
+    features: GaussianBumpFeatures,
     mrp: Mrp,
     mu: StationaryMeasure,
     dt: float,
@@ -280,37 +243,29 @@ def integrate_ensemble(
 
     The empirical measure of the integrated particles is, by construction,
     a solution of the underlying transport equation. The run is
-    ``dynamics.integrate`` on the particle velocities of ``particle_rhs``,
-    with its divergence handling: a run whose particles or value blow up
-    stops early with ``diverged`` set. Snapshots carry the maximal
-    particle speed, the weighted backup residual, and the distance to the
-    exact value function.
+    ``dynamics.integrate`` on the particle velocities, with its divergence
+    handling: a run whose particles or value blow up stops early with
+    ``diverged`` set. Every saved state carries the maximal particle speed,
+    the weighted backup residual, and the distance to the exact value
+    function, all from the run's own velocity field.
     """
-    n = ensemble.n
-    model = EnsembleModel(features, n)
-    drift = make_lazy_rhs(model, mrp, mu, 0.0, 1.0)
-    run = integrate(lambda w: n * drift(w), model.pack(ensemble),
+    model, velocity, probe = _particle_system(features, ensemble.n, mrp, mu)
+    run = integrate(velocity, model.pack(ensemble),
                     TrainConfig(dt=dt, horizon=horizon, save_every=save_every),
-                    divergence_probe=drift.scaled_value_norm)
-    snaps = [ParticleEnsemble(*model.unpack(w)) for w in run.params]
+                    divergence_probe=probe)
     vstar = exact_value(mrp)
-    series = np.array([_state_diagnostics(s, features, mrp, mu, vstar) for s in snaps])
-    return EnsembleHistory(
-        times=run.times,
-        snapshots=snaps,
-        diagnostics={
-            "velocity_norm": series[:, 0],
-            "bellman_residual": series[:, 1],
-            "optimality_gap": series[:, 2],
-        },
-        diverged=run.diverged,
-        diverged_at=run.diverged_at,
-    )
+    series = np.array([_state_diagnostics(model, velocity, w, mrp, mu, vstar)
+                       for w in run.params])
+    history = EnsembleHistory(**vars(run),
+                              snapshots=[ParticleEnsemble(*model.unpack(w)) for w in run.params])
+    history.diagnostics.update(velocity_norm=series[:, 0], bellman_residual=series[:, 1],
+                               optimality_gap=series[:, 2])
+    return history
 
 
 def g_profile(
     ensemble: ParticleEnsemble,
-    features: FeatureMap,
+    features: GaussianBumpFeatures,
     mrp: Mrp,
     mu: StationaryMeasure,
     wbar_grid: np.ndarray,
@@ -412,7 +367,7 @@ class OptimalityReport:
 
 def fixed_point_optimality(
     ensemble: ParticleEnsemble,
-    features: FeatureMap,
+    features: GaussianBumpFeatures,
     mrp: Mrp,
     mu: StationaryMeasure,
     eps: float,
@@ -430,15 +385,17 @@ def fixed_point_optimality(
     ``linearized_gap_bound``), never assumed; without one the implication
     is reported as unchecked (None).
     """
-    velocity, bell, gap = _state_diagnostics(ensemble, features, mrp, mu, exact_value(mrp))
-    stationary = velocity <= eps
+    model, velocity, _ = _particle_system(features, ensemble.n, mrp, mu)
+    speed, bell, gap = _state_diagnostics(model, velocity, model.pack(ensemble), mrp, mu,
+                                          exact_value(mrp))
+    stationary = speed <= eps
     sep_ok = bool(separation.passed) if separation is not None else False
     tol = gap_constant * eps if gap_constant is not None else None
     implication = None
     if stationary and sep_ok and features_universal and tol is not None:
         implication = bool(gap <= tol)
     return OptimalityReport(
-        velocity_norm=velocity,
+        velocity_norm=speed,
         bellman_residual=bell,
         optimality_gap=gap,
         stationary=stationary,
@@ -451,7 +408,7 @@ def fixed_point_optimality(
 
 def linearized_gap_bound(
     ensemble: ParticleEnsemble,
-    features: FeatureMap,
+    features: GaussianBumpFeatures,
     mrp: Mrp,
     mu: StationaryMeasure,
 ) -> float:

@@ -109,14 +109,15 @@ def stationary_measure(mrp: Mrp) -> StationaryMeasure:
 
 
 def exact_value(mrp: Mrp) -> np.ndarray:
-    """Value function solving (I - gamma P) V = rbar."""
+    """Value function solving (I - gamma P) V = rbar; the solve's max-norm
+    residual may reach 1e-10 of the reward scale max(1, max|rbar|)."""
     A = np.eye(mrp.d) - mrp.gamma * mrp.P
     try:
         v = np.linalg.solve(A, mrp.rbar)
     except np.linalg.LinAlgError as exc:  # unreachable for a valid chain
         raise SolveFailure("value-function system is singular") from exc
     resid = np.max(np.abs(A @ v - mrp.rbar))
-    if resid > 1e-10:
+    if resid > 1e-10 * max(1.0, float(np.max(np.abs(mrp.rbar)))):
         raise SolveFailure(f"value-function residual {resid:.3e} too large")
     return v
 

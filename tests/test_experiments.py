@@ -233,6 +233,19 @@ def test_sweep_rejects_values_sharing_a_run_name(tmp_path, grid):
     assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("call", [
+    lambda: run_meanfield(n_particles=0),
+    lambda: run_meanfield(width=float("nan")),
+    lambda: run_meanfield(width=float("inf")),
+    lambda: run_sweep("alpha", [100.0], base={"regime": "under"}, workers=0),
+    lambda: run_sweep("alpha", [100.0], base={"regime": "under"}, workers=-2),
+], ids=["no-particles", "nan-width", "inf-width", "zero-workers", "negative-workers"])
+def test_invalid_run_input_raises_domain_error(call):
+    from lazytd.errors import DomainError
+    with pytest.raises(DomainError):
+        call()
+
+
 def test_every_csv_shares_one_dialect(tmp_path):
     # one writer for every CSV: CRLF line ends throughout, and reading a file
     # with csv.reader then writing it back with csv.writer reproduces it

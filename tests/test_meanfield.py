@@ -4,11 +4,13 @@ integration, and the fixed-point diagnostics."""
 import numpy as np
 import pytest
 
+from lazytd import dynamics
 from lazytd import (
     GaussianBumpFeatures,
     Mrp,
     ParticleEnsemble,
-    ReluFeatures,
+    ReluNet,
+    TrainConfig,
     cyclic_chain,
     doubled_ensemble,
     ensemble_value,
@@ -16,7 +18,10 @@ from lazytd import (
     fixed_point_optimality,
     g_profile,
     h1_profile,
+    integrate,
     integrate_ensemble,
+    make_lazy_rhs,
+    mu_norm,
     particle_rhs,
     separation_check,
     stationary_measure,
@@ -55,14 +60,6 @@ def test_value_zero_for_doubled_pairs():
     feat = GaussianBumpFeatures(np.linspace(-1, 1, 4))
     ens = doubled_ensemble(10, uniform_sampler(-1, 1), rng=0)
     np.testing.assert_allclose(ensemble_value(ens, feat), np.zeros(4), atol=1e-15)
-
-
-def test_value_matches_hand_sum_relu_features():
-    feat = ReluFeatures(np.array([-1.0, 0.0, 1.0]))
-    # particles (omega0, (b, c)): hinges max(0, s) and max(0, s + 0.5)
-    ens = ParticleEnsemble(np.array([2.0, -1.0]),
-                           np.array([[1.0, 0.0], [1.0, -0.5]]))
-    np.testing.assert_allclose(ensemble_value(ens, feat), [0.0, -0.25, 0.25], atol=1e-15)
 
 
 # ------------------------------------------------------------- velocities
@@ -162,31 +159,48 @@ def test_ensemble_converges_on_desk_instance(chain5):
 
 
 def test_hinge_feature_ensemble_converges(chain5):
+    # hinge particles (omega0, (b, c)) are a width-normalized ReLU net at
+    # alpha = 1, whose drift N times over is their velocity
     mrp, mu, states = chain5
-    feat = ReluFeatures(states)
 
     def sampler(n, r):
         return np.column_stack([r.standard_normal(n), r.standard_normal(n)])
 
     ens = doubled_ensemble(200, sampler, rng=7)
-    hist = integrate_ensemble(ens, feat, mrp, mu, dt=0.05, horizon=1500.0, save_every=3000)
-    assert hist.diagnostics["optimality_gap"][-1] < 1e-3
+    net = ReluNet(200, states)
+    drift = make_lazy_rhs(net, mrp, mu, 0.0, 1.0)
+    w0 = net.pack(ens.omega0, ens.wbar[:, 0], ens.wbar[:, 1])
+    run = integrate(lambda w: 200 * drift(w), w0,
+                    TrainConfig(dt=0.05, horizon=1500.0, save_every=3000),
+                    divergence_probe=drift.scaled_value_norm)
+    assert not run.diverged
+    assert mu_norm(net.value(run.final_params) - exact_value(mrp), mu) < 1e-3
 
 
 def test_unstable_step_is_reported_as_divergence(chain5):
     mrp, mu, states = chain5
-    feat = ReluFeatures(states)
-
-    def sampler(n, r):
-        return np.column_stack([r.standard_normal(n), r.standard_normal(n)])
-
-    ens = doubled_ensemble(12, sampler, rng=4)
-    # far beyond the RK4 stability limit of this ensemble: the first step explodes
-    hist = integrate_ensemble(ens, feat, mrp, mu, dt=20.0, horizon=4000.0, save_every=10)
-    assert hist.diverged and hist.diverged_at == 20.0
+    loud = Mrp(P=mrp.P, rbar=1e10 * mrp.rbar, gamma=mrp.gamma)
+    feat = GaussianBumpFeatures(states, width=0.4)
+    ens = doubled_ensemble(12, uniform_sampler(-1, 1), rng=4)
+    # far beyond the stability limit of these rewards: the first step explodes
+    hist = integrate_ensemble(ens, feat, loud, mu, dt=0.1, horizon=10.0, save_every=10)
+    assert hist.diverged and hist.diverged_at == 0.1
     np.testing.assert_array_equal(hist.times, [0.0])
     np.testing.assert_array_equal(hist.final.omega0, ens.omega0)
     assert all(np.all(np.isfinite(v)) for v in hist.diagnostics.values())
+
+
+def test_run_solves_the_backup_resolvent_once(chain5, monkeypatch):
+    # one drift per run serves the steps and every saved state's diagnostics
+    mrp, mu, states = chain5
+    calls = []
+    solve = dynamics.td_resolvent
+    monkeypatch.setattr(dynamics, "td_resolvent", lambda *a: calls.append(a) or solve(*a))
+    feat = GaussianBumpFeatures(states, width=0.4)
+    ens = doubled_ensemble(12, uniform_sampler(-1, 1), rng=4)
+    hist = integrate_ensemble(ens, feat, mrp, mu, dt=0.1, horizon=3.0, save_every=5)
+    assert len(hist.times) == 7
+    assert len(calls) == 1
 
 
 def test_particle_permutation_leaves_value_trajectory_unchanged(chain5):

@@ -10,8 +10,6 @@ from lazytd import (
     EnsembleModel,
     GaussianBumpFeatures,
     LinearModel,
-    ParticleEnsemble,
-    ReluFeatures,
     ReluNet,
     SpiralModel,
     TangentModel,
@@ -175,15 +173,13 @@ def _vjp_model(kind, rng):
         return ReluNet(8, rng.uniform(-1, 1, (6, 2)))
     if kind == "ensemble-bump":
         return EnsembleModel(GaussianBumpFeatures(rng.uniform(-1, 1, (6, 2)), width=0.6), 5)
-    if kind == "ensemble-relu":
-        return EnsembleModel(ReluFeatures(rng.uniform(-1, 1, (6, 2))), 5)
     base = ReluNet(8, np.linspace(-1, 1, 6))
     return TangentModel(base, base.init_doubled(4))
 
 
 @settings(max_examples=40, deadline=None)
 @given(kind=st.sampled_from(["linear", "spiral", "relu-m1", "relu-m2", "tangent",
-                             "ensemble-bump", "ensemble-relu"]),
+                             "ensemble-bump"]),
        seed=st.integers(0, 10_000))
 def test_value_and_vjp_matches_finite_difference(kind, seed):
     rng = np.random.default_rng(seed)
@@ -191,9 +187,6 @@ def test_value_and_vjp_matches_finite_difference(kind, seed):
     w = rng.standard_normal(model.p)
     if isinstance(model, ReluNet):
         assume(relu_kink_distance(model, w) > 1e-5)
-    if kind == "ensemble-relu":
-        _, wbar = model.unpack(w)
-        assume(np.abs(model.features.states @ wbar[:, :2].T - wbar[:, 2]).min() > 1e-5)
     g = rng.standard_normal(model.d)
     value, vjp = model.value_and_vjp(w)
     np.testing.assert_array_equal(value, model.value(w))
@@ -203,28 +196,6 @@ def test_value_and_vjp_matches_finite_difference(kind, seed):
     J = model.jacobian(w)
     for s in range(model.d):
         np.testing.assert_array_equal(vjp(np.eye(model.d)[s]), J[s])
-
-
-def test_relu_ensemble_matches_relu_net():
-    # the same width-normalized hinge function, packed per particle
-    rng = np.random.default_rng(6)
-    states = rng.uniform(-1, 1, (7, 2))
-    net = ReluNet(9, states)
-    ens_model = EnsembleModel(ReluFeatures(states), 9)
-    a, b, c = net.unpack(rng.standard_normal(net.p))
-    w_net = net.pack(a, b, c)
-    w_ens = ens_model.pack(ParticleEnsemble(a, np.column_stack([b, c])))
-    g = rng.standard_normal(7)
-    v_net, vjp_net = net.value_and_vjp(w_net)
-    v_ens, vjp_ens = ens_model.value_and_vjp(w_ens)
-    np.testing.assert_allclose(v_ens, v_net, rtol=1e-13, atol=1e-15)
-    # net: [a, b rows, c]; ensemble: [a, (b_i, c_i) rows]
-    da, dbc = np.split(vjp_ens(g), [9])
-    dbc = dbc.reshape(9, 3)
-    want_a, want_b, want_c = net.unpack(vjp_net(g))
-    np.testing.assert_allclose(da, want_a, rtol=1e-13, atol=1e-15)
-    np.testing.assert_allclose(dbc[:, :2], want_b, rtol=1e-13, atol=1e-15)
-    np.testing.assert_allclose(dbc[:, 2], want_c, rtol=1e-13, atol=1e-15)
 
 
 # ------------------------------------------------- kernels against reference

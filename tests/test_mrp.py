@@ -119,6 +119,16 @@ def test_exact_value_divergence_experiment_instance():
     np.testing.assert_allclose(exact_value(mrp), [-10.0, 7.0, 3.0], atol=1e-10)
 
 
+@pytest.mark.parametrize("d,seed", [(5, 1), (30, 5)])
+def test_exact_value_accepts_large_rewards(d, seed):
+    # the residual bound scales with the rewards: at 1e5 an absolute 1e-10
+    # rejected these valid chains (residuals 2.8e-10 and 2.9e-10)
+    rbar = 1e5 * np.random.default_rng(seed).standard_normal(d)
+    mrp = Mrp(P=cyclic_chain(d), rbar=rbar, gamma=0.99)
+    v = exact_value(mrp)
+    np.testing.assert_allclose((np.eye(d) - 0.99 * mrp.P) @ v, rbar, rtol=0, atol=1e-9 * 1e5)
+
+
 def test_forward_shift_gives_different_reward():
     target = np.array([-10.0, 7.0, 3.0])
     P_fwd = cyclic_chain(3, "forward")
