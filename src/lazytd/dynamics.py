@@ -3,8 +3,11 @@ deterministic flow, and its lazily scaled variant, plus the fixed-step
 integrators that drive them.
 
 Time conventions: deterministic runs are parametrized by the time variable
-of the scaled flow itself; sampled runs report cumulative step size as time,
-so that constant-step runs line up with the averaged flow they track.
+of the scaled flow itself; sampled runs report the step count times the
+constant step size as time, so that they line up with the averaged flow
+they track. Every engine steps through one run loop (``_run``), which
+owns the state buffers, the save schedule, the divergence rule,
+``stop_when`` and the returned ``Trajectory``.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import Diverged, DomainError, NonFiniteState
+from .errors import DomainError, NonFiniteState
 from .models import ValueModel
 from .mrp import Mrp, StationaryMeasure, td_resolvent
 
@@ -127,7 +130,8 @@ def sample_chain(mrp: Mrp, mu: StationaryMeasure, steps: int, rng: np.random.Gen
 
 
 def stochastic_td_step(
-    model: ValueModel,
+    value: np.ndarray,
+    vjp,
     w: np.ndarray,
     z: np.ndarray,
     s: int,
@@ -137,7 +141,8 @@ def stochastic_td_step(
     gamma: float,
     config: TrainConfig,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """One sampled TD(lambda) update with the recursive eligibility trace.
+    """One sampled TD(lambda) update with the recursive eligibility trace,
+    from the model's value vector and pullback at ``w``.
 
     delta uses the alpha-scaled model and the parameter step carries the
     matching 1/alpha factor, so alpha = 1 is the plain unscaled update.
@@ -145,16 +150,11 @@ def stochastic_td_step(
     vector rather than read off a full Jacobian.
     """
     alpha, lam = config.alpha, config.lam
-    V, vjp = model.value_and_vjp(w)
-    if not np.all(np.isfinite(V)) or alpha * np.max(np.abs(V)) > DIVERGENCE_THRESHOLD:
-        raise Diverged(f"scaled value norm exceeded {DIVERGENCE_THRESHOLD:g}")
-    delta = reward + gamma * alpha * V[s_next] - alpha * V[s]
-    one_hot = np.zeros(model.d)
+    delta = reward + gamma * alpha * value[s_next] - alpha * value[s]
+    one_hot = np.zeros(len(value))
     one_hot[s] = 1.0
     z_new = gamma * lam * z + vjp(one_hot)
     w_new = w + beta * delta * z_new / alpha
-    if np.max(np.abs(w_new)) > DIVERGENCE_THRESHOLD:
-        raise Diverged(f"parameter norm exceeded {DIVERGENCE_THRESHOLD:g}")
     return w_new, z_new
 
 
@@ -168,62 +168,26 @@ def run_stochastic_td(
     """Run sampled TD(lambda) for config.horizon steps along one chain path.
 
     The recursive trace accumulates gradients as they were at sampling time.
+    Each accepted state's value and pullback are evaluated once: the
+    divergence probe reads the scaled value, alpha max|V|, and the next
+    update uses both.
     """
     steps = int(config.horizon)
-    rng = np.random.default_rng(config.seed)
-    path = sample_chain(mrp, mu, steps + 1, rng)
-    gamma, alpha, beta = mrp.gamma, config.alpha, config.beta0
-
-    w = np.asarray(w0, dtype=float).copy()
+    path = sample_chain(mrp, mu, steps + 1, np.random.default_rng(config.seed))
     z = np.zeros(model.p)
-    times, saved = [0.0], [w.copy()]
-    t_now = 0.0
-    diverged, diverged_at = False, None
-    for k in range(steps):
-        s, s_next = int(path[k]), int(path[k + 1])
-        try:
-            # blowup raises Diverged below; let the arithmetic overflow quietly
-            with np.errstate(over="ignore", invalid="ignore"):
-                w_new, z = stochastic_td_step(model, w, z, s, s_next, mrp.rbar[s],
-                                              beta, gamma, config)
-        except Diverged:
-            diverged, diverged_at = True, t_now
-            _maybe_record(times, saved, t_now, w, model, alpha)
-            break
-        if not np.all(np.isfinite(w_new)):
-            if np.max(np.abs(w)) > 1e-3 * DIVERGENCE_THRESHOLD:
-                diverged, diverged_at = True, t_now
-                _maybe_record(times, saved, t_now, w, model, alpha)
-                break
-            raise NonFiniteState(f"non-finite parameters at step {k}")
-        w = w_new
-        t_now += beta
-        if (k + 1) % config.save_every == 0 or k == steps - 1:
-            with np.errstate(over="ignore", invalid="ignore"):
-                probe = alpha * np.max(np.abs(model.value(w)))
-            if not np.isfinite(probe) or probe > DIVERGENCE_THRESHOLD:
-                diverged, diverged_at = True, t_now
-                break
-            times.append(t_now)
-            saved.append(w.copy())
-    return Trajectory(
-        times=np.asarray(times),
-        params=np.asarray(saved),
-        diverged=diverged,
-        diverged_at=diverged_at,
-    )
+    at = [None, None]  # value and pullback at the latest state
 
+    def look(w):
+        at[:] = model.value_and_vjp(w)
+        return config.alpha * float(np.abs(at[0]).max())
 
-def _maybe_record(times, saved, t_now, w, model, alpha) -> None:
-    """Record a terminal state only while it is still within the thresholds,
-    so trajectories never carry states whose value has already blown up."""
-    if t_now <= times[-1]:
-        return
-    with np.errstate(over="ignore", invalid="ignore"):
-        probe = alpha * np.max(np.abs(model.value(w)))
-    if np.isfinite(probe) and probe <= DIVERGENCE_THRESHOLD:
-        times.append(t_now)
-        saved.append(w.copy())
+    def advance(k, w, out):
+        nonlocal z
+        s = int(path[k])
+        out[:], z = stochastic_td_step(*at, w, z, s, int(path[k + 1]), mrp.rbar[s],
+                                       config.beta0, mrp.gamma, config)
+
+    return _run(advance, look, w0, config.beta0, steps, config.save_every)
 
 
 def make_lazy_rhs(model: ValueModel, mrp: Mrp, mu: StationaryMeasure, lam: float, alpha: float):
@@ -272,80 +236,96 @@ def integrate(
     divergence_probe=None,
     stop_when=None,
 ) -> Trajectory:
-    """Fixed-step integration of dw/dt = rhs(w) up to config.horizon.
-
-    The run halts with the diverged flag as soon as the max-norm of the
-    state, or of the optional probe (typically the scaled value vector),
-    exceeds the divergence threshold; only finite states are recorded. A
-    non-finite state reached from an already-large one (within three orders
-    of magnitude of the threshold) counts as divergence, since a single
-    explosive step can overshoot straight past the threshold; otherwise it
-    raises NonFiniteState. ``stop_when(w, t)`` is consulted at save points
-    for early termination.
+    """Fixed-step integration of dw/dt = rhs(w) up to config.horizon, on the
+    run loop ``_run`` (divergence rule, saves, ``stop_when(w, t)``).
 
     Each accepted state's first-stage rhs is evaluated right away, before
     the divergence check, so a probe built on the rhs (see
     ``make_lazy_rhs``) finds that state's value already computed. A run of
     n steps makes 4n rhs calls with RK4 (n with Euler), plus at most one.
-    The stages and states are written in place into buffers the loop
-    reuses, so rhs must not keep its argument past the call; ``stop_when``
-    gets the saved copy.
+    The stages are written in place into a buffer the step reuses, so rhs
+    must not keep its argument past the call.
     """
-    w = np.asarray(w0, dtype=float).copy()
     dt = config.dt
     half, sixth = 0.5 * dt, dt / 6.0
-    n_steps = int(round(config.horizon / dt))
-    use_rk4 = config.integrator == "rk4"
-    # the state buffers swap roles after every accepted step
-    stage, w_new = np.empty_like(w), np.empty_like(w)
+    stage = np.empty(np.shape(w0))
+    k1 = None
 
+    def look(w):
+        nonlocal k1
+        k1 = rhs(w)
+        return 0.0 if divergence_probe is None else divergence_probe(w)
+
+    def rk4(k, w, out):
+        nonlocal stage  # for +=, which works in place
+        np.multiply(k1, half, stage)
+        stage += w
+        k2 = rhs(stage)
+        np.multiply(k2, half, stage)
+        stage += w
+        k3 = rhs(stage)
+        np.multiply(k3, dt, stage)
+        stage += w
+        k4 = rhs(stage)
+        # w + dt/6 (k1 + 2 k2 + 2 k3 + k4), summed in this order
+        np.multiply(k2, 2.0, out)
+        out += k1
+        np.multiply(k3, 2.0, stage)
+        out += stage
+        out += k4
+        out *= sixth
+        out += w
+
+    def euler(k, w, out):
+        np.multiply(k1, dt, out)
+        out += w
+
+    return _run(rk4 if config.integrator == "rk4" else euler, look, w0, dt,
+                int(round(config.horizon / dt)), config.save_every, stop_when)
+
+
+def _run(advance, look, w0: np.ndarray, h: float, n_steps: int, save_every: int,
+         stop_when=None) -> Trajectory:
+    """The one run loop of every engine: n_steps steps of size h, the state
+    after step k + 1 at time (k + 1) h, saved every save_every steps and at
+    the last.
+
+    ``advance(k, w, out)`` writes the state after step k + 1 into ``out``;
+    ``look(w)`` evaluates at each accepted state what the next step needs
+    and returns the divergence probe's magnitude (0 for none). The run
+    halts with the diverged flag as soon as the state's max-norm or the
+    probe exceeds the divergence threshold (a NaN probe counts); only
+    finite states are recorded. A non-finite state reached from an
+    already-large one (within three orders of magnitude of the threshold)
+    counts as divergence, since a single explosive step can overshoot
+    straight past the threshold; otherwise it raises NonFiniteState.
+    ``stop_when(w, t)`` is consulted at save points with the saved copy.
+    """
+    w = np.array(w0, dtype=float)
+    w_new = np.empty_like(w)   # the state buffers swap roles after every accepted step
     times, saved = [0.0], [w.copy()]
-    diverged, diverged_at = False, None
-    t = 0.0
+    diverged_at = None
     # blowup is detected and classified below; let the steps overflow quietly
     with np.errstate(over="ignore", invalid="ignore"):
-        k1 = rhs(w)
-        last_mag = float(np.abs(w).max())
-        if divergence_probe is not None:
-            last_mag = max(last_mag, float(divergence_probe(w)))
+        last_mag = max(float(np.abs(w).max()), float(look(w)))
         for k in range(n_steps):
-            if use_rk4:
-                np.multiply(k1, half, stage)
-                stage += w
-                k2 = rhs(stage)
-                np.multiply(k2, half, stage)
-                stage += w
-                k3 = rhs(stage)
-                np.multiply(k3, dt, stage)
-                stage += w
-                k4 = rhs(stage)
-                # w + dt/6 (k1 + 2 k2 + 2 k3 + k4), summed in this order
-                np.multiply(k2, 2.0, w_new)
-                w_new += k1
-                np.multiply(k3, 2.0, stage)
-                w_new += stage
-                w_new += k4
-                w_new *= sixth
-            else:
-                np.multiply(k1, dt, w_new)
-            w_new += w
-            t = (k + 1) * dt
+            advance(k, w, w_new)
+            t = (k + 1) * h
             # one max-norm: nan or inf anywhere makes it non-finite
             mag = float(np.abs(w_new).max())
             if not math.isfinite(mag):
                 if last_mag > 1e-3 * DIVERGENCE_THRESHOLD:
-                    diverged, diverged_at = True, t
+                    diverged_at = t
                     break
                 raise NonFiniteState(f"non-finite state at t={t:g}")
-            k1 = rhs(w_new)
-            if divergence_probe is not None:
-                mag = max(mag, float(divergence_probe(w_new)))
-            if not math.isfinite(mag) or mag > DIVERGENCE_THRESHOLD:
-                diverged, diverged_at = True, t
+            # the probe first, so that max keeps a NaN probe and it fails
+            mag = max(float(look(w_new)), mag)
+            if not mag <= DIVERGENCE_THRESHOLD:
+                diverged_at = t
                 break
             w, w_new = w_new, w
             last_mag = mag
-            if (k + 1) % config.save_every == 0 or k == n_steps - 1:
+            if (k + 1) % save_every == 0 or k == n_steps - 1:
                 times.append(t)
                 saved.append(w.copy())
                 if stop_when is not None and stop_when(saved[-1], t):
@@ -353,7 +333,6 @@ def integrate(
     return Trajectory(
         times=np.asarray(times),
         params=np.asarray(saved),
-        diverged=diverged,
+        diverged=diverged_at is not None,
         diverged_at=diverged_at,
     )
-

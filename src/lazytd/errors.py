@@ -25,10 +25,6 @@ class DomainError(LazyTdError):
     """Scalar argument outside its admissible range."""
 
 
-class Diverged(LazyTdError):
-    """A training iterate exceeded the divergence threshold."""
-
-
 class NonFiniteState(LazyTdError):
     """NaN or Inf appeared in a state that was not blowing up."""
 

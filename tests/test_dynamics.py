@@ -3,6 +3,8 @@ flows, and the fixed-step integrators."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lazytd import (
     LinearModel,
@@ -14,6 +16,7 @@ from lazytd import (
     exact_value,
     integrate,
     make_lazy_rhs,
+    random_chain,
     run_stochastic_td,
     sample_chain,
     stationary_measure,
@@ -86,7 +89,7 @@ def test_step_reduces_to_plain_td_at_lam_zero(chain3):
     cfg = TrainConfig(lam=0.0, alpha=1.0, beta0=0.1)
     w = np.array([1.0, -2.0, 0.5])
     z = np.array([9.0, 9.0, 9.0])  # must be forgotten entirely at lam = 0
-    w2, z2 = stochastic_td_step(model, w, z, 0, 1, 2.0, 0.1, mrp.gamma, cfg)
+    w2, z2 = stochastic_td_step(*model.value_and_vjp(w), w, z, 0, 1, 2.0, 0.1, mrp.gamma, cfg)
     np.testing.assert_allclose(z2, model.jacobian(w)[0])
     delta = 2.0 + mrp.gamma * w[1] - w[0]
     np.testing.assert_allclose(w2, w + 0.1 * delta * z2)
@@ -101,7 +104,7 @@ def test_expected_update_vanishes_at_fixed_point(chain3):
     total = np.zeros(3)
     for s in range(3):
         for s_next in range(3):
-            w2, _ = stochastic_td_step(model, vstar, np.zeros(3),
+            w2, _ = stochastic_td_step(*model.value_and_vjp(vstar), vstar, np.zeros(3),
                                        s, s_next, mrp.rbar[s], 1.0, mrp.gamma, cfg)
             total += mu.mu[s] * mrp.P[s, s_next] * (w2 - vstar)
     np.testing.assert_allclose(total, np.zeros(3), atol=1e-12)
@@ -122,14 +125,23 @@ def test_stochastic_linear_approaches_fixed_point(chain3):
     assert gap < 0.05 * max(1.0, np.abs(target).max())
 
 
-def test_sampled_run_matches_full_jacobian_rows():
-    # the engine pulls back a one-hot vector; the reference reads the row
-    # off the full Jacobian, and the two runs must agree bit for bit
-    mrp = Mrp(P=cyclic_chain(8, "backward"), rbar=np.linspace(-1, 1, 8), gamma=0.9)
+@settings(max_examples=25, deadline=None)
+@given(
+    d=st.integers(2, 6),
+    lam=st.floats(0.0, 0.95),
+    alpha=st.floats(1.0, 1e3),
+    seed=st.integers(0, 2**16),
+)
+def test_sampled_run_matches_full_jacobian_rows(d, lam, alpha, seed):
+    # the engine pulls back a one-hot vector; the reference is the literal
+    # TD(lambda) recursion with the row read off the full Jacobian, and the
+    # two runs must agree bit for bit
+    rng = np.random.default_rng(seed)
+    mrp = Mrp(P=random_chain(d, rng), rbar=rng.uniform(-1, 1, d), gamma=0.9)
     mu = stationary_measure(mrp)
-    model = ReluNet(10, np.linspace(-1, 1, 8))
-    w0 = model.init_doubled(1)
-    cfg = TrainConfig(lam=0.5, alpha=20.0, beta0=0.05, horizon=300, save_every=1, seed=4)
+    model = ReluNet(10, np.linspace(-1, 1, d))
+    w0 = model.init_doubled(rng)
+    cfg = TrainConfig(lam=lam, alpha=alpha, beta0=0.05, horizon=300, save_every=1, seed=seed)
     run = run_stochastic_td(model, mrp, mu, cfg, w0)
 
     path = sample_chain(mrp, mu, 301, np.random.default_rng(cfg.seed))
@@ -143,6 +155,7 @@ def test_sampled_run_matches_full_jacobian_rows():
         ref.append(w.copy())
     assert not run.diverged
     np.testing.assert_array_equal(run.params, np.asarray(ref))
+    np.testing.assert_array_equal(run.times, cfg.beta0 * np.arange(301))
 
 
 # -------------------------------------------------------------- averaged flow
@@ -329,6 +342,14 @@ def test_spiral_unscaled_flow_diverges(chain3):
     fused = integrate(rhs, np.zeros(1), cfg, divergence_probe=rhs.scaled_value_norm)
     assert fused.diverged and fused.diverged_at == run.diverged_at
     np.testing.assert_array_equal(fused.params, run.params)
+    # sampled TD(0) on the same spiral stops by the same rule, at a step
+    beta = 2e-3
+    sampled = run_stochastic_td(model, mrp, mu, TrainConfig(beta0=beta, horizon=20_000), np.zeros(1))
+    assert sampled.diverged
+    assert sampled.diverged_at == round(sampled.diverged_at / beta) * beta
+    assert sampled.times[-1] <= sampled.diverged_at
+    assert np.all(np.isfinite(sampled.params))
+    assert max(np.abs(model.value(w)).max() for w in sampled.params) <= 1e8
 
 
 @pytest.mark.parametrize("integrator,stages", [("rk4", 4), ("euler", 1)])
@@ -359,12 +380,21 @@ def test_integrate_rhs_calls_per_step(chain3, integrator, stages):
     assert stages * 100 <= len(calls) <= stages * 100 + 1
 
 
-def test_integrate_raises_on_nonfinite_rhs():
+def test_integrate_raises_on_nonfinite_rhs(chain3):
     def bad(w):
         return np.array([np.nan])
     cfg = TrainConfig(dt=0.1, horizon=1.0)
     with pytest.raises(NonFiniteState):
         integrate(bad, np.array([0.5]), cfg)
+
+    # the sampled engine keeps the rule: a NaN pullback from a small state
+    class NanPullback(LinearModel):
+        def value_and_vjp(self, w):
+            return self.value(w), lambda g: np.full(self.p, np.nan)
+
+    mrp, mu = chain3
+    with pytest.raises(NonFiniteState):
+        run_stochastic_td(NanPullback(np.eye(3)), mrp, mu, TrainConfig(horizon=10), np.zeros(3))
 
 
 def test_trajectory_csv_round_trip(tmp_path, chain3):
