@@ -59,7 +59,6 @@ from .meanfield import (
     h1_profile,
     integrate_ensemble,
     linearized_gap_bound,
-    particle_rhs,
     separation_check,
 )
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -354,9 +354,11 @@ def run_nn(
                   n_units=n_units, n_states=n_states, lam=lam, beta=beta)
 
     if mode != "ode":  # the sampled engine; _train rejects any other mode
-        steps = int(horizon) if horizon is not None else 100_000
-        cfg = TrainConfig(lam=lam, alpha=alpha, beta0=beta,
-                          horizon=steps, save_every=max(1, steps // 400), seed=seed)
+        # the config checks the horizon before it becomes a step count
+        cfg = TrainConfig(lam=lam, alpha=alpha, beta0=beta, seed=seed,
+                          horizon=100_000 if horizon is None else horizon)
+        steps = int(cfg.horizon)
+        cfg = replace(cfg, horizon=steps, save_every=max(1, steps // 400))
         config.update(horizon=steps, save_every=cfg.save_every)
         run = _train(model, mrp, mu, w0, vstar, mode, cfg)
         return _run_report(f"nn-{regime}", config, run, t_start, out_dir,
@@ -377,10 +379,10 @@ def run_nn(
             # of its linearization; the projected-residual stop bounds the
             # actual cost, the step cap bounds the worst case
             horizon = min(2000.0 / slow, 150_000 * dt)
-    save_every = max(1, int(round(horizon / dt)) // 400)
-    config.update(dt=dt, horizon=horizon, stop_tol=stop_tol, save_every=save_every)
-    cfg = TrainConfig(lam=lam, alpha=alpha, dt=dt, horizon=horizon,
-                      save_every=save_every, seed=seed)
+    # the config checks step and horizon before they become a step count
+    cfg = TrainConfig(lam=lam, alpha=alpha, dt=dt, horizon=horizon, seed=seed)
+    cfg = replace(cfg, save_every=max(1, int(round(horizon / dt)) // 400))
+    config.update(dt=dt, horizon=horizon, stop_tol=stop_tol, save_every=cfg.save_every)
     run = _train(model, mrp, mu, w0, vstar, mode, cfg, stop_tol if regime == "under" else None)
 
     extra = {"rate_fast": fast, "rate_slow": slow,
@@ -515,6 +517,8 @@ def run_meanfield(
     package defaults, chosen so the run settles within the horizon.
     """
     t_start = time.perf_counter()
+    cfg = TrainConfig(dt=dt, horizon=horizon)  # checks both before they set the save interval
+    save_every = max(1, int(round(cfg.horizon / cfg.dt)) // 40)
     states = np.linspace(-1, 1, n_states)
     # the target first, then the ensemble, from one seeded stream
     rng = np.random.default_rng(seed)
@@ -531,7 +535,6 @@ def run_meanfield(
                   horizon=horizon, r0=r0, grid_points=grid_points,
                   resolution=resolution, eps=eps)
 
-    save_every = max(1, int(round(horizon / dt)) // 40)
     history = integrate_ensemble(ensemble, features, mrp, mu, dt=dt, horizon=horizon,
                                  save_every=save_every)
     theta_grid = np.linspace(-1.1, 1.1, grid_points)

@@ -49,13 +49,6 @@ class GaussianBumpFeatures:
         diff = self.states[:, None, :] - wbars[None, :, :]
         return np.exp(-np.sum(diff**2, axis=2) / (2.0 * self.width**2))
 
-    def grad_tensor(self, wbars):
-        """Gradients in the feature parameters for a batch, shape (N, d, wbar_dim)."""
-        wbars = np.atleast_2d(np.asarray(wbars, dtype=float))
-        diff = self.states[None, :, :] - wbars[:, None, :]     # (N, d, k)
-        F = np.exp(-np.sum(diff**2, axis=2) / (2.0 * self.width**2))
-        return F[:, :, None] * diff / self.width**2
-
     def universal_for_states(self, centers: np.ndarray) -> bool:
         """True when bumps at the given centers span value space on the
         states, with condition number below 1e12."""
@@ -79,6 +72,8 @@ class ParticleEnsemble:
         self.wbar = wbar
         if self.omega0.shape[0] != self.wbar.shape[0]:
             raise DimensionMismatch("one output weight per particle required")
+        if self.omega0.shape[0] < 1:
+            raise DomainError("an ensemble needs at least one particle")
 
     @property
     def n(self) -> int:
@@ -152,18 +147,24 @@ class EnsembleModel(ValueModel):
     def value(self, w):
         return ensemble_value(ParticleEnsemble(*self.unpack(w)), self.features)
 
+    def _bumps(self, wbar):
+        """Feature matrix F (d, N) and its gradient G (N, d, k) in wbar, off
+        one bump pass: d phi(s; c)/dc = phi(s; c) (s - c) / width^2."""
+        F = self.features.phi_matrix(wbar)
+        diff = self.features.states[None, :, :] - wbar[:, None, :]
+        return F, F.T[:, :, None] * diff / self.features.width**2
+
     def jacobian(self, w):
         omega0, wbar = self.unpack(w)
-        G = np.moveaxis(self.features.grad_tensor(wbar), 0, 1)     # (d, N, k)
-        wbar_cols = (omega0[None, :, None] * G).reshape(self.d, -1)
-        return np.hstack([self.features.phi_matrix(wbar), wbar_cols]) / self.n
+        F, G = self._bumps(wbar)
+        wbar_cols = (omega0[None, :, None] * np.moveaxis(G, 0, 1)).reshape(self.d, -1)
+        return np.hstack([F, wbar_cols]) / self.n
 
     def value_and_vjp(self, w):
         """Value and J^T g = [F^T g, omega0 * sum_s G[:, s, :] g_s] / N, with
-        the feature matrix F and gradient tensor G evaluated once per call."""
+        the feature matrix F and its gradient G from one bump pass per call."""
         omega0, wbar = self.unpack(w)
-        F = self.features.phi_matrix(wbar)                          # (d, N)
-        G = self.features.grad_tensor(wbar)                         # (N, d, k)
+        F, G = self._bumps(wbar)
 
         def vjp(g: np.ndarray) -> np.ndarray:
             wbar_part = omega0[:, None] * np.einsum("ndk,d->nk", G, g)
@@ -183,29 +184,15 @@ def _particle_system(features: GaussianBumpFeatures, n: int, mrp: Mrp, mu: Stati
 
     The velocity is n times the averaged TD drift of ``EnsembleModel`` at
     lambda = 0 and alpha = 1: particle time runs n times faster than the
-    flow time of the network dynamics.
+    flow time of the network dynamics. Unpacked, the omega0 component of
+    particle i is the weighted correlation of its feature with the backup
+    residual, and the wbar component is omega0_i times that correlation
+    taken against the feature gradient, so particles with omega0 = 0 do not
+    move in wbar.
     """
     model = EnsembleModel(features, n)
     drift = make_lazy_rhs(model, mrp, mu, 0.0, 1.0)
     return model, lambda w: n * drift(w), drift.scaled_value_norm
-
-
-def particle_rhs(
-    ensemble: ParticleEnsemble,
-    features: GaussianBumpFeatures,
-    mrp: Mrp,
-    mu: StationaryMeasure,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Exact averaged velocities of every particle (single-step backup).
-
-    The omega0 component of particle i is the weighted correlation of its
-    feature with the backup residual; the wbar component is omega0_i times
-    the same correlation taken against the feature gradient. The
-    homogeneous structure means particles with omega0 = 0 do not move in
-    wbar.
-    """
-    model, velocity, _ = _particle_system(features, ensemble.n, mrp, mu)
-    return model.unpack(velocity(model.pack(ensemble)))
 
 
 def _state_diagnostics(model: EnsembleModel, velocity, w: np.ndarray, mrp: Mrp,
@@ -337,7 +324,7 @@ def separation_check(
         grid = grid.T
     dist = np.linalg.norm(grid[:, None, :] - ensemble.wbar[None, :, :], axis=2)
     covered = dist.min(axis=1) <= resolution
-    max_abs = float(np.max(np.abs(ensemble.omega0))) if ensemble.n else 0.0
+    max_abs = float(np.max(np.abs(ensemble.omega0)))
     passed = bool(np.all(covered) and max_abs <= r0)
     return SeparationReport(
         passed=passed,

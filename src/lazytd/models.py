@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, OddWidth
+from .errors import DimensionMismatch, DomainError, OddWidth
 
 SPIRAL_A = np.array([10.0, -7.0, -3.0])
 SPIRAL_B = np.array([2.3094, -9.815, 7.5056])
@@ -134,6 +134,8 @@ class ReluNet(ValueModel):
         states = np.asarray(states, dtype=float)
         if states.ndim == 1:
             states = states[:, None]
+        if not n_units >= 1:
+            raise DomainError(f"a network needs at least one unit, got {n_units}")
         self.states = states
         self.n_units = int(n_units)
         self.d, self.m = states.shape

@@ -41,15 +41,18 @@ class Mrp:
         object.__setattr__(self, "P", P)
         if P.ndim != 2 or P.shape[0] != P.shape[1]:
             raise DimensionMismatch(f"transition matrix must be square, got {P.shape}")
-        if np.any(P < 0):
-            raise DomainError("transition matrix has negative entries")
-        if np.max(np.abs(P.sum(axis=1) - 1.0)) > ROW_SUM_TOL:
+        # every check is written so that NaN fails it
+        if not np.all(P >= 0):
+            raise DomainError("transition matrix entries must be nonnegative numbers")
+        if not np.max(np.abs(P.sum(axis=1) - 1.0)) <= ROW_SUM_TOL:
             raise DomainError("transition matrix rows must sum to 1")
         if not 0.0 < self.gamma < 1.0:
             raise DomainError(f"discount factor must lie in (0,1), got {self.gamma}")
         rbar = np.asarray(self.rbar, dtype=float)
         if rbar.shape != (P.shape[0],):
             raise DimensionMismatch("expected reward vector must have length d")
+        if not np.all(np.isfinite(rbar)):
+            raise DomainError("expected rewards must be finite")
         object.__setattr__(self, "rbar", rbar)
 
     @property

@@ -239,11 +239,39 @@ def test_sweep_rejects_values_sharing_a_run_name(tmp_path, grid):
     lambda: run_meanfield(width=float("inf")),
     lambda: run_sweep("alpha", [100.0], base={"regime": "under"}, workers=0),
     lambda: run_sweep("alpha", [100.0], base={"regime": "under"}, workers=-2),
-], ids=["no-particles", "nan-width", "inf-width", "zero-workers", "negative-workers"])
+    lambda: run_nn("over", n_units=0, n_states=5),
+], ids=["no-particles", "nan-width", "inf-width", "zero-workers", "negative-workers",
+        "no-units"])
 def test_invalid_run_input_raises_domain_error(call):
     from lazytd.errors import DomainError
     with pytest.raises(DomainError):
         call()
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("call,argv", [
+    (lambda: run_meanfield(dt=0.0), ["meanfield", "--dt", "0"]),
+    (lambda: run_meanfield(dt=NAN), ["meanfield", "--dt", "nan"]),
+    (lambda: run_meanfield(horizon=INF), ["meanfield", "--horizon", "inf"]),
+    (lambda: run_nn("under", dt=0.0), ["nn", "--regime", "under", "--dt", "0"]),
+    (lambda: run_nn("under", dt=NAN), ["nn", "--regime", "under", "--dt", "nan"]),
+    (lambda: run_nn("under", horizon=INF), ["nn", "--regime", "under", "--horizon", "inf"]),
+    (lambda: run_nn("over", mode="stochastic", horizon=INF),
+     ["nn", "--regime", "over", "--mode", "stochastic", "--horizon", "inf"]),
+    (lambda: run_nn("over", mode="stochastic", horizon=NAN),
+     ["nn", "--regime", "over", "--mode", "stochastic", "--horizon", "nan"]),
+], ids=["meanfield-zero-dt", "meanfield-nan-dt", "meanfield-inf-horizon", "nn-zero-dt",
+        "nn-nan-dt", "nn-inf-horizon", "sampled-inf-horizon", "sampled-nan-horizon"])
+def test_step_and_horizon_are_checked_before_use(call, argv, capsys):
+    # a step count derived from them first would raise ZeroDivisionError,
+    # OverflowError or numpy's ValueError instead of the library's error
+    from lazytd.errors import DomainError
+    with pytest.raises(DomainError):
+        call()
+    assert cli_main(argv) == 2
+    assert "must be positive and finite" in capsys.readouterr().err
 
 
 def test_every_csv_shares_one_dialect(tmp_path):

@@ -4,7 +4,7 @@ integration, and the fixed-point diagnostics."""
 import numpy as np
 import pytest
 
-from lazytd import dynamics
+from lazytd import dynamics, meanfield
 from lazytd import (
     GaussianBumpFeatures,
     Mrp,
@@ -22,10 +22,10 @@ from lazytd import (
     integrate_ensemble,
     make_lazy_rhs,
     mu_norm,
-    particle_rhs,
     separation_check,
     stationary_measure,
 )
+from lazytd.errors import DomainError
 
 
 @pytest.fixture
@@ -34,6 +34,13 @@ def chain5():
     states = np.linspace(-1, 1, 5)
     mrp = Mrp(P=cyclic_chain(5, "backward"), rbar=rng.standard_normal(5), gamma=0.9)
     return mrp, stationary_measure(mrp), states
+
+
+def particle_velocities(ensemble, features, mrp, mu):
+    """Output-weight (N,) and feature-parameter (N, k) velocities of every
+    particle, from the velocity field a particle run integrates."""
+    model, velocity, _ = meanfield._particle_system(features, ensemble.n, mrp, mu)
+    return model.unpack(velocity(model.pack(ensemble)))
 
 
 def uniform_sampler(lo, hi):
@@ -68,7 +75,7 @@ def test_velocities_vanish_at_exact_value(chain5):
     mrp, mu, states = chain5
     feat = GaussianBumpFeatures(states, width=0.4)
     ens = exact_fit_ensemble(feat, states, exact_value(mrp))
-    do, dw = particle_rhs(ens, feat, mrp, mu)
+    do, dw = particle_velocities(ens, feat, mrp, mu)
     assert np.abs(do).max() < 1e-10
     assert np.abs(dw).max() < 1e-10
 
@@ -78,7 +85,7 @@ def test_zero_output_weight_freezes_feature_params(chain5):
     feat = GaussianBumpFeatures(states, width=0.4)
     om0 = np.array([0.0, 1.3, 0.0])
     ens = ParticleEnsemble(om0, np.array([-0.5, 0.1, 0.7]))
-    do, dw = particle_rhs(ens, feat, mrp, mu)
+    do, dw = particle_velocities(ens, feat, mrp, mu)
     assert np.abs(dw[0]).max() == 0.0
     assert np.abs(dw[2]).max() == 0.0
     assert np.abs(do).max() > 0.0  # output weights still feel the residual
@@ -104,7 +111,7 @@ def test_single_particle_matches_literal_double_sum():
             delta = mrp.rbar[s] + 0.9 * V[s2] - V[s]
             do_want += mu.mu[s] * P[s, s2] * delta * phi[s]
             dc_want += mu.mu[s] * P[s, s2] * delta * om0 * dphi[s]
-    do, dw = particle_rhs(ens, feat, mrp, mu)
+    do, dw = particle_velocities(ens, feat, mrp, mu)
     assert do[0] == pytest.approx(do_want, abs=1e-14)
     assert dw[0, 0] == pytest.approx(dc_want, abs=1e-14)
 
@@ -113,14 +120,22 @@ def test_homogeneity_factorization(chain5):
     mrp, mu, states = chain5
     feat = GaussianBumpFeatures(states, width=0.4)
     ens = doubled_ensemble(12, uniform_sampler(-1, 1), rng=1)
-    do_base, dw_base = particle_rhs(ens, feat, mrp, mu)
+    do_base, dw_base = particle_velocities(ens, feat, mrp, mu)
     xi = 3.7
     scaled = ParticleEnsemble(xi * ens.omega0, ens.wbar.copy())
     # pairing keeps the value (hence the residual) fixed at zero
     np.testing.assert_allclose(ensemble_value(scaled, feat), np.zeros(5), atol=1e-14)
-    do_s, dw_s = particle_rhs(scaled, feat, mrp, mu)
+    do_s, dw_s = particle_velocities(scaled, feat, mrp, mu)
     np.testing.assert_allclose(do_s, do_base, atol=1e-13)
     np.testing.assert_allclose(dw_s, xi * dw_base, atol=1e-12)
+
+
+@pytest.mark.parametrize("wbar", [np.zeros(0), np.zeros((0, 2))], ids=["k1", "k2"])
+def test_empty_ensemble_rejected(wbar):
+    # with no particle the value, the first-moment profile and the largest
+    # output weight are all undefined
+    with pytest.raises(DomainError):
+        ParticleEnsemble(np.zeros(0), wbar)
 
 
 def test_value_scales_with_output_weights(chain5):
@@ -226,8 +241,8 @@ def test_duplicating_particles_changes_nothing(chain5):
     dup = ParticleEnsemble(np.tile(ens.omega0, 2), np.tile(ens.wbar, (2, 1)))
     np.testing.assert_allclose(ensemble_value(dup, feat), ensemble_value(ens, feat),
                                atol=1e-14)
-    do, dw = particle_rhs(ens, feat, mrp, mu)
-    do2, dw2 = particle_rhs(dup, feat, mrp, mu)
+    do, dw = particle_velocities(ens, feat, mrp, mu)
+    do2, dw2 = particle_velocities(dup, feat, mrp, mu)
     np.testing.assert_allclose(do2[:7], do, atol=1e-14)
     np.testing.assert_allclose(dw2[:7], dw, atol=1e-14)
 

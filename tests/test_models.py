@@ -16,7 +16,7 @@ from lazytd import (
     finite_difference_jacobian,
     rank_profile,
 )
-from lazytd.errors import OddWidth
+from lazytd.errors import DomainError, OddWidth
 
 # hand differentiation at theta = 0: growth*a - frequency*b
 SPIRAL_JAC_AT_ZERO = np.array([
@@ -70,6 +70,12 @@ def test_relu_doubled_init_marginal_moments():
 def test_relu_odd_width_rejected():
     with pytest.raises(OddWidth):
         ReluNet(5, np.linspace(-1, 1, 4)).init_doubled(0)
+
+
+@pytest.mark.parametrize("n_units", [0, -2])
+def test_relu_without_units_rejected(n_units):
+    with pytest.raises(DomainError):
+        ReluNet(n_units, np.linspace(-1, 1, 4))
 
 
 def test_relu_jacobian_matches_finite_difference_away_from_kinks():
@@ -173,13 +179,16 @@ def _vjp_model(kind, rng):
         return ReluNet(8, rng.uniform(-1, 1, (6, 2)))
     if kind == "ensemble-bump":
         return EnsembleModel(GaussianBumpFeatures(rng.uniform(-1, 1, (6, 2)), width=0.6), 5)
+    if kind == "ensemble-bump-m1":
+        # the layout of the particle run: scalar states and centers
+        return EnsembleModel(GaussianBumpFeatures(np.linspace(-1, 1, 5), width=0.6), 6)
     base = ReluNet(8, np.linspace(-1, 1, 6))
     return TangentModel(base, base.init_doubled(4))
 
 
 @settings(max_examples=40, deadline=None)
 @given(kind=st.sampled_from(["linear", "spiral", "relu-m1", "relu-m2", "tangent",
-                             "ensemble-bump"]),
+                             "ensemble-bump", "ensemble-bump-m1"]),
        seed=st.integers(0, 10_000))
 def test_value_and_vjp_matches_finite_difference(kind, seed):
     rng = np.random.default_rng(seed)

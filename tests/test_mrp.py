@@ -99,6 +99,23 @@ def test_stationary_rejects_reducible_chains(P):
         stationary_measure(Mrp(P=P, rbar=np.zeros(len(P)), gamma=0.5))
 
 
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("P,rbar", [
+    ([[0.5, NAN], [0.5, 0.5]], [1.0, 0.0]),
+    ([[NAN, NAN], [0.5, 0.5]], [1.0, 0.0]),
+    ([[0.5, 0.5], [0.5, 0.5]], [NAN, 0.0]),
+    ([[0.5, 0.5], [0.5, 0.5]], [INF, 0.0]),
+    ([[0.5, 0.5], [0.5, 0.5]], [1.0, -INF]),
+], ids=["nan-in-P", "nan-row-of-P", "nan-reward", "inf-reward", "minus-inf-reward"])
+def test_mrp_rejects_non_finite_input(P, rbar):
+    # every comparison with NaN is false, so NaN must fail the checks
+    # themselves, not slip through them
+    with pytest.raises(DomainError):
+        Mrp(P=np.array(P), rbar=np.array(rbar), gamma=0.9)
+
+
 # ------------------------------------------------------------- exact value
 
 def test_exact_value_zero_reward():
