@@ -175,12 +175,14 @@ def projected_error_fn(
     alpha: float,
 ):
     """``projected_td_error`` of one run as a function of the parameters
-    alone: the backup resolvent is solved once, here, not at every point."""
+    alone: the backup resolvent is solved once, here, not at every point.
+    A caller holding the scaled value alpha * model.value(w) passes it as V."""
     r_lam, P_lam = td_resolvent(mrp, lam)
     gP = mrp.gamma * P_lam
 
-    def error(w: np.ndarray) -> float:
-        V = alpha * model.value(w)
+    def error(w: np.ndarray, V: np.ndarray | None = None) -> float:
+        if V is None:
+            V = alpha * model.value(w)
         residual = r_lam + gP @ V - V
         proj = mu_projection(model.jacobian(w), mu, residual)
         return mu_norm(proj, mu)

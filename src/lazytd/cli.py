@@ -66,7 +66,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated grid values, e.g. 0.8,0.85,0.9")
     p.add_argument("--regime", choices=["over", "under"])
     p.add_argument("--workers", type=int,
-                   help="threads; they share the interpreter lock, so they do not cut wall time")
+                   help="recorded only: the runs execute one after another in this process")
 
     p = sub.add_parser("meanfield", help="particle-ensemble run")
     _add_common(p)

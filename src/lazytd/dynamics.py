@@ -57,6 +57,13 @@ class TrainConfig:
         if not self.save_every >= 1:
             raise DomainError("save_every must be >= 1")
 
+    @property
+    def n_steps(self) -> int:
+        """Number of fixed steps dt that reach the horizon (the ode engines)."""
+        if not self.horizon / self.dt < np.inf:
+            raise DomainError(f"horizon/dt = {self.horizon}/{self.dt} overflows the step count")
+        return int(round(self.horizon / self.dt))
+
 
 @dataclass
 class Trajectory:
@@ -281,7 +288,7 @@ def integrate(
         out += w
 
     return _run(rk4 if config.integrator == "rk4" else euler, look, w0, dt,
-                int(round(config.horizon / dt)), config.save_every, stop_when)
+                config.n_steps, config.save_every, stop_when)
 
 
 def _run(advance, look, w0: np.ndarray, h: float, n_steps: int, save_every: int,

@@ -5,6 +5,7 @@ import csv
 import inspect
 import io
 import json
+import threading
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ import pytest
 from lazytd import LinearModel, Mrp, StationaryMeasure, cli
 from lazytd.analysis import fit_exponential_rate
 from lazytd.cli import main as cli_main
+from lazytd.dynamics import TrainConfig, integrate
 from lazytd.experiments import (
     ExperimentConfig,
     RunReport,
@@ -214,6 +216,26 @@ def test_sweep_worker_count_independence():
         assert a == b
 
 
+def test_sweep_runs_in_the_calling_thread(monkeypatch, tmp_path):
+    # workers is checked and recorded only: every run executes in this
+    # thread, in grid order, and no thread is started
+    from lazytd import experiments
+    real, seen = experiments.run_nn, []
+
+    def spy(*args, **kwargs):
+        seen.append((threading.get_ident(), threading.active_count(), kwargs["alpha"]))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "run_nn", spy)
+    before = threading.active_count()
+    run_sweep("alpha", [100.0, 50.0], base={"regime": "under", "n_units": 4, "n_states": 5},
+              out_dir=tmp_path, workers=2)
+    here = threading.get_ident()
+    assert seen == [(here, before, 100.0), (here, before, 50.0)]
+    assert threading.active_count() == before
+    assert json.loads((tmp_path / "config.json").read_text())["workers"] == 2
+
+
 def test_sweep_summary_file(tmp_path):
     run_sweep("gamma", [0.9], base={"regime": "under"}, out_dir=tmp_path)
     lines = (tmp_path / "summary.csv").read_text().splitlines()
@@ -272,6 +294,24 @@ def test_step_and_horizon_are_checked_before_use(call, argv, capsys):
         call()
     assert cli_main(argv) == 2
     assert "must be positive and finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("call,argv", [
+    (lambda: integrate(lambda w: -w, np.ones(1), TrainConfig(dt=1e-300, horizon=1e10)), None),
+    (lambda: run_meanfield(dt=1e-300, horizon=1e10),
+     ["meanfield", "--dt", "1e-300", "--horizon", "1e10"]),
+    (lambda: run_nn("under", dt=1e-300, horizon=1e10),
+     ["nn", "--regime", "under", "--dt", "1e-300", "--horizon", "1e10"]),
+], ids=["integrate", "meanfield", "nn"])
+def test_step_count_past_the_float_range_raises_domain_error(call, argv, capsys):
+    # each step and horizon is valid alone, but horizon/dt overflows to inf,
+    # which int() rejects with a bare OverflowError
+    from lazytd.errors import DomainError
+    with pytest.raises(DomainError, match="overflows the step count"):
+        call()
+    if argv is not None:
+        assert cli_main(argv) == 2
+        assert "overflows the step count" in capsys.readouterr().err
 
 
 def test_every_csv_shares_one_dialect(tmp_path):
