@@ -128,7 +128,9 @@ def sample_chain(mrp: Mrp, mu: StationaryMeasure, steps: int, rng: np.random.Gen
     rows = cum.tolist()
     draws = rng.random(steps)
     path = np.empty(steps, dtype=np.int64)
-    s = int(np.searchsorted(np.cumsum(mu.mu), draws[0], side="right"))
+    cum_mu = np.cumsum(mu.mu)
+    cum_mu[-1] = 1.0
+    s = int(np.searchsorted(cum_mu, draws[0], side="right"))
     path[0] = s
     for t, u in enumerate(draws[1:], start=1):
         s = bisect_right(rows[s], u)
@@ -138,7 +140,7 @@ def sample_chain(mrp: Mrp, mu: StationaryMeasure, steps: int, rng: np.random.Gen
 
 def stochastic_td_step(
     value: np.ndarray,
-    vjp,
+    row,
     w: np.ndarray,
     z: np.ndarray,
     s: int,
@@ -147,22 +149,24 @@ def stochastic_td_step(
     beta: float,
     gamma: float,
     config: TrainConfig,
-) -> tuple[np.ndarray, np.ndarray]:
+    out: np.ndarray,
+) -> None:
     """One sampled TD(lambda) update with the recursive eligibility trace,
-    from the model's value vector and pullback at ``w``.
+    from the model's value vector and Jacobian-row map at ``w`` (see
+    ``ValueModel.value_and_row``).
 
     delta uses the alpha-scaled model and the parameter step carries the
     matching 1/alpha factor, so alpha = 1 is the plain unscaled update.
-    The gradient at s is row s of the Jacobian, pulled back from a one-hot
-    vector rather than read off a full Jacobian.
+    The trace z is updated in place to gamma lam z + J(w)[s], and the next
+    parameters, w + beta delta z / alpha, are written into ``out``.
     """
     alpha, lam = config.alpha, config.lam
     delta = reward + gamma * alpha * value[s_next] - alpha * value[s]
-    one_hot = np.zeros(len(value))
-    one_hot[s] = 1.0
-    z_new = gamma * lam * z + vjp(one_hot)
-    w_new = w + beta * delta * z_new / alpha
-    return w_new, z_new
+    z *= gamma * lam
+    z += row(s)
+    np.multiply(z, beta * delta, out)
+    out /= alpha
+    out += w
 
 
 def run_stochastic_td(
@@ -175,26 +179,26 @@ def run_stochastic_td(
     """Run sampled TD(lambda) for config.horizon steps along one chain path.
 
     The recursive trace accumulates gradients as they were at sampling time.
-    Each accepted state's value and pullback are evaluated once: the
-    divergence probe reads the scaled value, alpha max|V|, and the next
-    update uses both.
+    Each accepted state's value and Jacobian-row map are evaluated once, by
+    ``value_and_row``: the divergence probe reads the scaled value,
+    alpha max|V|, and the next update uses both.
     """
     steps = int(config.horizon)
-    path = sample_chain(mrp, mu, steps + 1, np.random.default_rng(config.seed))
+    path = sample_chain(mrp, mu, steps + 1, np.random.default_rng(config.seed)).tolist()
+    rewards = mrp.rbar.tolist()
+    beta, gamma = config.beta0, mrp.gamma
     z = np.zeros(model.p)
-    at = [None, None]  # value and pullback at the latest state
+    at = [None, None]  # value and row map at the latest state
 
     def look(w):
-        at[:] = model.value_and_vjp(w)
-        return config.alpha * float(np.abs(at[0]).max())
+        at[:] = model.value_and_row(w)
+        return config.alpha * float(np.maximum.reduce(np.abs(at[0])))
 
     def advance(k, w, out):
-        nonlocal z
-        s = int(path[k])
-        out[:], z = stochastic_td_step(*at, w, z, s, int(path[k + 1]), mrp.rbar[s],
-                                       config.beta0, mrp.gamma, config)
+        s = path[k]
+        stochastic_td_step(*at, w, z, s, path[k + 1], rewards[s], beta, gamma, config, out)
 
-    return _run(advance, look, w0, config.beta0, steps, config.save_every)
+    return _run(advance, look, w0, beta, steps, config.save_every)
 
 
 def make_lazy_rhs(model: ValueModel, mrp: Mrp, mu: StationaryMeasure, lam: float, alpha: float):
@@ -314,12 +318,12 @@ def _run(advance, look, w0: np.ndarray, h: float, n_steps: int, save_every: int,
     diverged_at = None
     # blowup is detected and classified below; let the steps overflow quietly
     with np.errstate(over="ignore", invalid="ignore"):
-        last_mag = max(float(np.abs(w).max()), float(look(w)))
+        last_mag = max(float(np.maximum.reduce(np.abs(w))), float(look(w)))
         for k in range(n_steps):
             advance(k, w, w_new)
             t = (k + 1) * h
             # one max-norm: nan or inf anywhere makes it non-finite
-            mag = float(np.abs(w_new).max())
+            mag = float(np.maximum.reduce(np.abs(w_new)))
             if not math.isfinite(mag):
                 if last_mag > 1e-3 * DIVERGENCE_THRESHOLD:
                     diverged_at = t

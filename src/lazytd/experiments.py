@@ -159,13 +159,16 @@ def _emit(out_dir, report: RunReport, tables: dict, listed=()) -> None:
 def _attach_run_diagnostics(run: Trajectory, model, mu: StationaryMeasure, alpha: float,
                             vstar: np.ndarray, error, known: dict) -> None:
     """Per-saved-time series every report quotes: projected residual (by
-    ``error``, or read from ``known`` {time: residual} where the run already
-    computed it), value error, and parameter displacement."""
+    ``error``, or read from ``known`` {time: (residual, scaled value)} where
+    the run already computed it), value error, and parameter displacement."""
     pe = np.empty(len(run.times))
     ve = np.empty(len(run.times))
     for i, (t, w) in enumerate(zip(run.times, run.params)):
-        V = alpha * model.value(w)
-        pe[i] = known[t] if t in known else error(w, V)
+        if t in known:
+            pe[i], V = known[t]
+        else:
+            V = alpha * model.value(w)
+            pe[i] = error(w, V)
         ve[i] = mu_norm(V - vstar, mu)
     run.diagnostics["projected_error"] = pe
     run.diagnostics["value_error"] = ve
@@ -213,14 +216,15 @@ def _train(model, mrp: Mrp, mu: StationaryMeasure, w0: np.ndarray, vstar: np.nda
         raise DomainError(f"mode must be 'ode' or 'stochastic', got {mode!r}")
     lam, alpha = cfg.lam, cfg.alpha
     error = projected_error_fn(model, mrp, mu, lam, alpha)
-    known = {}  # the residual at every saved time the early stop checked
+    known = {}  # residual and scaled value at every saved time the early stop checked
     if mode == "ode":
         rhs = make_lazy_rhs(model, mrp, mu, lam, alpha)
         stop = None
         if stop_tol is not None:
             def stop(w, t):
-                known[t] = error(w)
-                return known[t] < stop_tol
+                V = alpha * model.value(w)
+                known[t] = (error(w, V), V)
+                return known[t][0] < stop_tol
         run = integrate(rhs, w0, cfg, divergence_probe=rhs.scaled_value_norm, stop_when=stop)
     else:
         run = run_stochastic_td(model, mrp, mu, cfg, w0)

@@ -52,6 +52,19 @@ class ValueModel(ABC):
         J = self.jacobian(w)
         return self.value(w), lambda g: J.T @ g
 
+    def value_and_row(self, w: np.ndarray):
+        """Value vector and s -> J(w)[s], one row of the Jacobian: all a
+        sampled TD step needs of a model. Here the row is the pullback of a
+        one-hot vector; models that can read one row cheaper override it."""
+        value, vjp = self.value_and_vjp(w)
+
+        def row(s: int) -> np.ndarray:
+            one_hot = np.zeros(len(value))
+            one_hot[s] = 1.0
+            return vjp(one_hot)
+
+        return value, row
+
 
 class LinearModel(ValueModel):
     def __init__(self, features: np.ndarray):
@@ -138,6 +151,7 @@ class ReluNet(ValueModel):
             raise DomainError(f"a network needs at least one unit, got {n_units}")
         self.states = states
         self.n_units = int(n_units)
+        self._n = float(self.n_units)
         self.d, self.m = states.shape
         self.p = self.n_units * (self.m + 2)
         # rows [s_1..s_m, -1]: pre-activations are [s, -1] @ [b^T; c]
@@ -177,8 +191,9 @@ class ReluNet(ValueModel):
         rows = self._rows(w)
         # np.dot, not @: matmul takes a path several times slower on these
         # small operands
-        act = np.maximum(np.dot(self._states_aug, rows[1:]), 0.0)
-        a_n = rows[0] / self.n_units
+        act = np.dot(self._states_aug, rows[1:])
+        np.maximum(act, 0.0, out=act)
+        a_n = rows[0] / self._n
         return act, a_n, np.dot(act, a_n)
 
     def value(self, w):
@@ -204,9 +219,8 @@ class ReluNet(ValueModel):
         The pullback contracts g against the activations and the hinge
         indicators directly: g @ act / N for the output weights,
         (g * s) @ ind * a/N for the input weights and (-g) @ ind * a/N for
-        the biases, each block written as rows of one output array. With a
-        one-hot g it reproduces a row of the Jacobian bit for bit, since
-        every product with a zero weight is exact.
+        the biases, each block written as rows of one output array. A
+        single row of the Jacobian is read cheaper by ``value_and_row``.
         """
         act, a_n, value = self._forward(w)
         ind = (act > 0.0).astype(float)
@@ -220,6 +234,24 @@ class ReluNet(ValueModel):
             return self._flat(out)
 
         return value, vjp
+
+    def value_and_row(self, w):
+        """Value and s -> J(w)[s] off one activation pass, reading only row
+        s of the activations: with t = (a/N) [act[s] > 0] the row is act[s]/N
+        for the output weights, s_k t for input coordinate k and -t for the
+        biases. It equals the pullback of a one-hot vector under
+        ``np.array_equal`` (zeros may differ in sign)."""
+        act, a_n, value = self._forward(w)
+
+        def row(s: int) -> np.ndarray:
+            act_s = act[s]
+            out = np.empty((self.m + 2, self.n_units))
+            np.divide(act_s, self._n, out[0])
+            # rows 1..m + 1: [s_1..s_m, -1] times t
+            np.multiply(self._states_aug[s, :, None], (act_s > 0.0) * a_n, out[1:])
+            return self._flat(out)
+
+        return value, row
 
     def init_doubled(self, rng: np.random.Generator | int) -> np.ndarray:
         """Paired Gaussian initialization forcing value(w0) = 0.

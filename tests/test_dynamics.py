@@ -11,6 +11,7 @@ from lazytd import (
     Mrp,
     ReluNet,
     SpiralModel,
+    StationaryMeasure,
     TrainConfig,
     cyclic_chain,
     exact_value,
@@ -81,6 +82,22 @@ def test_sample_chain_matches_searchsorted_reference():
     np.testing.assert_array_equal(sample_chain(mrp, mu, steps, 11), ref)
 
 
+def test_sample_chain_first_draw_past_cumulative_mu():
+    # mu's cumulative sum can end below 1 by rounding; a first draw between
+    # it and 1 must pick the last state, as the transition rows do
+    class TopFirstDraw(np.random.Generator):
+        def random(self, size=None):
+            draws = super().random(size)
+            draws[0] = 1 - 1e-13
+            return draws
+
+    mrp = Mrp(P=cyclic_chain(3, "backward"), rbar=np.zeros(3), gamma=0.9)
+    mu = StationaryMeasure(np.array([1 / 3, 1 / 3, 1 / 3 - 1e-12]))
+    path = sample_chain(mrp, mu, 6, TopFirstDraw(np.random.PCG64(0)))
+    assert path[0] == 2
+    assert all(mrp.P[s, s_next] > 0 for s, s_next in zip(path[:-1], path[1:]))
+
+
 # --------------------------------------------------------------- sampled step
 
 def test_step_reduces_to_plain_td_at_lam_zero(chain3):
@@ -89,10 +106,11 @@ def test_step_reduces_to_plain_td_at_lam_zero(chain3):
     cfg = TrainConfig(lam=0.0, alpha=1.0, beta0=0.1)
     w = np.array([1.0, -2.0, 0.5])
     z = np.array([9.0, 9.0, 9.0])  # must be forgotten entirely at lam = 0
-    w2, z2 = stochastic_td_step(*model.value_and_vjp(w), w, z, 0, 1, 2.0, 0.1, mrp.gamma, cfg)
-    np.testing.assert_allclose(z2, model.jacobian(w)[0])
+    w2 = np.empty(3)
+    stochastic_td_step(*model.value_and_row(w), w, z, 0, 1, 2.0, 0.1, mrp.gamma, cfg, w2)
+    np.testing.assert_allclose(z, model.jacobian(w)[0])
     delta = 2.0 + mrp.gamma * w[1] - w[0]
-    np.testing.assert_allclose(w2, w + 0.1 * delta * z2)
+    np.testing.assert_allclose(w2, w + 0.1 * delta * z)
 
 
 def test_expected_update_vanishes_at_fixed_point(chain3):
@@ -101,11 +119,11 @@ def test_expected_update_vanishes_at_fixed_point(chain3):
     vstar = exact_value(mrp)
     cfg = TrainConfig(lam=0.0, alpha=1.0, beta0=1.0)
     # expectation over (s, s') ~ mu x P of the lam = 0 update, by direct sum
-    total = np.zeros(3)
+    total, w2 = np.zeros(3), np.empty(3)
     for s in range(3):
         for s_next in range(3):
-            w2, _ = stochastic_td_step(*model.value_and_vjp(vstar), vstar, np.zeros(3),
-                                       s, s_next, mrp.rbar[s], 1.0, mrp.gamma, cfg)
+            stochastic_td_step(*model.value_and_row(vstar), vstar, np.zeros(3),
+                               s, s_next, mrp.rbar[s], 1.0, mrp.gamma, cfg, w2)
             total += mu.mu[s] * mrp.P[s, s_next] * (w2 - vstar)
     np.testing.assert_allclose(total, np.zeros(3), atol=1e-12)
 
@@ -133,7 +151,7 @@ def test_stochastic_linear_approaches_fixed_point(chain3):
     seed=st.integers(0, 2**16),
 )
 def test_sampled_run_matches_full_jacobian_rows(d, lam, alpha, seed):
-    # the engine pulls back a one-hot vector; the reference is the literal
+    # the engine reads one Jacobian row per step; the reference is the literal
     # TD(lambda) recursion with the row read off the full Jacobian, and the
     # two runs must agree bit for bit
     rng = np.random.default_rng(seed)
@@ -378,6 +396,24 @@ def test_integrate_rhs_calls_per_step(chain3, integrator, stages):
     calls.clear()
     integrate(counted, w0, cfg, stop_when=lambda w, t: t >= 1.0)
     assert stages * 100 <= len(calls) <= stages * 100 + 1
+
+
+def test_sampled_run_reads_one_row_map_per_state(chain3):
+    # a run of n steps evaluates value_and_row at each of its n + 1 states
+    # and asks the model for nothing else
+    mrp, mu = chain3
+    model = ReluNet(4, np.linspace(-1, 1, 3))
+    calls = {"value_and_row": 0, "value": 0, "jacobian": 0, "value_and_vjp": 0}
+    for name in calls:
+        def counted(w, name=name, method=getattr(model, name)):
+            calls[name] += 1
+            return method(w)
+        setattr(model, name, counted)
+    n = 250
+    cfg = TrainConfig(alpha=100.0, beta0=1e-2, horizon=n, save_every=50)
+    run = run_stochastic_td(model, mrp, mu, cfg, model.init_doubled(0))
+    assert not run.diverged
+    assert calls == {"value_and_row": n + 1, "value": 0, "jacobian": 0, "value_and_vjp": 0}
 
 
 def test_integrate_raises_on_nonfinite_rhs(chain3):

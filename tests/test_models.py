@@ -201,10 +201,31 @@ def test_value_and_vjp_matches_finite_difference(kind, seed):
     np.testing.assert_array_equal(value, model.value(w))
     fd = finite_difference_jacobian(model, w)
     np.testing.assert_allclose(vjp(g), fd.T @ g, rtol=1e-5, atol=1e-8)
-    # a one-hot pullback is the Jacobian row itself, bit for bit
+    # a one-hot pullback is the Jacobian row itself, bit for bit, and so is
+    # the row value_and_row reads
     J = model.jacobian(w)
+    row_value, row = model.value_and_row(w)
+    np.testing.assert_array_equal(row_value, value)
     for s in range(model.d):
         np.testing.assert_array_equal(vjp(np.eye(model.d)[s]), J[s])
+        np.testing.assert_array_equal(row(s), J[s])
+
+
+@settings(max_examples=60, deadline=None)
+@given(m=st.integers(1, 3), d=st.integers(1, 8), half=st.integers(1, 6),
+       integer=st.booleans(), seed=st.integers(0, 2**16))
+def test_relu_value_and_row_match_one_hot_pullback(m, d, half, integer, seed):
+    # integer parameters on a grid of states put units exactly at their
+    # kinks and zero some output weights
+    rng = np.random.default_rng(seed)
+    states = rng.integers(-2, 3, (d, m)) / 2 if integer else rng.uniform(-1, 1, (d, m))
+    model = ReluNet(2 * half, states)
+    w = rng.integers(-2, 3, model.p).astype(float) if integer else rng.standard_normal(model.p)
+    value, row = model.value_and_row(w)
+    ref_value, vjp = model.value_and_vjp(w)
+    assert value.tobytes() == ref_value.tobytes()
+    for s in range(d):
+        assert np.array_equal(row(s), vjp(np.eye(d)[s]))
 
 
 # ------------------------------------------------- kernels against reference
