@@ -395,8 +395,10 @@ def displacement_slope(alphas, displacements, diverged) -> tuple[float, bool]:
     """Log-log slope of displacement against alpha, and whether the scaling
     check passes: no run diverged, every displacement is positive and the
     slope is at most ``SLOPE_BOUND``. The slope is nan when a run diverged
-    or did not move."""
-    ok = not any(diverged) and all(d is not None and d > 0 for d in displacements)
+    or did not move, or when there is one alpha, through which no line is
+    determined."""
+    ok = (len(alphas) >= 2 and not any(diverged)
+          and all(d is not None and d > 0 for d in displacements))
     slope = float("nan")
     if ok:
         slope = float(np.polyfit(np.log(np.asarray(alphas, dtype=float)),

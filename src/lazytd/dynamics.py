@@ -62,7 +62,20 @@ class TrainConfig:
         """Number of fixed steps dt that reach the horizon (the ode engines)."""
         if not self.horizon / self.dt < np.inf:
             raise DomainError(f"horizon/dt = {self.horizon}/{self.dt} overflows the step count")
-        return int(round(self.horizon / self.dt))
+        return _at_least_one_step(int(round(self.horizon / self.dt)),
+                                  f"horizon/dt = {self.horizon}/{self.dt}")
+
+    @property
+    def n_samples(self) -> int:
+        """Number of sampled steps, the horizon rounded down (the sampled engine)."""
+        return _at_least_one_step(int(self.horizon), f"horizon {self.horizon}")
+
+
+def _at_least_one_step(steps: int, source: str) -> int:
+    """The step count of a run, which must take at least one step."""
+    if steps < 1:
+        raise DomainError(f"{source} comes to {steps} steps; a run takes at least one")
+    return steps
 
 
 @dataclass
@@ -183,7 +196,7 @@ def run_stochastic_td(
     ``value_and_row``: the divergence probe reads the scaled value,
     alpha max|V|, and the next update uses both.
     """
-    steps = int(config.horizon)
+    steps = config.n_samples
     path = sample_chain(mrp, mu, steps + 1, np.random.default_rng(config.seed)).tolist()
     rewards = mrp.rbar.tolist()
     beta, gamma = config.beta0, mrp.gamma
@@ -234,7 +247,7 @@ def make_lazy_rhs(model: ValueModel, mrp: Mrp, mu: StationaryMeasure, lam: float
     def scaled_value_norm(w: np.ndarray) -> float:
         value = latest[1] if latest[0] is w else model.value(w)
         # equal to max|alpha V| exactly: scaling by alpha > 0 keeps the order
-        return alpha * float(np.abs(value).max())
+        return alpha * float(np.maximum.reduce(np.abs(value)))
 
     rhs.scaled_value_norm = scaled_value_norm
     return rhs

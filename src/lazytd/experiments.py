@@ -360,7 +360,7 @@ def run_nn(
         # the config checks the horizon before it becomes a step count
         cfg = TrainConfig(lam=lam, alpha=alpha, beta0=beta, seed=seed,
                           horizon=100_000 if horizon is None else horizon)
-        steps = int(cfg.horizon)
+        steps = cfg.n_samples
         cfg = replace(cfg, horizon=steps, save_every=max(1, steps // 400))
         config.update(horizon=steps, save_every=cfg.save_every)
         run = _train(model, mrp, mu, w0, vstar, mode, cfg)

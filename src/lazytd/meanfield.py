@@ -31,6 +31,10 @@ class GaussianBumpFeatures:
     value space, so the family is universal for our purposes (declared via
     ``universal_for_states``). Hinge particles need no family here: they
     are ``models.ReluNet`` run at alpha = 1 on particle time.
+
+    ``phi_matrix`` is the one place the bump is written; asked for the
+    gradient, it returns the bumps and their gradient in the centers from
+    one pass, which is what ``EnsembleModel`` reads on every call.
     """
 
     def __init__(self, states: np.ndarray, width: float = 0.35):
@@ -43,11 +47,30 @@ class GaussianBumpFeatures:
         self.width = float(width)
         self.d, self.wbar_dim = states.shape
 
-    def phi_matrix(self, wbars):
-        """Columns phi(.; wbar_i) for a batch, shape (d, N)."""
+    def phi_matrix(self, wbars, gradient: bool = False):
+        """Columns phi(.; wbar_i) for a batch, F of shape (d, N).
+
+        With ``gradient`` the same pass also returns the gradient in wbar,
+        G of shape (N, d, k) with G[i, s] = phi(s; wbar_i) (s - wbar_i) /
+        width^2, as (F, G). The pass takes the differences s - c once, one
+        (d, N) array per coordinate, sums their squares in coordinate order,
+        then divides by -2 width^2 and exponentiates in place. F and G come
+        out C-contiguous: the model's products and its einsum pullback sum
+        in memory order, so their layout fixes the rounding.
+        """
         wbars = np.atleast_2d(np.asarray(wbars, dtype=float))
-        diff = self.states[:, None, :] - wbars[None, :, :]
-        return np.exp(-np.sum(diff**2, axis=2) / (2.0 * self.width**2))
+        if wbars.shape[1] != self.wbar_dim:
+            raise DimensionMismatch(f"expected feature parameters of dimension {self.wbar_dim}")
+        diff = self.states.T[:, :, None] - wbars.T[:, None, :]    # (k, d, N)
+        F = diff[0] ** 2
+        for coordinate in diff[1:]:
+            F += coordinate**2
+        F /= -2.0 * self.width**2
+        np.exp(F, out=F)
+        if not gradient:
+            return F
+        diff *= F
+        return F, np.divide(diff.transpose(2, 1, 0), self.width**2, order="C")
 
     def universal_for_states(self, centers: np.ndarray) -> bool:
         """True when bumps at the given centers span value space on the
@@ -126,6 +149,8 @@ class EnsembleModel(ValueModel):
     rows raveled in particle order, and value(w) = (1/N) sum_i omega0_i
     phi(.; wbar_i): the width-normalized function a lazily scaled network
     computes, here run on the particle time scale (see ``_particle_system``).
+    ``value_and_vjp`` and ``jacobian`` take the feature matrix F (d, N) and
+    its gradient G (N, d, k) from one ``phi_matrix`` pass per call.
     """
 
     def __init__(self, features: GaussianBumpFeatures, n: int):
@@ -147,30 +172,25 @@ class EnsembleModel(ValueModel):
     def value(self, w):
         return ensemble_value(ParticleEnsemble(*self.unpack(w)), self.features)
 
-    def _bumps(self, wbar):
-        """Feature matrix F (d, N) and its gradient G (N, d, k) in wbar, off
-        one bump pass: d phi(s; c)/dc = phi(s; c) (s - c) / width^2."""
-        F = self.features.phi_matrix(wbar)
-        diff = self.features.states[None, :, :] - wbar[:, None, :]
-        return F, F.T[:, :, None] * diff / self.features.width**2
-
     def jacobian(self, w):
         omega0, wbar = self.unpack(w)
-        F, G = self._bumps(wbar)
+        F, G = self.features.phi_matrix(wbar, gradient=True)
         wbar_cols = (omega0[None, :, None] * np.moveaxis(G, 0, 1)).reshape(self.d, -1)
         return np.hstack([F, wbar_cols]) / self.n
 
     def value_and_vjp(self, w):
-        """Value and J^T g = [F^T g, omega0 * sum_s G[:, s, :] g_s] / N, with
-        the feature matrix F and its gradient G from one bump pass per call."""
+        """Value and J^T g = [F^T g, omega0 * sum_s G[:, s, :] g_s] / N."""
         omega0, wbar = self.unpack(w)
-        F, G = self._bumps(wbar)
+        F, G = self.features.phi_matrix(wbar, gradient=True)
+
+        n = float(self.n)  # numpy divides by a float faster than by a Python int
 
         def vjp(g: np.ndarray) -> np.ndarray:
-            wbar_part = omega0[:, None] * np.einsum("ndk,d->nk", G, g)
-            return np.concatenate([F.T @ g, wbar_part.ravel()]) / self.n
+            wbar_part = np.einsum("ndk,d->nk", G, g)
+            wbar_part *= omega0[:, None]
+            return np.concatenate([F.T @ g, wbar_part.ravel()]) / n
 
-        return F @ omega0 / self.n, vjp
+        return F @ omega0 / n, vjp
 
 
 def _averaged_residual(V: np.ndarray, mrp: Mrp) -> np.ndarray:
@@ -192,7 +212,8 @@ def _particle_system(features: GaussianBumpFeatures, n: int, mrp: Mrp, mu: Stati
     """
     model = EnsembleModel(features, n)
     drift = make_lazy_rhs(model, mrp, mu, 0.0, 1.0)
-    return model, lambda w: n * drift(w), drift.scaled_value_norm
+    scale = float(n)
+    return model, lambda w: scale * drift(w), drift.scaled_value_norm
 
 
 def _state_diagnostics(model: EnsembleModel, velocity, w: np.ndarray, mrp: Mrp,

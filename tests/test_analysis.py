@@ -287,6 +287,13 @@ def test_displacement_slope(displacements, diverged, slope, passed):
     assert ok is passed
 
 
+def test_displacement_slope_needs_two_alphas():
+    # a line through one point has no slope; a least-squares fit would
+    # return one anyway, with a RankWarning
+    got, ok = displacement_slope([1e2], [1e-2], [False])
+    assert np.isnan(got) and ok is False
+
+
 # -------------------------------------------------------------- metric drift
 
 def test_metric_drift_zero_for_tangent(chain3):

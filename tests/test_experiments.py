@@ -183,7 +183,7 @@ def test_config_file_sweep_passes_seed(tmp_path, base, seed):
 def test_every_run_records_its_inputs(tmp_path):
     # every runner parameter but out_dir is a key of the run's config.json;
     # regime and kind are recorded through the experiment name
-    small = {"regime": "over", "n_units": 20, "n_states": 5, "horizon": 50.0}
+    small = {"regime": "over", "n_units": 20, "n_states": 5, "horizon": 500.0}
     runs = [
         (run_spiral, "spiral", lambda out: run_spiral(100.0, horizon=5.0, out_dir=out)),
         (run_nn, "nn-over", lambda out: run_nn(out_dir=out, **small)),
@@ -273,27 +273,43 @@ def test_invalid_run_input_raises_domain_error(call):
 NAN, INF = float("nan"), float("inf")
 
 
-@pytest.mark.parametrize("call,argv", [
-    (lambda: run_meanfield(dt=0.0), ["meanfield", "--dt", "0"]),
-    (lambda: run_meanfield(dt=NAN), ["meanfield", "--dt", "nan"]),
-    (lambda: run_meanfield(horizon=INF), ["meanfield", "--horizon", "inf"]),
-    (lambda: run_nn("under", dt=0.0), ["nn", "--regime", "under", "--dt", "0"]),
-    (lambda: run_nn("under", dt=NAN), ["nn", "--regime", "under", "--dt", "nan"]),
-    (lambda: run_nn("under", horizon=INF), ["nn", "--regime", "under", "--horizon", "inf"]),
+BAD_VALUE, NO_STEP = "must be positive and finite", "a run takes at least one"
+
+
+@pytest.mark.parametrize("call,argv,message", [
+    (lambda: run_meanfield(dt=0.0), ["meanfield", "--dt", "0"], BAD_VALUE),
+    (lambda: run_meanfield(dt=NAN), ["meanfield", "--dt", "nan"], BAD_VALUE),
+    (lambda: run_meanfield(horizon=INF), ["meanfield", "--horizon", "inf"], BAD_VALUE),
+    (lambda: run_nn("under", dt=0.0), ["nn", "--regime", "under", "--dt", "0"], BAD_VALUE),
+    (lambda: run_nn("under", dt=NAN), ["nn", "--regime", "under", "--dt", "nan"], BAD_VALUE),
+    (lambda: run_nn("under", horizon=INF), ["nn", "--regime", "under", "--horizon", "inf"],
+     BAD_VALUE),
     (lambda: run_nn("over", mode="stochastic", horizon=INF),
-     ["nn", "--regime", "over", "--mode", "stochastic", "--horizon", "inf"]),
+     ["nn", "--regime", "over", "--mode", "stochastic", "--horizon", "inf"], BAD_VALUE),
     (lambda: run_nn("over", mode="stochastic", horizon=NAN),
-     ["nn", "--regime", "over", "--mode", "stochastic", "--horizon", "nan"]),
+     ["nn", "--regime", "over", "--mode", "stochastic", "--horizon", "nan"], BAD_VALUE),
+    # valid alone, but each comes to less than one step
+    (lambda: run_meanfield(horizon=0.04), ["meanfield", "--horizon", "0.04"], NO_STEP),
+    (lambda: run_nn("under", horizon=1e-9), ["nn", "--regime", "under", "--horizon", "1e-9"],
+     NO_STEP),
+    (lambda: run_spiral(horizon=0.001), ["spiral", "--horizon", "0.001"], NO_STEP),
+    (lambda: run_spiral(mode="stochastic", horizon=0.5),
+     ["spiral", "--mode", "stochastic", "--horizon", "0.5"], NO_STEP),
+    (lambda: run_nn("over", mode="stochastic", horizon=0.5),
+     ["nn", "--regime", "over", "--mode", "stochastic", "--horizon", "0.5"], NO_STEP),
 ], ids=["meanfield-zero-dt", "meanfield-nan-dt", "meanfield-inf-horizon", "nn-zero-dt",
-        "nn-nan-dt", "nn-inf-horizon", "sampled-inf-horizon", "sampled-nan-horizon"])
-def test_step_and_horizon_are_checked_before_use(call, argv, capsys):
+        "nn-nan-dt", "nn-inf-horizon", "sampled-inf-horizon", "sampled-nan-horizon",
+        "meanfield-no-step", "nn-no-step", "spiral-no-step", "spiral-sampled-no-step",
+        "sampled-no-step"])
+def test_step_and_horizon_are_checked_before_use(call, argv, message, capsys):
     # a step count derived from them first would raise ZeroDivisionError,
-    # OverflowError or numpy's ValueError instead of the library's error
+    # OverflowError or numpy's ValueError instead of the library's error, and
+    # a run of no step would write a report of nothing
     from lazytd.errors import DomainError
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match=message):
         call()
     assert cli_main(argv) == 2
-    assert "must be positive and finite" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("call,argv", [
@@ -320,7 +336,7 @@ def test_every_csv_shares_one_dialect(tmp_path):
     run_spiral(100.0, horizon=5.0, out_dir=tmp_path / "spiral")
     run_meanfield(n_particles=20, horizon=5.0, out_dir=tmp_path / "meanfield")
     run_sweep("alpha", [50.0, 100.0], out_dir=tmp_path / "sweep",
-              base={"regime": "over", "n_units": 20, "n_states": 5, "horizon": 50.0})
+              base={"regime": "over", "n_units": 20, "n_states": 5, "horizon": 500.0})
     checked = 0
     for report in sorted(tmp_path.rglob("report.json")):
         for name in json.loads(report.read_text())["manifest"]:

@@ -3,9 +3,12 @@ integration, and the fixed-point diagnostics."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lazytd import dynamics, meanfield
 from lazytd import (
+    EnsembleModel,
     GaussianBumpFeatures,
     Mrp,
     ParticleEnsemble,
@@ -25,7 +28,7 @@ from lazytd import (
     separation_check,
     stationary_measure,
 )
-from lazytd.errors import DomainError
+from lazytd.errors import DimensionMismatch, DomainError
 
 
 @pytest.fixture
@@ -67,6 +70,39 @@ def test_value_zero_for_doubled_pairs():
     feat = GaussianBumpFeatures(np.linspace(-1, 1, 4))
     ens = doubled_ensemble(10, uniform_sampler(-1, 1), rng=0)
     np.testing.assert_allclose(ensemble_value(ens, feat), np.zeros(4), atol=1e-15)
+
+
+def reference_bumps(states, wbar, width):
+    """The bump pass written as one broadcast over (d, N, k): F (d, N) and
+    its gradient G (N, d, k) in wbar, G built from the transposed F."""
+    diff = states[:, None, :] - wbar[None, :, :]
+    F = np.exp(-np.sum(diff**2, axis=2) / (2.0 * width**2))
+    G = F.T[:, :, None] * (states[None, :, :] - wbar[:, None, :]) / width**2
+    return F, G
+
+
+@settings(max_examples=80, deadline=None)
+@given(k=st.integers(1, 3), d=st.integers(1, 8), n=st.integers(1, 256),
+       width=st.floats(0.05, 3.0), seed=st.integers(0, 2**16))
+def test_bump_pass_matches_reference_bit_for_bit(k, d, n, width, seed):
+    rng = np.random.default_rng(seed)
+    states = rng.uniform(-1.5, 1.5, (d, k))
+    features = GaussianBumpFeatures(states, width=width)
+    model = EnsembleModel(features, n)
+    w = rng.standard_normal(model.p)
+    g = rng.standard_normal(d)
+    omega0, wbar = model.unpack(w)
+    F, G = reference_bumps(states, wbar, width)
+    # the pullback sums over states in G's memory order, so the reference
+    # sums over a C-contiguous G
+    G = np.ascontiguousarray(G)
+    pullback = np.concatenate([F.T @ g, (omega0[:, None] * np.einsum("ndk,d->nk", G, g)).ravel()])
+    assert features.phi_matrix(wbar).tobytes() == F.tobytes()
+    F_pass, G_pass = features.phi_matrix(wbar, gradient=True)
+    assert F_pass.tobytes() == F.tobytes() and G_pass.tobytes() == G.tobytes()
+    value, vjp = model.value_and_vjp(w)
+    assert value.tobytes() == (F @ omega0 / n).tobytes()
+    assert vjp(g).tobytes() == (pullback / n).tobytes()
 
 
 # ------------------------------------------------------------- velocities
@@ -136,6 +172,14 @@ def test_empty_ensemble_rejected(wbar):
     # output weight are all undefined
     with pytest.raises(DomainError):
         ParticleEnsemble(np.zeros(0), wbar)
+
+
+@pytest.mark.parametrize("state_dim,wbar_dim", [(1, 2), (2, 1), (2, 3)])
+def test_bumps_reject_parameters_of_another_dimension(state_dim, wbar_dim):
+    # broadcasting would otherwise pair coordinates that do not correspond
+    features = GaussianBumpFeatures(np.zeros((4, state_dim)))
+    with pytest.raises(DimensionMismatch):
+        features.phi_matrix(np.zeros((3, wbar_dim)))
 
 
 def test_value_scales_with_output_weights(chain5):

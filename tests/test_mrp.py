@@ -19,39 +19,7 @@ from lazytd import (
     td_resolvent,
 )
 from lazytd.errors import DimensionMismatch, DomainError, FullSupportViolation
-
-
-# ---------------------------------------------------------------- oracles
-
-def eig_stationary(P):
-    """Left eigenvector of P for eigenvalue 1, via a dense eigendecomposition."""
-    vals, vecs = np.linalg.eig(P.T)
-    i = np.argmin(np.abs(vals - 1.0))
-    mu = np.real(vecs[:, i])
-    return mu / mu.sum()
-
-def neumann_value(P, rbar, gamma, terms=201):
-    """Truncated series sum_t gamma^t P^t rbar."""
-    acc = np.zeros_like(rbar)
-    term = rbar.copy()
-    for _ in range(terms):
-        acc += term
-        term = gamma * P @ term
-    return acc
-
-def series_td_operator(P, rbar, gamma, lam, V, m_max=300):
-    """Truncated double series defining the multi-step backup operator."""
-    acc = np.zeros_like(V)
-    reward_partial = np.zeros_like(rbar)
-    Pt_r = rbar.copy()        # gamma^t P^t rbar at t
-    PV = P @ V
-    for m in range(m_max + 1):
-        reward_partial = reward_partial + Pt_r
-        Pt_r = gamma * P @ Pt_r
-        boot = (gamma ** (m + 1)) * PV
-        acc = acc + (lam ** m) * (reward_partial + boot)
-        PV = P @ PV
-    return (1.0 - lam) * acc
+from oracles import eig_stationary, neumann_value, series_td_operator
 
 
 # ------------------------------------------------------- stationary measure
@@ -81,6 +49,38 @@ def test_stationary_periodic_chain():
     P = np.array([[0.0, 1.0, 0.0], [0.5, 0.0, 0.5], [0.0, 1.0, 0.0]])
     mrp = Mrp(P=P, rbar=np.zeros(3), gamma=0.5)
     np.testing.assert_allclose(stationary_measure(mrp).mu, [0.25, 0.5, 0.25], atol=1e-12)
+
+
+def _irreducible_chain(kind: str, d: int, rng: np.random.Generator) -> np.ndarray:
+    """An irreducible chain on d states with transition weights in [0.1, 1]
+    before normalization. "dense": every transition. "bipartite": two
+    nonempty classes, each moving only into the other (period 2). "cycle":
+    a random cyclic order of the states plus some random shortcuts, periodic
+    with period d when none are drawn."""
+    W = np.zeros((d, d))
+    if kind == "dense":
+        return random_chain(d, rng)
+    if kind == "bipartite":
+        side = rng.permutation(d) < int(rng.integers(1, d))
+        W[np.ix_(side, ~side)] = rng.uniform(0.1, 1.0, (side.sum(), (~side).sum()))
+        W[np.ix_(~side, side)] = rng.uniform(0.1, 1.0, ((~side).sum(), side.sum()))
+    else:
+        order = rng.permutation(d)
+        W[order, np.roll(order, -1)] = rng.uniform(0.1, 1.0, d)
+        W += (rng.random((d, d)) < 0.2) * rng.uniform(0.1, 1.0, (d, d))
+    return W / W.sum(axis=1, keepdims=True)
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(["dense", "bipartite", "cycle"]), d=st.integers(2, 8),
+       seed=st.integers(0, 2**16))
+def test_stationary_measure_matches_eigen_oracle(kind, d, seed):
+    # periodic chains included: power iteration on P alone would oscillate
+    P = _irreducible_chain(kind, d, np.random.default_rng(seed))
+    mu = stationary_measure(Mrp(P=P, rbar=np.zeros(d), gamma=0.5)).mu
+    np.testing.assert_allclose(mu, eig_stationary(P), rtol=0, atol=1e-8)
+    assert np.abs(mu @ P - mu).max() < 1e-10
+    assert abs(mu.sum() - 1.0) < 1e-12
 
 
 def test_stationary_full_support_violation():
