@@ -1,6 +1,7 @@
 """Training engines: sampled TD(lambda) with eligibility traces, the averaged
 deterministic flow, and its lazily scaled variant, plus the fixed-step
-integrators that drive them.
+integrators that drive them: Euler, classical RK4 and the damped
+second-order Runge-Kutta-Chebyshev (RKC) step for stiff flows.
 
 Time conventions: deterministic runs are parametrized by the time variable
 of the scaled flow itself; sampled runs report the step count times the
@@ -13,6 +14,7 @@ owns the state buffers, the save schedule, the divergence rule,
 from __future__ import annotations
 
 import csv
+import functools
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
@@ -24,8 +26,10 @@ from .errors import DomainError, NonFiniteState
 from .models import ValueModel
 from .mrp import Mrp, StationaryMeasure, td_resolvent
 
-INTEGRATORS = ("euler", "rk4")
+INTEGRATORS = ("euler", "rk4", "rkc")
 DIVERGENCE_THRESHOLD = 1e8        # a state or scaled value past this max-norm has diverged
+RKC_DAMPING = 2.0                 # epsilon of the damped Chebyshev stages
+RKC_MARGIN = 1.3                  # stability length over h times the spectral radius
 
 
 @dataclass
@@ -87,6 +91,8 @@ class Trajectory:
     diagnostics: dict[str, np.ndarray] = field(default_factory=dict)
     diverged: bool = False
     diverged_at: float | None = None
+    # what the integrator did: integrator, steps, rhs_calls, stages_min, stages_max
+    stats: dict = field(default_factory=dict)
 
     @property
     def final_params(self) -> np.ndarray:
@@ -253,12 +259,58 @@ def make_lazy_rhs(model: ValueModel, mrp: Mrp, mu: StationaryMeasure, lam: float
     return rhs
 
 
+@functools.lru_cache(maxsize=None)
+def rkc_scheme(s: int) -> tuple[float, float, tuple]:
+    """The damped second-order Runge-Kutta-Chebyshev scheme of s >= 2
+    stages (Sommeijer, Shampine & Verwer 1998), from the Chebyshev
+    recurrences at w0 = 1 + RKC_DAMPING / s^2.
+
+    Returns (beta, mu1, stages): the stability length along the negative
+    real axis, beta(s) = (w0 + 1) T_s''(w0) / T_s'(w0); the first stage's
+    factor, Y1 = Y0 + mu1 h F(Y0); and for j = 2..s the factors
+    (1 - mu - nu, mu, nu, mu~, gamma~) of
+    Yj = (1 - mu - nu) Y0 + mu Y(j-1) + nu Y(j-2) + h mu~ F(Y(j-1)) + h gamma~ F(Y0).
+    """
+    if s < 2:
+        raise DomainError(f"an RKC scheme has at least 2 stages, got {s}")
+    w0 = 1.0 + RKC_DAMPING / s**2
+    T, dT, ddT = [1.0, w0], [0.0, 1.0], [0.0, 0.0]
+    for j in range(2, s + 1):
+        T.append(2.0 * w0 * T[j - 1] - T[j - 2])
+        dT.append(2.0 * T[j - 1] + 2.0 * w0 * dT[j - 1] - dT[j - 2])
+        ddT.append(4.0 * dT[j - 1] + 2.0 * w0 * ddT[j - 1] - ddT[j - 2])
+    w1 = dT[s] / ddT[s]
+    b = [ddT[j] / dT[j] ** 2 if j >= 2 else 0.0 for j in range(s + 1)]
+    b[0] = b[1] = b[2]
+    stages = []
+    for j in range(2, s + 1):
+        mu = 2.0 * w0 * b[j] / b[j - 1]
+        nu = -b[j] / b[j - 2]
+        mu_t = 2.0 * w1 * b[j] / b[j - 1]
+        gamma_t = -(1.0 - b[j - 1] * T[j - 1]) * mu_t
+        stages.append((1.0 - mu - nu, mu, nu, mu_t, gamma_t))
+    return (w0 + 1.0) * ddT[s] / dT[s], b[1] * w1, tuple(stages)
+
+
+def rkc_stage_count(h_rho: float) -> int:
+    """The fewest RKC stages whose stability length is at least RKC_MARGIN
+    times h rho, the step times the spectral radius."""
+    if not 0.0 <= h_rho < np.inf:
+        raise DomainError(f"h times the spectral radius must be finite and >= 0, got {h_rho}")
+    s = 2
+    while rkc_scheme(s)[0] < RKC_MARGIN * h_rho:
+        s += 1
+    return s
+
+
 def integrate(
     rhs,
     w0: np.ndarray,
     config: TrainConfig,
     divergence_probe=None,
     stop_when=None,
+    *,
+    spectral_radius=None,
 ) -> Trajectory:
     """Fixed-step integration of dw/dt = rhs(w) up to config.horizon, on the
     run loop ``_run`` (divergence rule, saves, ``stop_when(w, t)``).
@@ -267,30 +319,46 @@ def integrate(
     the divergence check, so a probe built on the rhs (see
     ``make_lazy_rhs``) finds that state's value already computed. A run of
     n steps makes 4n rhs calls with RK4 (n with Euler), plus at most one.
-    The stages are written in place into a buffer the step reuses, so rhs
+    The stages are written in place into buffers the step reuses, so rhs
     must not keep its argument past the call.
+
+    The "rkc" integrator is meant for stiff flows whose fastest modes are
+    real and decaying. Its stage count s is set at the start and at every
+    save point, as the fewest stages whose stability length covers
+    ``spectral_radius(w)`` times dt (see ``rkc_stage_count``); it must be
+    given. A step of s stages makes s rhs calls. The returned trajectory's
+    ``stats`` count the steps and rhs calls made and the stage counts used.
     """
+    if config.integrator == "rkc" and spectral_radius is None:
+        raise DomainError("the rkc integrator needs spectral_radius(w) to set its stage count")
     dt = config.dt
     half, sixth = 0.5 * dt, dt / 6.0
     stage = np.empty(np.shape(w0))
     k1 = None
+    calls = steps = 0
+    stage_counts = {"rk4": {4}, "euler": {1}, "rkc": set()}[config.integrator]
+
+    def f(w):
+        nonlocal calls
+        calls += 1
+        return rhs(w)
 
     def look(w):
         nonlocal k1
-        k1 = rhs(w)
+        k1 = f(w)
         return 0.0 if divergence_probe is None else divergence_probe(w)
 
     def rk4(k, w, out):
         nonlocal stage  # for +=, which works in place
         np.multiply(k1, half, stage)
         stage += w
-        k2 = rhs(stage)
+        k2 = f(stage)
         np.multiply(k2, half, stage)
         stage += w
-        k3 = rhs(stage)
+        k3 = f(stage)
         np.multiply(k3, dt, stage)
         stage += w
-        k4 = rhs(stage)
+        k4 = f(stage)
         # w + dt/6 (k1 + 2 k2 + 2 k3 + k4), summed in this order
         np.multiply(k2, 2.0, out)
         out += k1
@@ -304,8 +372,47 @@ def integrate(
         np.multiply(k1, dt, out)
         out += w
 
-    return _run(rk4 if config.integrator == "rk4" else euler, look, w0, dt,
-                config.n_steps, config.save_every, stop_when)
+    scheme = None
+    buffers = [np.empty(np.shape(w0)) for _ in range(3)]
+
+    def rkc(k, w, out):
+        nonlocal scheme
+        if k % config.save_every == 0:
+            s = rkc_stage_count(dt * float(spectral_radius(w)))
+            stage_counts.add(s)
+            scheme = rkc_scheme(s)
+        _, mu1, stages = scheme
+        prev2, prev, spare = w, buffers[0], buffers[1:]
+        np.multiply(k1, mu1 * dt, prev)
+        prev += w
+        for c0, mu, nu, mu_t, gamma_t in stages:
+            fj = f(prev)
+            y = spare.pop()
+            np.multiply(w, c0, y)
+            np.multiply(prev, mu, stage)
+            y += stage
+            np.multiply(prev2, nu, stage)
+            y += stage
+            np.multiply(fj, mu_t * dt, stage)
+            y += stage
+            np.multiply(k1, gamma_t * dt, stage)
+            y += stage
+            if prev2 is not w:
+                spare.append(prev2)
+            prev2, prev = prev, y
+        np.copyto(out, prev)
+
+    advance = {"rk4": rk4, "euler": euler, "rkc": rkc}[config.integrator]
+
+    def counted_step(k, w, out):
+        nonlocal steps
+        steps += 1
+        advance(k, w, out)
+
+    run = _run(counted_step, look, w0, dt, config.n_steps, config.save_every, stop_when)
+    run.stats = {"integrator": config.integrator, "steps": steps, "rhs_calls": calls,
+                 "stages_min": min(stage_counts), "stages_max": max(stage_counts)}
+    return run
 
 
 def _run(advance, look, w0: np.ndarray, h: float, n_steps: int, save_every: int,

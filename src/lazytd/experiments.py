@@ -67,8 +67,13 @@ OVER_DEFAULTS = dict(n_units=100, n_states=30, alpha=500.0, seed=1454)
 UNDER_DEFAULTS = dict(n_units=10, n_states=50, alpha=100.0, seed=5)
 NN_BETA = 1e-3
 # default network step and horizon, over the fastest and the slowest
-# linearized decay rate at initialization
+# linearized decay rate at initialization. The narrow net's RK4 step lies
+# within RK4's stability interval; the wide net's RKC step is ten times
+# longer, its stage count follows the spectrum, and its run takes at
+# least NN_MIN_STEPS steps.
 NN_STABILITY_FACTOR = 1.5
+NN_RKC_FACTOR = 15.0
+NN_MIN_STEPS = 400
 NN_TIME_FACTOR = 2.5
 
 EXPERIMENTS = ("spiral", "nn-over", "nn-under", "meanfield", "alpha-sweep", "gamma-sweep")
@@ -207,11 +212,13 @@ def _run_report(experiment: str, config: dict, run: Trajectory, t_start: float, 
 
 
 def _train(model, mrp: Mrp, mu: StationaryMeasure, w0: np.ndarray, vstar: np.ndarray,
-           mode: str, cfg: TrainConfig, stop_tol: float | None = None) -> Trajectory:
+           mode: str, cfg: TrainConfig, stop_tol: float | None = None,
+           spectral_radius=None) -> Trajectory:
     """The one training path of the spiral and network runs: the averaged
     flow ("ode") or sampled TD(lambda) ("stochastic") under ``cfg``, with
     the series every report quotes attached. The averaged flow stops early
-    once the projected residual falls below ``stop_tol``, when given."""
+    once the projected residual falls below ``stop_tol``, when given;
+    ``spectral_radius`` reaches ``integrate`` (the RKC stage count)."""
     if mode not in ("ode", "stochastic"):
         raise DomainError(f"mode must be 'ode' or 'stochastic', got {mode!r}")
     lam, alpha = cfg.lam, cfg.alpha
@@ -225,7 +232,8 @@ def _train(model, mrp: Mrp, mu: StationaryMeasure, w0: np.ndarray, vstar: np.nda
                 V = alpha * model.value(w)
                 known[t] = (error(w, V), V)
                 return known[t][0] < stop_tol
-        run = integrate(rhs, w0, cfg, divergence_probe=rhs.scaled_value_norm, stop_when=stop)
+        run = integrate(rhs, w0, cfg, divergence_probe=rhs.scaled_value_norm, stop_when=stop,
+                        spectral_radius=spectral_radius)
     else:
         run = run_stochastic_td(model, mrp, mu, cfg, w0)
     _attach_run_diagnostics(run, model, mu, alpha, vstar, error, known)
@@ -292,22 +300,34 @@ def _nn_setup(gamma: float, seed: int, n_units: int, n_states: int):
     return mrp, mu, model, w0, vstar
 
 
+def linearization(model, mrp: Mrp, mu: StationaryMeasure, lam: float):
+    """The map w -> a matrix with the nonzero spectrum of the flow
+    linearized at w.
+
+    That flow's matrix is J^T Gamma (gamma P_lam - I) J; the map gives
+    Gamma (gamma P_lam - I) J J^T instead when there are fewer states than
+    parameters: the two products share their nonzero spectrum. The scaling
+    drops out, so one spectrum serves every alpha.
+    """
+    _, P_lam = td_resolvent(mrp, lam)
+    B = mu.mu[:, None] * (mrp.gamma * P_lam - np.eye(mrp.d))
+
+    def at(w):
+        J = model.jacobian(w)
+        return B @ (J @ J.T) if J.shape[0] < J.shape[1] else J.T @ B @ J
+
+    return at
+
+
 def linearized_rates(model, w0, mrp: Mrp, mu: StationaryMeasure, lam: float):
     """(fastest, slowest-nonzero, unstable) rates of the flow linearized at w0.
 
-    Real parts of the eigenvalues of J^T Gamma (gamma P_lam - I) J, taken
-    from Gamma (gamma P_lam - I) J J^T when there are fewer states than
-    parameters: the two products share their nonzero spectrum. The scaling
-    drops out, so one spectrum serves every alpha. Real parts within
-    1e-12 * max(fast, 1) of zero are the flat directions. Positive ones
-    beyond that make the linearization unstable; they play no part in the
-    two decay rates and come third, largest first.
+    Real parts of the eigenvalues of its ``linearization``. Real parts
+    within 1e-12 * max(fast, 1) of zero are the flat directions. Positive
+    ones beyond that make the linearization unstable; they play no part in
+    the two decay rates and come third, largest first.
     """
-    J = model.jacobian(w0)
-    _, P_lam = td_resolvent(mrp, lam)
-    B = mu.mu[:, None] * (mrp.gamma * P_lam - np.eye(mrp.d))
-    A = B @ (J @ J.T) if J.shape[0] < J.shape[1] else J.T @ B @ J
-    re = np.linalg.eigvals(A).real
+    re = np.linalg.eigvals(linearization(model, mrp, mu, lam)(w0)).real
     fast = float(-re.min())
     tol = 1e-12 * max(fast, 1.0)
     nonzero = -re[re < -tol]
@@ -335,9 +355,13 @@ def run_nn(
     regime "over": wide net, full-rank Jacobian, exponential-decay
     certificate. regime "under": narrow net, rank-deficient Jacobian,
     local-fixed-point certificate; this run stops early once the projected
-    residual falls below ``stop_tol``. Step and horizon default to
-    ``NN_STABILITY_FACTOR`` over the fastest linearized rate and
-    ``NN_TIME_FACTOR`` over the slowest, so runs resolve their own dynamics.
+    residual falls below ``stop_tol``. The horizon defaults to
+    ``NN_TIME_FACTOR`` over the slowest linearized rate, so runs resolve
+    their own dynamics. The wide net's flow is stiff and runs on damped
+    RKC steps of ``NN_RKC_FACTOR`` over the fastest rate (at least
+    ``NN_MIN_STEPS`` of them), whose stage count follows the spectral
+    radius of the flow linearized at each save point; the narrow net runs
+    on RK4 steps of ``NN_STABILITY_FACTOR`` over the fastest rate.
     Certificates are computed on the averaged ("ode") engine; mode
     "stochastic" runs the sampled algorithm at the reference constant step
     size instead (horizon then counts steps, default 1e5) and reports the
@@ -372,23 +396,33 @@ def run_nn(
         raise FlatLinearization(
             f"the flow linearized at initialization has no decaying direction "
             f"(fastest rate {fast:g}), so no step or horizon follows from it")
-    if dt is None:
-        dt = NN_STABILITY_FACTOR / fast
-    if horizon is None:
-        if regime == "over":
+    spectral_radius = None
+    if regime == "over":
+        if horizon is None:
             horizon = NN_TIME_FACTOR / slow
-        else:
+        if dt is None:
+            dt = min(NN_RKC_FACTOR / fast, horizon / NN_MIN_STEPS)
+        linear = linearization(model, mrp, mu, lam)
+
+        def spectral_radius(w):
+            return float(np.abs(np.linalg.eigvals(linear(w))).max())
+    else:
+        if dt is None:
+            dt = NN_STABILITY_FACTOR / fast
+        if horizon is None:
             # generous: the rank-deficient path can crawl far below the rate
             # of its linearization; the projected-residual stop bounds the
             # actual cost, the step cap bounds the worst case
             horizon = min(2000.0 / slow, 150_000 * dt)
     # the config checks step and horizon before they become a step count
-    cfg = TrainConfig(lam=lam, alpha=alpha, dt=dt, horizon=horizon, seed=seed)
+    cfg = TrainConfig(lam=lam, alpha=alpha, dt=dt, horizon=horizon, seed=seed,
+                      integrator="rkc" if regime == "over" else "rk4")
     cfg = replace(cfg, save_every=max(1, cfg.n_steps // 400))
     config.update(dt=dt, horizon=horizon, stop_tol=stop_tol, save_every=cfg.save_every)
-    run = _train(model, mrp, mu, w0, vstar, mode, cfg, stop_tol if regime == "under" else None)
+    run = _train(model, mrp, mu, w0, vstar, mode, cfg, stop_tol if regime == "under" else None,
+                 spectral_radius)
 
-    extra = {"rate_fast": fast, "rate_slow": slow,
+    extra = {**run.stats, "rate_fast": fast, "rate_slow": slow,
              "unstable_count": int(unstable.size),
              "rate_unstable": float(unstable[0]) if unstable.size else None,
              "rank": rank_profile(model, w0).rank}

@@ -1,6 +1,8 @@
 """Training engines: chain sampling, sampled TD updates, averaged and scaled
 flows, and the fixed-step integrators."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -25,8 +27,8 @@ from lazytd import (
     td_operator,
     td_resolvent,
 )
-from lazytd.dynamics import write_csv
-from lazytd.errors import NonFiniteState
+from lazytd.dynamics import RKC_MARGIN, rkc_scheme, rkc_stage_count, write_csv
+from lazytd.errors import DomainError, NonFiniteState
 
 from oracles import linear_td_fixed_point, series_td_components
 
@@ -370,7 +372,8 @@ def test_spiral_unscaled_flow_diverges(chain3):
     assert max(np.abs(model.value(w)).max() for w in sampled.params) <= 1e8
 
 
-@pytest.mark.parametrize("integrator,stages", [("rk4", 4), ("euler", 1)])
+@pytest.mark.parametrize("integrator,stages", [
+    ("rk4", 4), ("euler", 1), pytest.param("rkc", None, id="rkc-varying")])
 def test_integrate_rhs_calls_per_step(chain3, integrator, stages):
     mrp, mu = chain3
     model = ReluNet(4, np.linspace(-1, 1, 3))
@@ -386,16 +389,99 @@ def test_integrate_rhs_calls_per_step(chain3, integrator, stages):
     value_calls = []
     value = model.value
     model.value = lambda w: value_calls.append(1) or value(w)
+    # RKC: a spectral radius that changes between save points, so that the
+    # stage count does (2, 3, ..., 7, 2, ...)
+    radii = [0.999 * rkc_scheme(s)[0] / (RKC_MARGIN * 1e-2) for s in range(2, 8)]
+    chosen = []
+
+    def spectral_radius(w):
+        rho = radii[len(chosen) % len(radii)]
+        chosen.append(rkc_stage_count(1e-2 * rho))
+        return rho
+
     n = 250
     cfg = TrainConfig(dt=1e-2, horizon=n * 1e-2, save_every=50, integrator=integrator)
-    run = integrate(counted, w0, cfg, divergence_probe=counted.scaled_value_norm)
+    run = integrate(counted, w0, cfg, divergence_probe=counted.scaled_value_norm,
+                    spectral_radius=spectral_radius)
     assert not run.diverged
-    assert stages * n <= len(calls) <= stages * n + 1
+    if stages is None:
+        assert chosen == [2, 3, 4, 5, 6]   # at the start and at every save point but the last
+        assert len(calls) == 50 * sum(chosen) + 1
+        assert (run.stats["stages_min"], run.stats["stages_max"]) == (2, 6)
+    else:
+        assert stages * n <= len(calls) <= stages * n + 1
+        assert run.stats["stages_min"] == run.stats["stages_max"] == stages
+    assert run.stats["rhs_calls"] == len(calls)
+    assert run.stats["steps"] == n and run.stats["integrator"] == integrator
     # every probe found its state's value already computed by the rhs
     assert value_calls == []
     calls.clear()
-    integrate(counted, w0, cfg, stop_when=lambda w, t: t >= 1.0)
-    assert stages * 100 <= len(calls) <= stages * 100 + 1
+    chosen.clear()
+    run = integrate(counted, w0, cfg, stop_when=lambda w, t: t >= 1.0,
+                    spectral_radius=spectral_radius)
+    if stages is None:
+        assert len(calls) == 50 * sum(chosen) + 1
+    else:
+        assert stages * 100 <= len(calls) <= stages * 100 + 1
+    assert run.stats["rhs_calls"] == len(calls) and run.stats["steps"] == 100
+
+
+def test_rkc_without_spectral_radius_raises_domain_error():
+    cfg = TrainConfig(dt=0.1, horizon=1.0, integrator="rkc")
+    with pytest.raises(DomainError, match="spectral_radius"):
+        integrate(lambda w: -w, np.array([1.0]), cfg)
+
+
+@pytest.mark.parametrize("stages", [2, 5, 9])
+def test_rkc_is_second_order(stages):
+    # a smooth linear flow: with the stage count held fixed, halving the
+    # step cuts the error at t = 1 about fourfold
+    A = np.array([[-1.0, 0.3, 0.0], [0.2, -0.5, 0.1], [0.0, -0.4, -2.0]])
+    w0 = np.array([1.0, -2.0, 0.5])
+    lam, V = np.linalg.eig(A)
+    exact = (V @ (np.exp(lam) * np.linalg.solve(V, w0))).real
+    errors = []
+    for h in (0.1, 0.05, 0.025):
+        # a radius that makes exactly this many stages the fewest that cover it
+        rho = 0.999 * rkc_scheme(stages)[0] / (RKC_MARGIN * h)
+        assert rkc_stage_count(h * rho) == stages
+        run = integrate(lambda w: A @ w, w0, TrainConfig(dt=h, horizon=1.0, integrator="rkc"),
+                        spectral_radius=lambda w, rho=rho: rho)
+        errors.append(np.abs(run.final_params - exact).max())
+    for coarse, fine in zip(errors, errors[1:]):
+        assert 3.5 < coarse / fine < 4.5
+
+
+def test_rkc_stability_length_grows_with_the_stages():
+    lengths = [rkc_scheme(s)[0] for s in range(2, 40)]
+    assert np.all(np.diff(lengths) > 0)
+    assert 0.4 < lengths[-1] / 39**2 < 2.0 / 3.0    # beta(s) ~ c s^2, c < 2/3 when damped
+    assert rkc_stage_count(0.0) == 2
+    for bad in (np.nan, np.inf, -1.0):
+        with pytest.raises(DomainError):
+            rkc_stage_count(bad)
+    with pytest.raises(DomainError):
+        rkc_scheme(1)
+
+
+def test_rkc_decays_on_a_stiff_flow_where_rk4_diverges():
+    # w' = -diag(1, rho) w at h rho = 500: far outside RK4's stability
+    # interval, inside that of the RKC scheme the spectral radius selects
+    rates = np.array([1.0, 500.0])
+    h = 1.0
+    cfg = TrainConfig(dt=h, horizon=5.0, save_every=1)
+    w0 = np.array([1.0, 1.0])
+    rk4 = integrate(lambda w: -rates * w, w0, cfg)
+    assert rk4.diverged
+    rkc = integrate(lambda w: -rates * w, w0, replace(cfg, integrator="rkc"),
+                    spectral_radius=lambda w: rates.max())
+    assert not rkc.diverged
+    assert rkc.stats["stages_min"] == rkc_stage_count(h * rates.max())
+    # every step at least halves the stiff component, and the slow one
+    # shrinks by exp(-1) to within the scheme's error at h = 1
+    slow, stiff = rkc.params.T
+    assert np.all(np.abs(stiff[1:]) <= 0.5 * np.abs(stiff[:-1]))
+    np.testing.assert_allclose(slow[1:] / slow[:-1], np.exp(-1.0), rtol=0.1)
 
 
 def test_sampled_run_reads_one_row_map_per_state(chain3):

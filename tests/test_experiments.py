@@ -9,12 +9,16 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from lazytd import LinearModel, Mrp, StationaryMeasure, cli
 from lazytd.analysis import fit_exponential_rate
 from lazytd.cli import main as cli_main
 from lazytd.dynamics import TrainConfig, integrate
 from lazytd.experiments import (
+    EXPERIMENTS,
+    NN_MIN_STEPS,
     ExperimentConfig,
     RunReport,
     linearized_rates,
@@ -80,6 +84,36 @@ def test_nn_over_certificate_passes_small_config():
     assert cert["envelope_ok"]
     assert cert["r_squared"] >= 0.95
     assert cert["passed"]
+
+
+@pytest.mark.parametrize("n_units,n_states,seed", [(40, 8, 12), (50, 12, 6)])
+def test_nn_over_rate_is_converged_in_the_step(n_units, n_states, seed):
+    # small full-rank nets whose default RKC step is NN_RKC_FACTOR / fast,
+    # not the NN_MIN_STEPS floor; at 25 / fast the (50, 12, 6) run fitted
+    # 2.6 times the rate it fits at half that step
+    rep = run_nn("over", n_units=n_units, n_states=n_states, seed=seed)
+    assert rep.extra["steps"] > NN_MIN_STEPS
+    half = run_nn("over", n_units=n_units, n_states=n_states, seed=seed, dt=rep.config["dt"] / 2)
+    assert abs(rep.fitted_rate - half.fitted_rate) < 0.01 * half.fitted_rate
+
+
+@pytest.mark.parametrize("regime", ["over", "under"])
+def test_network_ode_runs_report_their_integration(regime, tmp_path):
+    rep = run_nn(regime, n_units=20 if regime == "over" else 6, n_states=5, out_dir=tmp_path)
+    extra = json.loads((tmp_path / "report.json").read_text())["extra"]
+    steps, calls = extra["steps"], extra["rhs_calls"]
+    if regime == "over":
+        assert extra["integrator"] == "rkc"
+        assert 2 <= extra["stages_min"] <= extra["stages_max"]
+        assert extra["stages_min"] * steps + 1 <= calls <= extra["stages_max"] * steps + 1
+    else:
+        assert extra["integrator"] == "rk4"
+        assert extra["stages_min"] == extra["stages_max"] == 4 and calls == 4 * steps + 1
+    # the run stops at its horizon or, in the under regime, early
+    assert 1 <= steps <= round(rep.config["horizon"] / rep.config["dt"])
+    # telemetry stays out of config.json, whose keys are the run's inputs
+    config = json.loads((tmp_path / "config.json").read_text())
+    assert not {"integrator", "steps", "rhs_calls", "stages_min", "stages_max"} & set(config)
 
 
 def test_linearized_rates_returns_unstable_eigenvalues():
@@ -158,6 +192,24 @@ def test_config_round_trip():
                            params={"alpha": 100.0, "dt": 0.01})
     back = ExperimentConfig.from_json(cfg.to_json())
     assert back == cfg
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=12,
+)
+
+
+@given(experiment=st.sampled_from(EXPERIMENTS), seed=st.none() | st.integers(),
+       out_dir=st.none() | st.text(), params=st.dictionaries(st.text(), JSON_VALUES, max_size=6))
+def test_config_json_round_trip_is_exact(experiment, seed, out_dir, params):
+    cfg = ExperimentConfig(experiment=experiment, seed=seed, out_dir=out_dir, params=params)
+    text = cfg.to_json()
+    back = ExperimentConfig.from_json(text)
+    assert back == cfg
+    assert back.to_json() == text
 
 
 def test_run_from_config_matches_direct_call():
