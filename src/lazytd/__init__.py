@@ -38,7 +38,6 @@ from .analysis import (
     DecayCertificate,
     FixedPointCertificate,
     LazyGeometry,
-    estimate_jacobian_lipschitz,
     fit_exponential_rate,
     metric_drift,
     overparametrized_certificate,

@@ -19,6 +19,8 @@ import numpy as np
 
 from .dynamics import Trajectory
 from .errors import (
+    DimensionMismatch,
+    DomainError,
     InitNotZero,
     NotOverParametrized,
     NotUnderParametrized,
@@ -42,33 +44,6 @@ FIXED_POINT_TOL = 1e-6            # projected residual of a converged run
 SLOPE_BOUND = -0.8                # largest log-log displacement slope that passes
 
 
-def estimate_jacobian_lipschitz(model: ValueModel, w0: np.ndarray) -> float:
-    """Sampled lower bound on the Lipschitz constant of the Jacobian map.
-
-    Maximizes ||J(u) - J(v)|| / ||u - v|| over 200 seeded random pairs in
-    the unit ball around w0. A sampled maximum can only underestimate the
-    true constant; callers may override with a known value.
-    """
-    rng = np.random.default_rng(0)
-    w0 = np.asarray(w0, dtype=float)
-    p = w0.size
-
-    def draw():
-        x = rng.standard_normal(p)
-        x /= np.linalg.norm(x)
-        return w0 + rng.random() ** (1.0 / p) * x
-
-    best = 0.0
-    for _ in range(200):
-        u, v = draw(), draw()
-        gap = np.linalg.norm(u - v)
-        if gap < 1e-12:
-            continue
-        ratio = np.linalg.norm(model.jacobian(u) - model.jacobian(v), ord=2) / gap
-        best = max(best, ratio)
-    return best
-
-
 @dataclass(frozen=True)
 class LazyGeometry:
     """Initialization geometry of a model on a fixed chain.
@@ -78,35 +53,29 @@ class LazyGeometry:
     induces. ``kappa`` is the equivalence constant between that norm and
     the stationary weighted norm on the span of J0. ``radius_bound`` and
     ``alpha_threshold`` are the initialization-size bound and the minimal
-    scaling under which the global exponential-decay guarantee applies;
-    both are built from worst-case constants and are very conservative, so
-    certificates report them separately from the observed decay.
+    scaling under which the global exponential-decay guarantee applies,
+    built from the model's ``jacobian_lipschitz``: a constant Jacobian gives
+    an infinite radius and a zero threshold, a Jacobian with no Lipschitz
+    constant a zero radius and an infinite threshold. Both are worst-case
+    constants and very conservative, so certificates report them separately
+    from the observed decay.
     """
 
     j0: np.ndarray
     g0: np.ndarray
     span: np.ndarray              # (d, rank) orthonormal basis of the column span
-    singular_values: np.ndarray   # nonzero singular values, descending
     rank: int
     sigma_min: float
     sigma_max: float
     kappa: float
-    lipschitz_dv: float
     radius_bound: float
     alpha_threshold: float
-    mu: StationaryMeasure
     gamma: float
     vstar: np.ndarray
 
     @classmethod
-    def from_model(
-        cls,
-        model: ValueModel,
-        w0: np.ndarray,
-        mrp: Mrp,
-        mu: StationaryMeasure,
-        lipschitz_dv: float | None = None,
-    ) -> "LazyGeometry":
+    def from_model(cls, model: ValueModel, w0: np.ndarray, mrp: Mrp,
+                   mu: StationaryMeasure) -> "LazyGeometry":
         J0 = model.jacobian(w0)
         U, S, _ = np.linalg.svd(J0, full_matrices=False)
         smax = float(S[0]) if S.size else 0.0
@@ -118,35 +87,32 @@ class LazyGeometry:
         C = (Sr[:, None] * (Ur.T @ (mu.mu[:, None] * Ur))) * Sr[None, :]
         ratios = np.linalg.eigvalsh((C + C.T) / 2.0)
         kappa = float(np.sqrt(max(ratios[-1], 1.0 / ratios[0])))
-        if lipschitz_dv is None:
-            lipschitz_dv = estimate_jacobian_lipschitz(model, w0)
+        lipschitz = model.jacobian_lipschitz
         sigma_min = float(Sr[-1]) if rank else 0.0
-        if lipschitz_dv > 0 and rank:
-            radius_bound = (1.0 - mrp.gamma) ** 2 * sigma_min**2 / (
-                192.0 * kappa**2 * lipschitz_dv * smax
-            )
-        else:
-            radius_bound = np.inf
         vstar = exact_value(mrp)
-        geom = cls(
+        if lipschitz > 0 and rank:
+            # zero when the Jacobian has no Lipschitz constant
+            radius_bound = (1.0 - mrp.gamma) ** 2 * sigma_min**2 / (
+                192.0 * kappa**2 * lipschitz * smax
+            )
+            # norm0(v*) over the radius; no scaling suffices for a zero radius
+            size = np.sqrt(max(vstar @ g0 @ vstar, 0.0))
+            alpha_threshold = size / radius_bound if radius_bound > 0 else np.inf
+        else:
+            radius_bound, alpha_threshold = np.inf, 0.0
+        return cls(
             j0=J0,
             g0=g0,
             span=Ur,
-            singular_values=Sr,
             rank=rank,
             sigma_min=sigma_min,
             sigma_max=smax,
             kappa=kappa,
-            lipschitz_dv=float(lipschitz_dv),
             radius_bound=float(radius_bound),
-            alpha_threshold=0.0,
-            mu=mu,
+            alpha_threshold=float(alpha_threshold),
             gamma=mrp.gamma,
             vstar=vstar,
         )
-        alpha_threshold = geom.norm0(vstar) / radius_bound if np.isfinite(radius_bound) else 0.0
-        object.__setattr__(geom, "alpha_threshold", float(alpha_threshold))
-        return geom
 
     def norm0(self, f: np.ndarray) -> float:
         """Norm of f in the initialization metric.
@@ -339,8 +305,11 @@ def underparametrized_certificate(
     fit under C/alpha with the single constant C anchored at the smallest
     scaling in the grid; anchoring keeps the envelope test non-vacuous.
     """
-    if len(alphas) != len(runs) or not alphas:
-        raise ValueError("need one run per scaling value")
+    if len(alphas) == 0:
+        raise DomainError("need at least one scaling value")
+    if len(alphas) != len(runs):
+        raise DimensionMismatch(f"need one run per scaling value, got {len(alphas)} "
+                                f"values and {len(runs)} runs")
     w_init = runs[0].params[0]
     profile = rank_profile(model, w_init)
     if profile.overparametrized:

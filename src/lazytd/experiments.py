@@ -60,12 +60,15 @@ from .mrp import (
 SPIRAL_RBAR = np.array([-6.85, 8.35, -1.5])
 SPIRAL_GAMMA = 0.9
 SPIRAL_BETA = 2e-3
+SPIRAL_STOP_TOL = 1e-8            # projected residual that ends an ode spiral run
+SPIRAL_SAVE_EVERY = 100
 
 # network-run defaults; the full-rank seed was selected by scanning for a
 # width-100 net whose kinks cover all 30 grid points (most seeds fall short)
 OVER_DEFAULTS = dict(n_units=100, n_states=30, alpha=500.0, seed=1454)
 UNDER_DEFAULTS = dict(n_units=10, n_states=50, alpha=100.0, seed=5)
-NN_BETA = 1e-3
+NN_BETA = 1e-3                    # the sampled engine's step size
+NN_STOP_TOL = 1e-7                # projected residual that ends a narrow-net run
 # default network step and horizon, over the fastest and the slowest
 # linearized decay rate at initialization. The narrow net's RK4 step lies
 # within RK4's stability interval; the wide net's RKC step is ten times
@@ -75,6 +78,15 @@ NN_STABILITY_FACTOR = 1.5
 NN_RKC_FACTOR = 15.0
 NN_MIN_STEPS = 400
 NN_TIME_FACTOR = 2.5
+# particle-run settings: bump width, the interval the initial centers are
+# drawn from, the separation check's radius, grid size and resolution, and
+# the optimality tolerance
+MF_WIDTH = 0.35
+MF_CENTER_LOW, MF_CENTER_HIGH = -1.2, 1.2
+MF_R0 = 8.0
+MF_GRID_POINTS = 9
+MF_RESOLUTION = 0.4
+MF_EPS = 1e-5
 
 EXPERIMENTS = ("spiral", "nn-over", "nn-under", "meanfield", "alpha-sweep", "gamma-sweep")
 
@@ -249,8 +261,6 @@ def run_spiral(
     horizon: float | None = None,
     beta: float = SPIRAL_BETA,
     seed: int = 0,
-    stop_tol: float = 1e-8,
-    save_every: int = 100,
 ) -> RunReport:
     """Spiral manifold on the 3-state chain: diverges unscaled (the default
     alpha = 1), converges lazily.
@@ -260,7 +270,7 @@ def run_spiral(
     ``horizon`` is flow time for the ode engine (default 2000, i.e. 2e5
     steps of 1e-2) and a step count for the sampled engine (default 2e5).
     The deterministic run stops early once the projected residual falls
-    below ``stop_tol``; divergence is a recorded outcome, not an error.
+    below ``SPIRAL_STOP_TOL``; divergence is a recorded outcome, not an error.
     """
     if horizon is None:
         horizon = 2000.0 if mode == "ode" else 200_000
@@ -270,11 +280,11 @@ def run_spiral(
     model = SpiralModel()
     lam = 0.0
     config = dict(experiment="spiral", alpha=alpha, mode=mode, integrator=integrator,
-                  dt=dt, horizon=horizon, beta=beta, seed=seed, stop_tol=stop_tol,
-                  save_every=save_every, gamma=mrp.gamma, lam=lam)
+                  dt=dt, horizon=horizon, beta=beta, seed=seed, stop_tol=SPIRAL_STOP_TOL,
+                  save_every=SPIRAL_SAVE_EVERY, gamma=mrp.gamma, lam=lam)
     cfg = TrainConfig(lam=lam, alpha=alpha, beta0=beta, dt=dt, horizon=horizon,
-                      integrator=integrator, save_every=save_every, seed=seed)
-    run = _train(model, mrp, mu, np.zeros(1), exact_value(mrp), mode, cfg, stop_tol)
+                      integrator=integrator, save_every=SPIRAL_SAVE_EVERY, seed=seed)
+    run = _train(model, mrp, mu, np.zeros(1), exact_value(mrp), mode, cfg, SPIRAL_STOP_TOL)
     return _run_report("spiral", config, run, t_start, out_dir, include_params=True, extra={
         "diverged_at": run.diverged_at, "theta_final": float(run.final_params[0])})
 
@@ -346,8 +356,6 @@ def run_nn(
     mode: str = "ode",
     dt: float | None = None,
     horizon: float | None = None,
-    beta: float = NN_BETA,
-    stop_tol: float = 1e-7,
     out_dir: str | Path | None = None,
 ) -> RunReport:
     """Train a paired-initialization ReLU net on a cyclic chain, lazily scaled.
@@ -355,7 +363,7 @@ def run_nn(
     regime "over": wide net, full-rank Jacobian, exponential-decay
     certificate. regime "under": narrow net, rank-deficient Jacobian,
     local-fixed-point certificate; this run stops early once the projected
-    residual falls below ``stop_tol``. The horizon defaults to
+    residual falls below ``NN_STOP_TOL``. The horizon defaults to
     ``NN_TIME_FACTOR`` over the slowest linearized rate, so runs resolve
     their own dynamics. The wide net's flow is stiff and runs on damped
     RKC steps of ``NN_RKC_FACTOR`` over the fastest rate (at least
@@ -378,11 +386,11 @@ def run_nn(
     t_start = time.perf_counter()
     mrp, mu, model, w0, vstar = _nn_setup(gamma, seed, n_units, n_states)
     config = dict(experiment=f"nn-{regime}", mode=mode, gamma=gamma, seed=seed, alpha=alpha,
-                  n_units=n_units, n_states=n_states, lam=lam, beta=beta)
+                  n_units=n_units, n_states=n_states, lam=lam, beta=NN_BETA)
 
     if mode != "ode":  # the sampled engine; _train rejects any other mode
         # the config checks the horizon before it becomes a step count
-        cfg = TrainConfig(lam=lam, alpha=alpha, beta0=beta, seed=seed,
+        cfg = TrainConfig(lam=lam, alpha=alpha, beta0=NN_BETA, seed=seed,
                           horizon=100_000 if horizon is None else horizon)
         steps = cfg.n_samples
         cfg = replace(cfg, horizon=steps, save_every=max(1, steps // 400))
@@ -418,8 +426,8 @@ def run_nn(
     cfg = TrainConfig(lam=lam, alpha=alpha, dt=dt, horizon=horizon, seed=seed,
                       integrator="rkc" if regime == "over" else "rk4")
     cfg = replace(cfg, save_every=max(1, cfg.n_steps // 400))
-    config.update(dt=dt, horizon=horizon, stop_tol=stop_tol, save_every=cfg.save_every)
-    run = _train(model, mrp, mu, w0, vstar, mode, cfg, stop_tol if regime == "under" else None,
+    config.update(dt=dt, horizon=horizon, stop_tol=NN_STOP_TOL, save_every=cfg.save_every)
+    run = _train(model, mrp, mu, w0, vstar, mode, cfg, NN_STOP_TOL if regime == "under" else None,
                  spectral_radius)
 
     extra = {**run.stats, "rate_fast": fast, "rate_slow": slow,
@@ -522,15 +530,8 @@ def run_meanfield(
     n_states: int = 5,
     gamma: float = 0.9,
     seed: int = 7,
-    width: float = 0.35,
-    center_low: float = -1.2,
-    center_high: float = 1.2,
     dt: float = 0.1,
     horizon: float = 1500.0,
-    r0: float = 8.0,
-    grid_points: int = 9,
-    resolution: float = 0.4,
-    eps: float = 1e-5,
     out_dir: str | Path | None = None,
 ) -> RunReport:
     """Particle run with radial-bump features on a small cyclic chain.
@@ -539,8 +540,11 @@ def run_meanfield(
     initialization, then reports the fixed-point diagnostics: maximal
     particle speed, backup residual, distance to the exact value function,
     the support-coverage surrogate, and the optimality implication. There
-    is no reference experiment to match here; all run parameters are
-    package defaults, chosen so the run settles within the horizon.
+    is no reference experiment to match here. The bump width, the interval
+    the initial centers are drawn from, the separation check's settings and
+    the optimality tolerance are the module constants ``MF_*``; they and the
+    parameter defaults are chosen so the run settles within the horizon.
+    config.json records every one of them.
     """
     t_start = time.perf_counter()
     cfg = TrainConfig(dt=dt, horizon=horizon)  # checks both before they set the save interval
@@ -549,37 +553,37 @@ def run_meanfield(
     # the target first, then the ensemble, from one seeded stream
     rng = np.random.default_rng(seed)
     mrp, mu, _ = _target_chain(n_states, gamma, rng)
-    features = GaussianBumpFeatures(states, width=width)
+    features = GaussianBumpFeatures(states, width=MF_WIDTH)
     ensemble = doubled_ensemble(
         n_particles,
-        lambda count, r: r.uniform(center_low, center_high, size=(count, 1)),
+        lambda count, r: r.uniform(MF_CENTER_LOW, MF_CENTER_HIGH, size=(count, 1)),
         rng=rng,
     )
     config = dict(experiment="meanfield", n_particles=n_particles, n_states=n_states,
-                  gamma=gamma, seed=seed, feature_kind="gaussian-bump", width=width,
-                  center_low=center_low, center_high=center_high, dt=dt,
-                  horizon=horizon, r0=r0, grid_points=grid_points,
-                  resolution=resolution, eps=eps)
+                  gamma=gamma, seed=seed, feature_kind="gaussian-bump", width=MF_WIDTH,
+                  center_low=MF_CENTER_LOW, center_high=MF_CENTER_HIGH, dt=dt,
+                  horizon=horizon, r0=MF_R0, grid_points=MF_GRID_POINTS,
+                  resolution=MF_RESOLUTION, eps=MF_EPS)
 
     history = integrate_ensemble(ensemble, features, mrp, mu, dt=dt, horizon=horizon,
                                  save_every=save_every)
-    theta_grid = np.linspace(-1.1, 1.1, grid_points)
-    separation = [separation_check(s, r0=r0, wbar_grid=theta_grid, resolution=resolution)
+    theta_grid = np.linspace(-1.1, 1.1, MF_GRID_POINTS)
+    separation = [separation_check(s, r0=MF_R0, wbar_grid=theta_grid, resolution=MF_RESOLUTION)
                   for s in history.snapshots]
     # gap/velocity constant of the tangent reduction at the terminal state
     cal = linearized_gap_bound(history.final, features, mrp, mu)
     universal = features.universal_for_states(states[:, None])
     final_report = fixed_point_optimality(
-        history.final, features, mrp, mu, eps=eps,
+        history.final, features, mrp, mu, eps=MF_EPS,
         separation=separation[-1], features_universal=universal, gap_constant=cal,
     )
     gaps = history.diagnostics["optimality_gap"]
     tail = gaps[len(gaps) // 2:]
     tail_monotone = bool(np.all(np.diff(tail) <= 1e-12))
 
-    profile_grid = np.linspace(center_low, center_high, 33)
+    profile_grid = np.linspace(MF_CENTER_LOW, MF_CENTER_HIGH, 33)
     g_vals = g_profile(history.final, features, mrp, mu, profile_grid)
-    edges = np.linspace(center_low - 0.5, center_high + 0.5, 13)
+    edges = np.linspace(MF_CENTER_LOW - 0.5, MF_CENTER_HIGH + 0.5, 13)
     h_vals = h1_profile(history.final, edges)
 
     history.diagnostics["separation_passed"] = np.array([float(s.passed) for s in separation])

@@ -150,7 +150,9 @@ class EnsembleModel(ValueModel):
     phi(.; wbar_i): the width-normalized function a lazily scaled network
     computes, here run on the particle time scale (see ``_particle_system``).
     ``value_and_vjp`` and ``jacobian`` take the feature matrix F (d, N) and
-    its gradient G (N, d, k) from one ``phi_matrix`` pass per call.
+    its gradient G (N, d, k) from one ``phi_matrix`` pass per call. The
+    Jacobian's derivative in wbar_i is omega0_i / N times the bump's
+    Hessian, unbounded in omega0, so the Jacobian has no Lipschitz constant.
     """
 
     def __init__(self, features: GaussianBumpFeatures, n: int):

@@ -29,10 +29,15 @@ _SPIRAL_DAB = list(zip((SPIRAL_GROWTH * SPIRAL_A - SPIRAL_FREQUENCY * SPIRAL_B).
 
 
 class ValueModel(ABC):
-    """Parametric family w -> V_w with value vector and Jacobian over states."""
+    """Parametric family w -> V_w with value vector and Jacobian over states.
+
+    ``jacobian_lipschitz`` is the global Lipschitz constant of w -> J(w) in
+    the operator norm, ``math.inf`` when there is none.
+    """
 
     d: int
     p: int
+    jacobian_lipschitz: float = math.inf
 
     @abstractmethod
     def value(self, w: np.ndarray) -> np.ndarray:
@@ -67,6 +72,8 @@ class ValueModel(ABC):
 
 
 class LinearModel(ValueModel):
+    jacobian_lipschitz = 0.0
+
     def __init__(self, features: np.ndarray):
         self.features = np.asarray(features, dtype=float)
         if self.features.ndim != 2:
@@ -89,7 +96,8 @@ class SpiralModel(ValueModel):
     target value vector -a sits at the spiral's center (theta -> -inf). The
     slow outward growth rate g and winding frequency f are tuned so that,
     on the matching 3-state cyclic chain, the unscaled dynamics follow the
-    spiral outward.
+    spiral outward. The Jacobian grows like exp(g theta), so it has no
+    Lipschitz constant.
     """
 
     d = 3
@@ -139,8 +147,9 @@ class ReluNet(ValueModel):
     value(w)(s) = (1/N) sum_i a_i max(0, b_i . s - c_i), with parameters
     packed as w = [a_1..a_N, b_11..b_Nm, c_1..c_N]. The derivative of the
     hinge at its kink is taken to be 0, which keeps the Jacobian bounded;
-    the Jacobian is therefore discontinuous across kink crossings and the
-    smoothness assumed by the convergence theory holds only piecewise.
+    the Jacobian is therefore discontinuous across kink crossings, so it has
+    no Lipschitz constant, and the smoothness assumed by the convergence
+    theory holds only piecewise.
     """
 
     def __init__(self, n_units: int, states: np.ndarray):
@@ -281,6 +290,8 @@ class TangentModel(ValueModel):
 
     value(w) = V_{w0} + J_{w0} (w - w0) exactly, with constant Jacobian.
     """
+
+    jacobian_lipschitz = 0.0
 
     def __init__(self, base: ValueModel, w0: np.ndarray):
         self.base = base

@@ -13,7 +13,6 @@ from lazytd import (
     Trajectory,
     TrainConfig,
     cyclic_chain,
-    estimate_jacobian_lipschitz,
     exact_value,
     fit_exponential_rate,
     integrate,
@@ -27,7 +26,13 @@ from lazytd import (
     underparametrized_certificate,
 )
 from lazytd.analysis import displacement_slope
-from lazytd.errors import NotOverParametrized, NotUnderParametrized, RankCollapse
+from lazytd.errors import (
+    DimensionMismatch,
+    DomainError,
+    NotOverParametrized,
+    NotUnderParametrized,
+    RankCollapse,
+)
 
 from oracles import linear_td_fixed_point
 
@@ -40,16 +45,12 @@ def chain3():
     return mrp, stationary_measure(mrp)
 
 
-def geometry_of(model, w0, mrp, mu, **kw):
-    return LazyGeometry.from_model(model, w0, mrp, mu, **kw)
-
-
 # ------------------------------------------------------------------ the norm
 
 def test_norm0_orthonormal_span_is_euclidean(chain3):
     mrp, mu = chain3
     Q, _ = np.linalg.qr(np.random.default_rng(0).standard_normal((3, 2)))
-    geom = geometry_of(LinearModel(Q), np.zeros(2), mrp, mu, lipschitz_dv=0.0)
+    geom = LazyGeometry.from_model(LinearModel(Q), np.zeros(2), mrp, mu)
     f = Q @ np.array([1.5, -2.0])
     assert geom.norm0(f) == pytest.approx(np.linalg.norm(f), abs=1e-12)
 
@@ -58,7 +59,7 @@ def test_norm0_matches_svd_oracle(chain3):
     mrp, mu = chain3
     rng = np.random.default_rng(1)
     J = rng.standard_normal((3, 2))
-    geom = geometry_of(LinearModel(J), np.zeros(2), mrp, mu, lipschitz_dv=0.0)
+    geom = LazyGeometry.from_model(LinearModel(J), np.zeros(2), mrp, mu)
     f = J[:, 0]
     # explicit pseudo-inverse of J J^T through its SVD
     U, S, _ = np.linalg.svd(J, full_matrices=False)
@@ -70,7 +71,7 @@ def test_norm0_homogeneous(chain3):
     mrp, mu = chain3
     rng = np.random.default_rng(2)
     J = rng.standard_normal((3, 3))
-    geom = geometry_of(LinearModel(J), np.zeros(3), mrp, mu, lipschitz_dv=0.0)
+    geom = LazyGeometry.from_model(LinearModel(J), np.zeros(3), mrp, mu)
     f = rng.standard_normal(3)
     assert geom.norm0(2.0 * f) == pytest.approx(2.0 * geom.norm0(f), rel=1e-12)
 
@@ -79,7 +80,7 @@ def test_norm_equivalence_constant_contains_ratios(chain3):
     mrp, mu = chain3
     rng = np.random.default_rng(3)
     J = rng.standard_normal((3, 3))
-    geom = geometry_of(LinearModel(J), np.zeros(3), mrp, mu, lipschitz_dv=0.0)
+    geom = LazyGeometry.from_model(LinearModel(J), np.zeros(3), mrp, mu)
     for _ in range(100):
         f = geom.span @ rng.standard_normal(geom.rank)
         ratio = mu_norm(f, mu) / geom.norm0(f)
@@ -89,23 +90,23 @@ def test_norm_equivalence_constant_contains_ratios(chain3):
 def test_lyapunov_zero_at_target_and_nonnegative(chain3):
     mrp, mu = chain3
     rng = np.random.default_rng(4)
-    geom = geometry_of(LinearModel(rng.standard_normal((3, 3))), np.zeros(3),
-                       mrp, mu, lipschitz_dv=0.0)
+    geom = LazyGeometry.from_model(LinearModel(rng.standard_normal((3, 3))), np.zeros(3), mrp, mu)
     assert geom.lyapunov(geom.vstar) == pytest.approx(0.0, abs=1e-18)
     for _ in range(10):
         assert geom.lyapunov(rng.standard_normal(3)) >= 0.0
 
 
-def test_lipschitz_estimator_zero_for_constant_jacobian(chain3):
-    model = LinearModel(np.random.default_rng(5).standard_normal((3, 2)))
-    assert estimate_jacobian_lipschitz(model, np.zeros(2)) <= 1e-12
+class _StatedLipschitz(LinearModel):
+    """A linear model stating a Jacobian Lipschitz constant above its own 0,
+    so the radius and threshold formulas are finite."""
+    jacobian_lipschitz = 0.7
 
 
 def test_geometry_constants_reproduce_formulas(chain3):
     mrp, mu = chain3
     rng = np.random.default_rng(21)
-    model = LinearModel(rng.standard_normal((3, 3)))
-    geom = geometry_of(model, np.zeros(3), mrp, mu, lipschitz_dv=0.7)
+    model = _StatedLipschitz(rng.standard_normal((3, 3)))
+    geom = LazyGeometry.from_model(model, np.zeros(3), mrp, mu)
     # metric is symmetric positive definite on the full-rank span
     np.testing.assert_allclose(geom.g0, geom.g0.T, atol=1e-14)
     assert np.all(np.linalg.eigvalsh(geom.g0) > 0)
@@ -116,6 +117,33 @@ def test_geometry_constants_reproduce_formulas(chain3):
     vstar = exact_value(mrp)
     assert geom.alpha_threshold == pytest.approx(geom.norm0(vstar) / want_radius, rel=1e-12)
     assert geom.rate_bound == pytest.approx((1 - mrp.gamma) / (2 * geom.kappa**2), rel=1e-12)
+
+
+def test_constant_jacobian_gives_infinite_radius(chain3):
+    mrp, mu = chain3
+    model = LinearModel(np.random.default_rng(5).standard_normal((3, 3)))
+    geom = LazyGeometry.from_model(model, np.zeros(3), mrp, mu)
+    assert geom.radius_bound == np.inf
+    assert geom.alpha_threshold == 0.0
+
+
+def test_relu_net_gives_zero_radius_and_infinite_threshold():
+    # the ReLU Jacobian jumps at kinks, so it has no Lipschitz constant: no
+    # initialization lies within the radius and no scaling is above the
+    # threshold, which must not come from dividing by that zero radius
+    d = 8
+    rng = np.random.default_rng(11)
+    mrp = Mrp(P=cyclic_chain(d, "backward"), rbar=rng.standard_normal(d), gamma=0.9)
+    mu = stationary_measure(mrp)
+    model = ReluNet(40, np.linspace(-1, 1, d))
+    w0 = model.init_doubled(4)
+    geom = LazyGeometry.from_model(model, w0, mrp, mu)
+    assert geom.rank == d
+    assert geom.radius_bound == 0.0
+    assert geom.alpha_threshold == np.inf
+    run = Trajectory(times=np.array([0.0]), params=w0[None, :])
+    cert = overparametrized_certificate(geom, model, run, 1e12)
+    assert not cert.init_within_radius and not cert.alpha_above_threshold
 
 
 # -------------------------------------------------------- projected residual
@@ -190,7 +218,7 @@ def test_overparametrized_certificate_linear_full_rank(chain3):
     rng = np.random.default_rng(8)
     model = LinearModel(rng.standard_normal((3, 3)))
     w0 = np.zeros(3)
-    geom = geometry_of(model, w0, mrp, mu, lipschitz_dv=0.0)
+    geom = LazyGeometry.from_model(model, w0, mrp, mu)
     alpha = 50.0
     rhs = make_lazy_rhs(model, mrp, mu, 0.0, alpha)
     cfg = TrainConfig(dt=1e-2, horizon=400.0, save_every=100)
@@ -207,7 +235,7 @@ def test_overparametrized_certificate_linear_full_rank(chain3):
 def test_overparametrized_certificate_rejects_rank_deficient(chain3):
     mrp, mu = chain3
     model = SpiralModel()
-    geom = geometry_of(model, np.zeros(1), mrp, mu, lipschitz_dv=1.0)
+    geom = LazyGeometry.from_model(model, np.zeros(1), mrp, mu)
     run = Trajectory(times=np.array([0.0]), params=np.zeros((1, 1)))
     with pytest.raises(NotOverParametrized):
         overparametrized_certificate(geom, model, run, 10.0)
@@ -258,6 +286,19 @@ def test_underparametrized_certificate_rejects_full_rank(chain3):
         underparametrized_certificate(model, mrp, mu, 0.0, [10.0], [run])
 
 
+@pytest.mark.parametrize("alphas,n_runs,error", [
+    ([], 0, DomainError),
+    ([10.0, 20.0], 1, DimensionMismatch),
+    (np.array([10.0, 20.0]), 1, DimensionMismatch),
+], ids=["empty-grid", "one-run-short", "array-one-run-short"])
+def test_underparametrized_certificate_rejects_bad_grid(chain3, alphas, n_runs, error):
+    mrp, mu = chain3
+    model = TangentModel(SpiralModel(), np.zeros(1))
+    run = Trajectory(times=np.array([0.0]), params=np.zeros((1, 1)))
+    with pytest.raises(error):
+        underparametrized_certificate(model, mrp, mu, 0.0, alphas, [run] * n_runs)
+
+
 def test_underparametrized_certificate_records_divergence(chain3):
     mrp, mu = chain3
     model = SpiralModel()
@@ -300,7 +341,7 @@ def test_metric_drift_zero_for_tangent(chain3):
     mrp, mu = chain3
     rng = np.random.default_rng(10)
     model = LinearModel(rng.standard_normal((3, 3)))
-    geom = geometry_of(model, np.zeros(3), mrp, mu, lipschitz_dv=0.0)
+    geom = LazyGeometry.from_model(model, np.zeros(3), mrp, mu)
     run = Trajectory(times=np.linspace(0, 1, 5),
                      params=rng.standard_normal((5, 3)))
     np.testing.assert_allclose(metric_drift(geom, model, run), np.zeros(5), atol=1e-10)
@@ -309,6 +350,7 @@ def test_metric_drift_zero_for_tangent(chain3):
 class _RankDropModel:
     """Toy model whose Jacobian loses rank at the origin."""
     d, p = 2, 2
+    jacobian_lipschitz = 1.0      # J(u) - J(v) = [[0, 0], [u1 - v1, u0 - v0]]
 
     def value(self, w):
         return np.array([w[0], w[0] * w[1]])
@@ -321,7 +363,7 @@ def test_metric_drift_rank_collapse(chain3):
     mrp2 = Mrp(P=np.array([[0.5, 0.5], [0.5, 0.5]]), rbar=np.zeros(2), gamma=0.9)
     mu2 = stationary_measure(mrp2)
     model = _RankDropModel()
-    geom = geometry_of(model, np.array([1.0, 1.0]), mrp2, mu2, lipschitz_dv=1.0)
+    geom = LazyGeometry.from_model(model, np.array([1.0, 1.0]), mrp2, mu2)
     run = Trajectory(times=np.array([0.0, 1.0]),
                      params=np.array([[1.0, 1.0], [0.0, 0.0]]))
     with pytest.raises(RankCollapse):
@@ -337,7 +379,7 @@ def test_metric_drift_small_in_lazy_relu_run():
     mu = stationary_measure(mrp)
     model = ReluNet(40, np.linspace(-1, 1, d))
     w0 = model.init_doubled(4)
-    geom = geometry_of(model, w0, mrp, mu, lipschitz_dv=1.0)
+    geom = LazyGeometry.from_model(model, w0, mrp, mu)
     assert geom.rank == d
     cfg = TrainConfig(dt=1.0, horizon=2000.0, save_every=200)
     lazy = integrate(make_lazy_rhs(model, mrp, mu, 0.0, 500.0), w0, cfg)

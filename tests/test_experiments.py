@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from lazytd import LinearModel, Mrp, StationaryMeasure, cli
+from lazytd import GaussianBumpFeatures, LinearModel, Mrp, StationaryMeasure, cli
 from lazytd.analysis import fit_exponential_rate
 from lazytd.cli import main as cli_main
 from lazytd.dynamics import TrainConfig, integrate
@@ -84,6 +84,11 @@ def test_nn_over_certificate_passes_small_config():
     assert cert["envelope_ok"]
     assert cert["r_squared"] >= 0.95
     assert cert["passed"]
+    # the ReLU Jacobian has no Lipschitz constant, so the worst-case radius
+    # is zero and the threshold infinite: both preconditions fail, whatever
+    # rounding leaves of the paired initialization's zero value
+    assert cert["init_within_radius"] is False
+    assert cert["alpha_above_threshold"] is False
 
 
 @pytest.mark.parametrize("n_units,n_states,seed", [(40, 8, 12), (50, 12, 6)])
@@ -251,6 +256,42 @@ def test_every_run_records_its_inputs(tmp_path):
         assert not missing, (experiment, missing)
 
 
+def _config(out):
+    return json.loads((out / "config.json").read_text())
+
+
+def test_config_files_pin_their_settings(tmp_path):
+    # the keys and the fixed settings every config.json records; the
+    # values left out follow from the run's spectrum or step count
+    run_spiral(100.0, horizon=5.0, out_dir=tmp_path / "spiral")
+    assert _config(tmp_path / "spiral") == dict(
+        experiment="spiral", alpha=100.0, mode="ode", integrator="rk4", dt=1e-2, horizon=5.0,
+        beta=2e-3, seed=0, stop_tol=1e-8, save_every=100, gamma=0.9, lam=0.0)
+
+    over = dict(gamma=0.9, seed=1454, alpha=500.0, n_units=20, n_states=5, lam=0.0, beta=1e-3)
+    under = dict(over, seed=5, alpha=100.0, n_units=10, n_states=50)
+    for regime, settings in (("over", over), ("under", under)):
+        run_nn(regime, horizon=500.0, out_dir=tmp_path / regime,
+               **{k: settings[k] for k in ("seed", "alpha", "n_units", "n_states")})
+        config = _config(tmp_path / regime)
+        assert set(config) == {*settings, "experiment", "mode", "dt", "horizon", "stop_tol",
+                               "save_every"}
+        assert {k: config[k] for k in settings} == settings
+        assert (config["experiment"], config["mode"]) == (f"nn-{regime}", "ode")
+        assert config["stop_tol"] == 1e-7 and config["horizon"] == 500.0
+
+    run_nn("over", mode="stochastic", horizon=800, n_units=20, n_states=5,
+           out_dir=tmp_path / "stochastic")
+    assert _config(tmp_path / "stochastic") == dict(
+        experiment="nn-over", mode="stochastic", horizon=800, save_every=2, **over)
+
+    run_meanfield(n_particles=20, horizon=5.0, out_dir=tmp_path / "meanfield")
+    assert _config(tmp_path / "meanfield") == dict(
+        experiment="meanfield", n_particles=20, n_states=5, gamma=0.9, seed=7,
+        feature_kind="gaussian-bump", width=0.35, center_low=-1.2, center_high=1.2, dt=0.1,
+        horizon=5.0, r0=8.0, grid_points=9, resolution=0.4, eps=1e-5)
+
+
 def test_singleton_sweep_matches_single_run():
     sweep = run_sweep("gamma", [0.9], base={"regime": "under"})
     single = run_nn("under", gamma=0.9)
@@ -309,8 +350,8 @@ def test_sweep_rejects_values_sharing_a_run_name(tmp_path, grid):
 
 @pytest.mark.parametrize("call", [
     lambda: run_meanfield(n_particles=0),
-    lambda: run_meanfield(width=float("nan")),
-    lambda: run_meanfield(width=float("inf")),
+    lambda: GaussianBumpFeatures(np.linspace(-1, 1, 5), width=float("nan")),
+    lambda: GaussianBumpFeatures(np.linspace(-1, 1, 5), width=float("inf")),
     lambda: run_sweep("alpha", [100.0], base={"regime": "under"}, workers=0),
     lambda: run_sweep("alpha", [100.0], base={"regime": "under"}, workers=-2),
     lambda: run_nn("over", n_units=0, n_states=5),
