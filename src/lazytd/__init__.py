@@ -3,7 +3,6 @@ lazily scaled and population-limit nonlinear approximators."""
 
 from .mrp import (
     Mrp,
-    StationaryMeasure,
     contraction_modulus,
     cyclic_chain,
     exact_value,
@@ -41,7 +40,7 @@ from .analysis import (
     fit_exponential_rate,
     metric_drift,
     overparametrized_certificate,
-    projected_td_error,
+    projected_error_fn,
     underparametrized_certificate,
 )
 from .meanfield import (

@@ -29,10 +29,10 @@ from .errors import (
 from .models import ValueModel, numerical_rank, rank_profile
 from .mrp import (
     Mrp,
-    StationaryMeasure,
     exact_value,
     mu_norm,
     mu_projection,
+    per_state,
     td_resolvent,
 )
 
@@ -75,7 +75,8 @@ class LazyGeometry:
 
     @classmethod
     def from_model(cls, model: ValueModel, w0: np.ndarray, mrp: Mrp,
-                   mu: StationaryMeasure) -> "LazyGeometry":
+                   mu: np.ndarray) -> "LazyGeometry":
+        mu = per_state(mu, mrp.d)
         J0 = model.jacobian(w0)
         U, S, _ = np.linalg.svd(J0, full_matrices=False)
         smax = float(S[0]) if S.size else 0.0
@@ -84,7 +85,7 @@ class LazyGeometry:
         g0 = (Ur / Sr**2) @ Ur.T
         # Generalized extreme eigenvalues of the weighted norm against the
         # induced one on the span: ratios r(f) = <f,f>_mu / <f,f>_0.
-        C = (Sr[:, None] * (Ur.T @ (mu.mu[:, None] * Ur))) * Sr[None, :]
+        C = (Sr[:, None] * (Ur.T @ (mu[:, None] * Ur))) * Sr[None, :]
         ratios = np.linalg.eigvalsh((C + C.T) / 2.0)
         kappa = float(np.sqrt(max(ratios[-1], 1.0 / ratios[0])))
         lipschitz = model.jacobian_lipschitz
@@ -136,13 +137,19 @@ class LazyGeometry:
 def projected_error_fn(
     model: ValueModel,
     mrp: Mrp,
-    mu: StationaryMeasure,
+    mu: np.ndarray,
     lam: float,
     alpha: float,
 ):
-    """``projected_td_error`` of one run as a function of the parameters
-    alone: the backup resolvent is solved once, here, not at every point.
-    A caller holding the scaled value alpha * model.value(w) passes it as V."""
+    """The projected TD error of one run as a function of the parameters:
+    the weighted norm of the backup residual of the scaled value, projected
+    on the tangent space at w.
+
+    It vanishes exactly at stationary points of the (scaled) averaged
+    dynamics, which makes it the certificate of convergence to a local
+    fixed point. The backup resolvent is solved once, here, not at every
+    point. A caller holding the scaled value alpha * model.value(w) passes
+    it as V."""
     r_lam, P_lam = td_resolvent(mrp, lam)
     gP = mrp.gamma * P_lam
 
@@ -154,22 +161,6 @@ def projected_error_fn(
         return mu_norm(proj, mu)
 
     return error
-
-
-def projected_td_error(
-    model: ValueModel,
-    mrp: Mrp,
-    mu: StationaryMeasure,
-    lam: float,
-    alpha: float,
-    w: np.ndarray,
-) -> float:
-    """Weighted norm of the backup residual projected on the current tangent space.
-
-    Vanishes exactly at stationary points of the (scaled) averaged dynamics,
-    which makes it the certificate of convergence to a local fixed point.
-    """
-    return projected_error_fn(model, mrp, mu, lam, alpha)(w)
 
 
 def fit_exponential_rate(times: np.ndarray, values: np.ndarray) -> tuple[float | None, float]:
@@ -245,8 +236,9 @@ def overparametrized_certificate(
     run.diagnostics["lyapunov"] = U
     rate = geometry.rate_bound
     envelope = U[0] * np.exp(-rate * run.times)
+    # against a zero envelope, a zero value holds it (ratio 1), a positive one does not
     with np.errstate(divide="ignore", invalid="ignore"):
-        ratios = np.where(envelope > 0, U / envelope, np.inf)
+        ratios = np.where(envelope > 0, U / envelope, np.where(U > 0, np.inf, 1.0))
     margin = float(np.max(ratios))
     envelope_ok = bool(margin <= 1.0 + ENVELOPE_SLACK) and not run.diverged
 
@@ -292,7 +284,7 @@ class FixedPointCertificate:
 def underparametrized_certificate(
     model: ValueModel,
     mrp: Mrp,
-    mu: StationaryMeasure,
+    mu: np.ndarray,
     lam: float,
     alphas: Sequence[float],
     runs: Sequence[Trajectory],
@@ -334,7 +326,7 @@ def underparametrized_certificate(
             converged.append(False)
             continue
         w = run.final_params
-        pe = projected_td_error(model, mrp, mu, lam, a, w)
+        pe = projected_error_fn(model, mrp, mu, lam, a)(w)
         err = mu_norm(a * model.value(w) - vstar, mu)
         proj_errors.append(pe)
         value_errors.append(err)

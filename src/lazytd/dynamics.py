@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import DomainError, NonFiniteState
 from .models import ValueModel
-from .mrp import Mrp, StationaryMeasure, td_resolvent
+from .mrp import Mrp, per_state, td_resolvent
 
 INTEGRATORS = ("euler", "rk4", "rkc")
 DIVERGENCE_THRESHOLD = 1e8        # a state or scaled value past this max-norm has diverged
@@ -58,8 +58,8 @@ class TrainConfig:
                 raise DomainError(f"{name} must be positive and finite, got {getattr(self, name)}")
         if not self.beta0 > 0.0:
             raise DomainError(f"beta0 must be positive, got {self.beta0}")
-        if not self.save_every >= 1:
-            raise DomainError("save_every must be >= 1")
+        if not (isinstance(self.save_every, (int, np.integer)) and self.save_every >= 1):
+            raise DomainError(f"save_every must be an integer >= 1, got {self.save_every!r}")
 
     @property
     def n_steps(self) -> int:
@@ -133,8 +133,8 @@ def write_csv(path: str | Path, header, rows) -> None:
         writer.writerows([_csv_cell(v) for v in row] for row in rows)
 
 
-def sample_chain(mrp: Mrp, mu: StationaryMeasure, steps: int, rng: np.random.Generator | int) -> np.ndarray:
-    """Sample a state path: s0 from the stationary measure, then the chain."""
+def sample_chain(mrp: Mrp, mu: np.ndarray, steps: int, rng: np.random.Generator | int) -> np.ndarray:
+    """Sample a state path: s0 from the weights mu, then the chain."""
     if steps < 1:
         raise DomainError("steps must be >= 1")
     if not isinstance(rng, np.random.Generator):
@@ -147,7 +147,7 @@ def sample_chain(mrp: Mrp, mu: StationaryMeasure, steps: int, rng: np.random.Gen
     rows = cum.tolist()
     draws = rng.random(steps)
     path = np.empty(steps, dtype=np.int64)
-    cum_mu = np.cumsum(mu.mu)
+    cum_mu = np.cumsum(per_state(mu, mrp.d))
     cum_mu[-1] = 1.0
     s = int(np.searchsorted(cum_mu, draws[0], side="right"))
     path[0] = s
@@ -191,7 +191,7 @@ def stochastic_td_step(
 def run_stochastic_td(
     model: ValueModel,
     mrp: Mrp,
-    mu: StationaryMeasure,
+    mu: np.ndarray,
     config: TrainConfig,
     w0: np.ndarray,
 ) -> Trajectory:
@@ -220,7 +220,7 @@ def run_stochastic_td(
     return _run(advance, look, w0, beta, steps, config.save_every)
 
 
-def make_lazy_rhs(model: ValueModel, mrp: Mrp, mu: StationaryMeasure, lam: float, alpha: float):
+def make_lazy_rhs(model: ValueModel, mrp: Mrp, mu: np.ndarray, lam: float, alpha: float):
     """Drift of the scaled dynamics, (1/alpha) J^T Gamma (T(alpha V) - alpha V);
     alpha = 1 is the averaged flow J^T Gamma (T V - V).
 
@@ -238,9 +238,10 @@ def make_lazy_rhs(model: ValueModel, mrp: Mrp, mu: StationaryMeasure, lam: float
     """
     if alpha < 1.0:
         raise DomainError(f"alpha must be >= 1, got {alpha}")
+    mu = per_state(mu, mrp.d)
     r_lam, P_lam = td_resolvent(mrp, lam)
-    M = mu.mu[:, None] * (mrp.gamma * P_lam - np.eye(mrp.d))
-    c = mu.mu * r_lam / alpha
+    M = mu[:, None] * (mrp.gamma * P_lam - np.eye(mrp.d))
+    c = mu * r_lam / alpha
     latest = [None, None]  # the last rhs argument and its unscaled value
 
     def rhs(w: np.ndarray) -> np.ndarray:

@@ -49,7 +49,6 @@ from .meanfield import (
 from .models import ReluNet, SpiralModel, rank_profile
 from .mrp import (
     Mrp,
-    StationaryMeasure,
     cyclic_chain,
     exact_value,
     mu_norm,
@@ -173,7 +172,7 @@ def _emit(out_dir, report: RunReport, tables: dict, listed=()) -> None:
     (out / "report.json").write_text(report.to_json())
 
 
-def _attach_run_diagnostics(run: Trajectory, model, mu: StationaryMeasure, alpha: float,
+def _attach_run_diagnostics(run: Trajectory, model, mu: np.ndarray, alpha: float,
                             vstar: np.ndarray, error, known: dict) -> None:
     """Per-saved-time series every report quotes: projected residual (by
     ``error``, or read from ``known`` {time: (residual, scaled value)} where
@@ -223,7 +222,7 @@ def _run_report(experiment: str, config: dict, run: Trajectory, t_start: float, 
     )
 
 
-def _train(model, mrp: Mrp, mu: StationaryMeasure, w0: np.ndarray, vstar: np.ndarray,
+def _train(model, mrp: Mrp, mu: np.ndarray, w0: np.ndarray, vstar: np.ndarray,
            mode: str, cfg: TrainConfig, stop_tol: float | None = None,
            spectral_radius=None) -> Trajectory:
     """The one training path of the spiral and network runs: the averaged
@@ -310,7 +309,7 @@ def _nn_setup(gamma: float, seed: int, n_units: int, n_states: int):
     return mrp, mu, model, w0, vstar
 
 
-def linearization(model, mrp: Mrp, mu: StationaryMeasure, lam: float):
+def linearization(model, mrp: Mrp, mu: np.ndarray, lam: float):
     """The map w -> a matrix with the nonzero spectrum of the flow
     linearized at w.
 
@@ -320,7 +319,7 @@ def linearization(model, mrp: Mrp, mu: StationaryMeasure, lam: float):
     drops out, so one spectrum serves every alpha.
     """
     _, P_lam = td_resolvent(mrp, lam)
-    B = mu.mu[:, None] * (mrp.gamma * P_lam - np.eye(mrp.d))
+    B = mu[:, None] * (mrp.gamma * P_lam - np.eye(mrp.d))
 
     def at(w):
         J = model.jacobian(w)
@@ -329,7 +328,7 @@ def linearization(model, mrp: Mrp, mu: StationaryMeasure, lam: float):
     return at
 
 
-def linearized_rates(model, w0, mrp: Mrp, mu: StationaryMeasure, lam: float):
+def linearized_rates(model, w0, mrp: Mrp, mu: np.ndarray, lam: float):
     """(fastest, slowest-nonzero, unstable) rates of the flow linearized at w0.
 
     Real parts of the eigenvalues of its ``linearization``. Real parts
@@ -389,6 +388,8 @@ def run_nn(
                   n_units=n_units, n_states=n_states, lam=lam, beta=NN_BETA)
 
     if mode != "ode":  # the sampled engine; _train rejects any other mode
+        if dt is not None:
+            raise DomainError("dt is the ode step; the sampled engine steps by beta")
         # the config checks the horizon before it becomes a step count
         cfg = TrainConfig(lam=lam, alpha=alpha, beta0=NN_BETA, seed=seed,
                           horizon=100_000 if horizon is None else horizon)

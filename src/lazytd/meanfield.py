@@ -20,7 +20,7 @@ import numpy as np
 from .dynamics import TrainConfig, Trajectory, integrate, make_lazy_rhs
 from .errors import DimensionMismatch, DomainError
 from .models import ValueModel
-from .mrp import Mrp, StationaryMeasure, exact_value, mu_norm
+from .mrp import Mrp, exact_value, mu_norm
 
 
 class GaussianBumpFeatures:
@@ -200,7 +200,7 @@ def _averaged_residual(V: np.ndarray, mrp: Mrp) -> np.ndarray:
     return mrp.rbar + mrp.gamma * mrp.P @ V - V
 
 
-def _particle_system(features: GaussianBumpFeatures, n: int, mrp: Mrp, mu: StationaryMeasure):
+def _particle_system(features: GaussianBumpFeatures, n: int, mrp: Mrp, mu: np.ndarray):
     """The model of an n-particle system, its particle velocity field and
     the divergence probe of that field, built once per system.
 
@@ -219,7 +219,7 @@ def _particle_system(features: GaussianBumpFeatures, n: int, mrp: Mrp, mu: Stati
 
 
 def _state_diagnostics(model: EnsembleModel, velocity, w: np.ndarray, mrp: Mrp,
-                       mu: StationaryMeasure, vstar: np.ndarray) -> tuple[float, float, float]:
+                       mu: np.ndarray, vstar: np.ndarray) -> tuple[float, float, float]:
     """Maximal particle speed, weighted backup residual and weighted distance
     to the exact value function ``vstar`` at the packed state ``w``."""
     do, dw = model.unpack(velocity(w))
@@ -244,7 +244,7 @@ def integrate_ensemble(
     ensemble: ParticleEnsemble,
     features: GaussianBumpFeatures,
     mrp: Mrp,
-    mu: StationaryMeasure,
+    mu: np.ndarray,
     dt: float,
     horizon: float,
     save_every: int = 100,
@@ -277,7 +277,7 @@ def g_profile(
     ensemble: ParticleEnsemble,
     features: GaussianBumpFeatures,
     mrp: Mrp,
-    mu: StationaryMeasure,
+    mu: np.ndarray,
     wbar_grid: np.ndarray,
 ) -> np.ndarray:
     """Feature-space correlation of the backup residual over a parameter grid.
@@ -286,7 +286,7 @@ def g_profile(
     far from zero, a particle parked there would keep accelerating.
     """
     V = ensemble_value(ensemble, features)
-    weighted = mu.mu * _averaged_residual(V, mrp)
+    weighted = mu * _averaged_residual(V, mrp)
     grid = np.atleast_2d(np.asarray(wbar_grid, dtype=float))
     if grid.shape[1] != features.wbar_dim:
         grid = grid.T
@@ -299,9 +299,10 @@ def h1_profile(ensemble: ParticleEnsemble, bin_edges) -> np.ndarray:
     Bin b receives (1/N) sum over particles in b of omega0_i, so the total
     over bins is the overall first moment. Two ensembles with the same
     profile realize the same approximator whenever features are constant
-    within bins.
+    within bins. ``bin_edges`` is one sequence of edges per feature
+    dimension; a flat sequence of numbers is the edges of a single axis.
     """
-    edges = bin_edges if isinstance(bin_edges, (list, tuple)) else [bin_edges]
+    edges = [bin_edges] if np.ndim(bin_edges[0]) == 0 else bin_edges
     hist, _ = np.histogramdd(ensemble.wbar, bins=edges, weights=ensemble.omega0)
     return hist / ensemble.n
 
@@ -379,7 +380,7 @@ def fixed_point_optimality(
     ensemble: ParticleEnsemble,
     features: GaussianBumpFeatures,
     mrp: Mrp,
-    mu: StationaryMeasure,
+    mu: np.ndarray,
     eps: float,
     separation: SeparationReport | None = None,
     features_universal: bool = False,
@@ -420,7 +421,7 @@ def linearized_gap_bound(
     ensemble: ParticleEnsemble,
     features: GaussianBumpFeatures,
     mrp: Mrp,
-    mu: StationaryMeasure,
+    mu: np.ndarray,
 ) -> float:
     """Provable gap/velocity bound for the tangent reduction at an ensemble.
 
@@ -435,8 +436,8 @@ def linearized_gap_bound(
     """
     model = EnsembleModel(features, ensemble.n)
     J = model.jacobian(model.pack(ensemble))
-    drive = mu.mu[:, None] * (mrp.gamma * mrp.P - np.eye(mrp.d))   # Gamma(gamma P - I)
-    L = ensemble.n * J.T @ drive / np.sqrt(mu.mu)[None, :]     # unit-mu-norm inputs
+    drive = mu[:, None] * (mrp.gamma * mrp.P - np.eye(mrp.d))   # Gamma(gamma P - I)
+    L = ensemble.n * J.T @ drive / np.sqrt(mu)[None, :]     # unit-mu-norm inputs
     sv = np.linalg.svd(L, compute_uv=False)
     smin = sv[min(mrp.d, sv.size) - 1]
     if smin <= 0:

@@ -145,7 +145,9 @@ class ReluNet(ValueModel):
     """Width-normalized single-hidden-layer ReLU network on fixed input points.
 
     value(w)(s) = (1/N) sum_i a_i max(0, b_i . s - c_i), with parameters
-    packed as w = [a_1..a_N, b_11..b_Nm, c_1..c_N]. The derivative of the
+    packed coordinate-major as w = [a, b_.1, ..., b_.m, c], each block over
+    the N units (b_.k the units' weights on input coordinate k), so w is the
+    (m + 2, N) rows a, b_.1, ..., b_.m, c raveled. The derivative of the
     hinge at its kink is taken to be 0, which keeps the Jacobian bounded;
     the Jacobian is therefore discontinuous across kink crossings, so it has
     no Lipschitz constant, and the smoothness assumed by the convergence
@@ -174,26 +176,19 @@ class ReluNet(ValueModel):
         return w
 
     def unpack(self, w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        w = self._checked(w)
-        N, m = self.n_units, self.m
-        return w[:N], w[N:N + N * m].reshape(N, m), w[N + N * m:]
+        """Output weights (N,), input weights (N, m) and biases (N,) of w."""
+        rows = self._rows(w)
+        return rows[0], rows[1:-1].T, rows[-1]
 
     def pack(self, a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
-        return np.concatenate([np.ravel(a), np.ravel(b), np.ravel(c)])
+        """The parameter vector of output weights a, input weights b (one row
+        of m per unit) and biases c."""
+        b = np.reshape(b, (self.n_units, self.m))
+        return np.concatenate([np.ravel(a), b.T.ravel(), np.ravel(c)])
 
     def _rows(self, w: np.ndarray) -> np.ndarray:
-        """Parameters as the (m + 2, N) rows a, b_.1, ..., b_.m, c; for m = 1
-        the packing already is this layout, so the rows are a view of w."""
-        if self.m == 1:
-            return self._checked(w).reshape(3, self.n_units)
-        a, b, c = self.unpack(w)
-        return np.vstack([a, b.T, c])
-
-    def _flat(self, rows: np.ndarray) -> np.ndarray:
-        """The packed parameter vector of rows laid out as by ``_rows``."""
-        if self.m == 1:
-            return rows.ravel()
-        return np.concatenate([rows[0], rows[1:-1].T.ravel(), rows[-1]])
+        """Parameters as the (m + 2, N) rows a, b_.1, ..., b_.m, c, a view of w."""
+        return self._checked(w).reshape(self.m + 2, self.n_units)
 
     def _forward(self, w):
         """Activations (d, N), output weights over N and the value vector."""
@@ -218,7 +213,7 @@ class ReluNet(ValueModel):
         N, m, d = self.n_units, self.m, self.d
         J = np.empty((d, self.p))
         J[:, :N] = act / N
-        J[:, N:N + N * m] = (scaled[:, :, None] * self.states[:, None, :]).reshape(d, N * m)
+        J[:, N:N + N * m] = (self.states[:, :, None] * scaled[:, None, :]).reshape(d, N * m)
         J[:, N + N * m:] = -scaled
         return value, J
 
@@ -240,7 +235,7 @@ class ReluNet(ValueModel):
             np.divide(np.dot(g, act), N, out[0])
             # rows 1..m: (g * s_k) @ ind, row m + 1: (-g) @ ind
             np.multiply(np.dot(self._states_aug_t * g, ind), a_n, out[1:])
-            return self._flat(out)
+            return out.ravel()
 
         return value, vjp
 
@@ -258,7 +253,7 @@ class ReluNet(ValueModel):
             np.divide(act_s, self._n, out[0])
             # rows 1..m + 1: [s_1..s_m, -1] times t
             np.multiply(self._states_aug[s, :, None], (act_s > 0.0) * a_n, out[1:])
-            return self._flat(out)
+            return out.ravel()
 
         return value, row
 

@@ -60,22 +60,9 @@ class Mrp:
         return self.P.shape[0]
 
 
-@dataclass(frozen=True)
-class StationaryMeasure:
-    """Invariant distribution of the chain, the weight of every mu-norm."""
-
-    mu: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "mu", np.asarray(self.mu, dtype=float))
-
-    @property
-    def d(self) -> int:
-        return self.mu.shape[0]
-
-
-def stationary_measure(mrp: Mrp) -> StationaryMeasure:
-    """Invariant distribution of ``mrp.P`` by power iteration.
+def stationary_measure(mrp: Mrp) -> np.ndarray:
+    """Invariant distribution of ``mrp.P`` by power iteration, as a float
+    vector of length d: the weight of every mu-norm.
 
     The iteration runs on the lazy chain (P + I)/2, which has the same
     invariant measure and is aperiodic, so it also settles on irreducible
@@ -108,7 +95,7 @@ def stationary_measure(mrp: Mrp) -> StationaryMeasure:
     mu = mu / mu.sum()
     if mu.min() <= 1e-14:
         raise FullSupportViolation("stationary measure lost full support")
-    return StationaryMeasure(mu=mu)
+    return mu
 
 
 def exact_value(mrp: Mrp) -> np.ndarray:
@@ -125,15 +112,21 @@ def exact_value(mrp: Mrp) -> np.ndarray:
     return v
 
 
-def _mu_vector(mu) -> np.ndarray:
-    return mu.mu if isinstance(mu, StationaryMeasure) else np.asarray(mu, dtype=float)
+def per_state(x, d: int) -> np.ndarray:
+    """``x`` (state weights or a value vector) as a float vector with one
+    entry for each of the d states; DimensionMismatch otherwise, never a
+    broadcast."""
+    x = np.asarray(x, dtype=float)
+    if x.shape != (d,):
+        raise DimensionMismatch(f"expected a vector over {d} states, got shape {x.shape}")
+    return x
 
 
 def mu_inner(a: np.ndarray, b: np.ndarray, mu) -> float:
     """Inner product sum_s a(s) b(s) mu(s)."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    m = _mu_vector(mu)
+    m = np.asarray(mu, dtype=float)
     if a.shape != b.shape or a.shape != m.shape:
         raise DimensionMismatch(f"shapes {a.shape}, {b.shape}, {m.shape} do not match")
     return float(np.sum(a * b * m))
@@ -189,11 +182,12 @@ def mu_projection(J: np.ndarray, mu, W: np.ndarray) -> np.ndarray:
     Minimizes the mu-weighted distance; implemented as an ordinary least
     squares problem after scaling rows by sqrt(mu), with the package's rank
     rule (``models.RANK_CUTOFF``) deciding which singular values count as
-    zero, so rank-deficient J is fine.
+    zero, so rank-deficient J is fine. J's rows, W and mu run over the same
+    states; DimensionMismatch otherwise.
     """
     J = np.asarray(J, dtype=float)
-    W = np.asarray(W, dtype=float)
-    root = np.sqrt(_mu_vector(mu))
+    W = per_state(W, J.shape[0])
+    root = np.sqrt(per_state(mu, J.shape[0]))
     A = J * root[:, None]
     y = W * root
     coef, *_ = np.linalg.lstsq(A, y, rcond=RANK_CUTOFF)

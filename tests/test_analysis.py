@@ -20,7 +20,7 @@ from lazytd import (
     metric_drift,
     mu_norm,
     overparametrized_certificate,
-    projected_td_error,
+    projected_error_fn,
     stationary_measure,
     td_operator,
     underparametrized_certificate,
@@ -127,6 +127,14 @@ def test_constant_jacobian_gives_infinite_radius(chain3):
     assert geom.alpha_threshold == 0.0
 
 
+@pytest.mark.parametrize("weights", [[0.5], np.full(4, 0.25)], ids=["one", "four"])
+def test_geometry_rejects_weights_of_another_length(chain3, weights):
+    # a single weight would broadcast and give kappa = 1 on any chain
+    mrp, _ = chain3
+    with pytest.raises(DimensionMismatch):
+        LazyGeometry.from_model(LinearModel(np.eye(3)), np.zeros(3), mrp, weights)
+
+
 def test_relu_net_gives_zero_radius_and_infinite_threshold():
     # the ReLU Jacobian jumps at kinks, so it has no Lipschitz constant: no
     # initialization lies within the radius and no scaling is above the
@@ -152,7 +160,7 @@ def test_projected_error_zero_at_exact_value(chain3):
     mrp, mu = chain3
     model = LinearModel(np.eye(3))
     vstar = exact_value(mrp)
-    assert projected_td_error(model, mrp, mu, 0.0, 1.0, vstar) < 1e-12
+    assert projected_error_fn(model, mrp, mu, 0.0, 1.0)(vstar) < 1e-12
 
 
 def test_projected_error_full_rank_equals_unprojected(chain3):
@@ -163,17 +171,17 @@ def test_projected_error_full_rank_equals_unprojected(chain3):
     V = model.value(w)
     td = td_operator(mrp, 0.3, V) - V
     want = mu_norm(td, mu)
-    assert projected_td_error(model, mrp, mu, 0.3, 1.0, w) == pytest.approx(want, rel=1e-10)
+    assert projected_error_fn(model, mrp, mu, 0.3, 1.0)(w) == pytest.approx(want, rel=1e-10)
 
 
 def test_projected_error_spiral_origin_by_quadrature(chain3):
     mrp, mu = chain3
     model = SpiralModel()
-    got = projected_td_error(model, mrp, mu, 0.0, 1.0, np.zeros(1))
+    got = projected_error_fn(model, mrp, mu, 0.0, 1.0)(np.zeros(1))
     # one-dimensional tangent: |<residual, j>_mu| / ||j||_mu, residual = rbar at 0
     j = model.jacobian(np.zeros(1))[:, 0]
-    inner = np.sum(mu.mu * SPIRAL_RBAR * j)
-    want = abs(inner) / np.sqrt(np.sum(mu.mu * j * j))
+    inner = np.sum(mu * SPIRAL_RBAR * j)
+    want = abs(inner) / np.sqrt(np.sum(mu * j * j))
     assert got == pytest.approx(want, rel=1e-10)
     assert got > 1.0  # strictly positive: the origin is not stationary
 
@@ -183,15 +191,15 @@ def test_stationarity_equivalence(chain3):
     rng = np.random.default_rng(7)
     features = rng.standard_normal((3, 2))
     model = LinearModel(features)
-    target = linear_td_fixed_point(features, mu.mu, mrp.P, mrp.rbar, mrp.gamma, 0.0)
+    target = linear_td_fixed_point(features, mu, mrp.P, mrp.rbar, mrp.gamma, 0.0)
     alpha = 20.0
     at_fixed = target / alpha
-    assert projected_td_error(model, mrp, mu, 0.0, alpha, at_fixed) < 1e-9
+    assert projected_error_fn(model, mrp, mu, 0.0, alpha)(at_fixed) < 1e-9
     rhs = make_lazy_rhs(model, mrp, mu, 0.0, alpha)
     assert np.linalg.norm(rhs(at_fixed)) < 1e-9
     for _ in range(10):
         w = rng.standard_normal(2)
-        pe = projected_td_error(model, mrp, mu, 0.0, alpha, w)
+        pe = projected_error_fn(model, mrp, mu, 0.0, alpha)(w)
         rh = np.linalg.norm(rhs(w))
         assert (pe < 1e-9) == (rh < 1e-9)
 
@@ -241,6 +249,25 @@ def test_overparametrized_certificate_rejects_rank_deficient(chain3):
         overparametrized_certificate(geom, model, run, 10.0)
 
 
+def test_run_that_starts_at_its_target_holds_the_envelope():
+    # zero rewards: v* = 0 = V(w0), so the Lyapunov value and its envelope
+    # are both 0 at every time, and 0 against 0 holds the envelope
+    mrp = Mrp(P=cyclic_chain(4, "backward"), rbar=np.zeros(4), gamma=0.9)
+    mu = stationary_measure(mrp)
+    model = LinearModel(np.eye(4))
+    w0 = np.zeros(4)
+    geom = LazyGeometry.from_model(model, w0, mrp, mu)
+    run = integrate(make_lazy_rhs(model, mrp, mu, 0.0, 1.0), w0,
+                    TrainConfig(dt=0.1, horizon=1.0, save_every=2))
+    cert = overparametrized_certificate(geom, model, run, 1.0)
+    np.testing.assert_array_equal(run.diagnostics["lyapunov"], 0.0)
+    assert cert.envelope_margin == 1.0
+    assert cert.envelope_ok
+    # a positive value against a zero envelope still breaks it
+    moved = Trajectory(times=run.times, params=run.params + (run.times > 0)[:, None])
+    assert overparametrized_certificate(geom, model, moved, 1.0).envelope_margin == np.inf
+
+
 # -------------------------------------------------- rank-deficient certificate
 
 def test_underparametrized_certificate_tangent_model(chain3):
@@ -255,7 +282,7 @@ def test_underparametrized_certificate_tangent_model(chain3):
     assert all(cert.converged)
     # exactly linear model: the reached point is the linear fixed point and
     # the excess over the bound is nonpositive, at every scaling
-    target = linear_td_fixed_point(model.j0, mu.mu, mrp.P, mrp.rbar, mrp.gamma, 0.0)
+    target = linear_td_fixed_point(model.j0, mu, mrp.P, mrp.rbar, mrp.gamma, 0.0)
     for a, run in zip(alphas, runs):
         np.testing.assert_allclose(a * model.value(run.final_params),
                                    model.j0 @ target, atol=1e-6)

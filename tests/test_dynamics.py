@@ -13,7 +13,6 @@ from lazytd import (
     Mrp,
     ReluNet,
     SpiralModel,
-    StationaryMeasure,
     TrainConfig,
     cyclic_chain,
     exact_value,
@@ -28,7 +27,7 @@ from lazytd import (
     td_resolvent,
 )
 from lazytd.dynamics import RKC_MARGIN, rkc_scheme, rkc_stage_count, write_csv
-from lazytd.errors import DomainError, NonFiniteState
+from lazytd.errors import DimensionMismatch, DomainError, NonFiniteState
 
 from oracles import linear_td_fixed_point, series_td_components
 
@@ -78,7 +77,7 @@ def test_sample_chain_matches_searchsorted_reference():
     cum[:, -1] = 1.0
     draws = np.random.default_rng(11).random(steps)
     ref = np.empty(steps, dtype=np.int64)
-    ref[0] = np.searchsorted(np.cumsum(mu.mu), draws[0], side="right")
+    ref[0] = np.searchsorted(np.cumsum(mu), draws[0], side="right")
     for t in range(1, steps):
         ref[t] = np.searchsorted(cum[ref[t - 1]], draws[t], side="right")
     np.testing.assert_array_equal(sample_chain(mrp, mu, steps, 11), ref)
@@ -94,10 +93,22 @@ def test_sample_chain_first_draw_past_cumulative_mu():
             return draws
 
     mrp = Mrp(P=cyclic_chain(3, "backward"), rbar=np.zeros(3), gamma=0.9)
-    mu = StationaryMeasure(np.array([1 / 3, 1 / 3, 1 / 3 - 1e-12]))
+    mu = np.array([1 / 3, 1 / 3, 1 / 3 - 1e-12])
     path = sample_chain(mrp, mu, 6, TopFirstDraw(np.random.PCG64(0)))
     assert path[0] == 2
     assert all(mrp.P[s, s_next] > 0 for s, s_next in zip(path[:-1], path[1:]))
+
+
+@pytest.mark.parametrize("weights", [[1.0], [0.5, 0.5], np.full(4, 0.25), np.full((3, 1), 1 / 3)],
+                         ids=["one", "two", "four", "column"])
+def test_weights_of_another_length_are_rejected(chain3, weights):
+    # one weight per state: a length-1 vector would broadcast into an
+    # unweighted drift, and a short one would leave states unsampled
+    mrp, _ = chain3
+    with pytest.raises(DimensionMismatch):
+        sample_chain(mrp, weights, 10, 0)
+    with pytest.raises(DimensionMismatch):
+        make_lazy_rhs(LinearModel(np.eye(3)), mrp, weights, 0.0, 1.0)
 
 
 # --------------------------------------------------------------- sampled step
@@ -126,7 +137,7 @@ def test_expected_update_vanishes_at_fixed_point(chain3):
         for s_next in range(3):
             stochastic_td_step(*model.value_and_row(vstar), vstar, np.zeros(3),
                                s, s_next, mrp.rbar[s], 1.0, mrp.gamma, cfg, w2)
-            total += mu.mu[s] * mrp.P[s, s_next] * (w2 - vstar)
+            total += mu[s] * mrp.P[s, s_next] * (w2 - vstar)
     np.testing.assert_allclose(total, np.zeros(3), atol=1e-12)
 
 
@@ -136,7 +147,7 @@ def test_stochastic_linear_approaches_fixed_point(chain3):
     features = rng.standard_normal((3, 2))
     model = LinearModel(features)
     lam = 0.4
-    target = linear_td_fixed_point(features, mu.mu, mrp.P, mrp.rbar, mrp.gamma, lam)
+    target = linear_td_fixed_point(features, mu, mrp.P, mrp.rbar, mrp.gamma, lam)
     cfg = TrainConfig(lam=lam, alpha=1.0, beta0=2e-3,
                       horizon=100_000, seed=3, save_every=1000)
     run = run_stochastic_td(model, mrp, mu, cfg, np.zeros(2))
@@ -196,7 +207,7 @@ def test_averaged_rhs_matches_matrix_assembly(chain3):
     w = rng.standard_normal(2)
     lam = 0.7
     r_lam, P_lam = series_td_components(mrp.P, mrp.rbar, mrp.gamma, lam)
-    want = features.T @ (mu.mu * (r_lam + (mrp.gamma * P_lam - np.eye(3)) @ features @ w))
+    want = features.T @ (mu * (r_lam + (mrp.gamma * P_lam - np.eye(3)) @ features @ w))
     np.testing.assert_allclose(make_lazy_rhs(model, mrp, mu, lam, 1.0)(w), want, atol=1e-9)
 
 
@@ -208,7 +219,7 @@ def test_averaged_rhs_spiral_three_term_sum(chain3):
     V = model.value(theta)
     jac = model.jacobian(theta)[:, 0]
     td = td_operator(mrp, lam, V) - V
-    want = sum(mu.mu[s] * td[s] * jac[s] for s in range(3))
+    want = sum(mu[s] * td[s] * jac[s] for s in range(3))
     got = make_lazy_rhs(model, mrp, mu, lam, 1.0)(theta)
     np.testing.assert_allclose(got, [want], atol=1e-12)
 
@@ -238,7 +249,7 @@ def test_lazy_rhs_vanishes_at_tangent_fixed_point(chain3):
     model = LinearModel(features)
     lam, alpha = 0.2, 50.0
     # fixed point of the scaled flow: alpha * features @ w = linear fixed point
-    target = linear_td_fixed_point(features, mu.mu, mrp.P, mrp.rbar, mrp.gamma, lam)
+    target = linear_td_fixed_point(features, mu, mrp.P, mrp.rbar, mrp.gamma, lam)
     w_fixed = target / alpha
     assert np.linalg.norm(make_lazy_rhs(model, mrp, mu, lam, alpha)(w_fixed)) < 1e-9
 
@@ -268,7 +279,7 @@ def test_lazy_rhs_matches_textbook_drift(lam, alpha):
     for _ in range(4):
         w = model.init_doubled(rng) + 0.1 * rng.standard_normal(model.p)
         V = alpha * model.value(w)
-        want = model.jacobian(w).T @ (mu.mu * (r_lam + mrp.gamma * P_lam @ V - V)) / alpha
+        want = model.jacobian(w).T @ (mu * (r_lam + mrp.gamma * P_lam @ V - V)) / alpha
         np.testing.assert_allclose(rhs(w), want, rtol=1e-12, atol=1e-14 * np.abs(want).max())
 
 
@@ -291,7 +302,7 @@ def test_scaled_value_norm_is_exact(chain3):
     dict(integrator="ab3"), dict(beta0=0.0),
     dict(lam=np.nan), dict(save_every=0), dict(dt=np.inf),
     dict(dt=np.nan), dict(alpha=np.nan), dict(beta0=np.nan), dict(horizon=np.nan),
-    dict(horizon=np.inf), dict(horizon=0.0), dict(horizon=-1.0),
+    dict(horizon=np.inf), dict(horizon=0.0), dict(horizon=-1.0), dict(save_every=2.5),
 ])
 def test_train_config_validation(bad):
     from lazytd.errors import DomainError

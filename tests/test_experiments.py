@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from lazytd import GaussianBumpFeatures, LinearModel, Mrp, StationaryMeasure, cli
+from lazytd import GaussianBumpFeatures, LinearModel, Mrp, cli
 from lazytd.analysis import fit_exponential_rate
 from lazytd.cli import main as cli_main
 from lazytd.dynamics import TrainConfig, integrate
@@ -127,7 +127,7 @@ def test_linearized_rates_returns_unstable_eigenvalues():
     # counterexample, whose linearization grows at 3 gamma - 5/2
     model = LinearModel(np.array([[1.0], [2.0]]))
     mrp = Mrp(P=np.array([[0.0, 1.0], [0.0, 1.0]]), rbar=np.zeros(2), gamma=0.9)
-    mu = StationaryMeasure(np.array([0.5, 0.5]))
+    mu = np.array([0.5, 0.5])
     unstable = linearized_rates(model, np.zeros(1), mrp, mu, 0.0)[2]
     np.testing.assert_allclose(unstable, [0.2])
 
@@ -367,6 +367,7 @@ NAN, INF = float("nan"), float("inf")
 
 
 BAD_VALUE, NO_STEP = "must be positive and finite", "a run takes at least one"
+ODE_ONLY = "dt is the ode step"
 
 
 @pytest.mark.parametrize("call,argv,message", [
@@ -390,10 +391,13 @@ BAD_VALUE, NO_STEP = "must be positive and finite", "a run takes at least one"
      ["spiral", "--mode", "stochastic", "--horizon", "0.5"], NO_STEP),
     (lambda: run_nn("over", mode="stochastic", horizon=0.5),
      ["nn", "--regime", "over", "--mode", "stochastic", "--horizon", "0.5"], NO_STEP),
+    # the sampled engine steps by beta, so an ode step would be recorded unused
+    (lambda: run_nn("under", mode="stochastic", dt=123.0),
+     ["nn", "--regime", "under", "--mode", "stochastic", "--dt", "123"], ODE_ONLY),
 ], ids=["meanfield-zero-dt", "meanfield-nan-dt", "meanfield-inf-horizon", "nn-zero-dt",
         "nn-nan-dt", "nn-inf-horizon", "sampled-inf-horizon", "sampled-nan-horizon",
         "meanfield-no-step", "nn-no-step", "spiral-no-step", "spiral-sampled-no-step",
-        "sampled-no-step"])
+        "sampled-no-step", "sampled-dt"])
 def test_step_and_horizon_are_checked_before_use(call, argv, message, capsys):
     # a step count derived from them first would raise ZeroDivisionError,
     # OverflowError or numpy's ValueError instead of the library's error, and
@@ -532,7 +536,7 @@ def _rates_in_parameter_space(model, w0, mrp, mu, lam):
     from lazytd import td_resolvent
     J = model.jacobian(w0)
     _, P_lam = td_resolvent(mrp, lam)
-    A = J.T @ (mu.mu[:, None] * (mrp.gamma * P_lam - np.eye(mrp.d))) @ J
+    A = J.T @ (mu[:, None] * (mrp.gamma * P_lam - np.eye(mrp.d))) @ J
     re = np.linalg.eigvals(A).real
     fast = float(-re.min())
     tol = 1e-12 * max(fast, 1.0)
@@ -561,7 +565,7 @@ def test_linearized_rates_unstable_case_matches_parameter_space_form():
     model = LinearModel(np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0], [2.0, 0.0, 1.0, 0.0]]))
     P = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 1.0], [0.0, 0.0, 1.0]])
     mrp = Mrp(P=P, rbar=np.zeros(3), gamma=0.9)
-    mu = StationaryMeasure(np.array([0.4, 0.4, 0.2]))
+    mu = np.array([0.4, 0.4, 0.2])
     got = linearized_rates(model, np.zeros(4), mrp, mu, 0.0)
     want = _rates_in_parameter_space(model, np.zeros(4), mrp, mu, 0.0)
     assert got[2].size == want[2].size == 2

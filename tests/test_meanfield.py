@@ -145,8 +145,8 @@ def test_single_particle_matches_literal_double_sum():
     for s in range(2):
         for s2 in range(2):
             delta = mrp.rbar[s] + 0.9 * V[s2] - V[s]
-            do_want += mu.mu[s] * P[s, s2] * delta * phi[s]
-            dc_want += mu.mu[s] * P[s, s2] * delta * om0 * dphi[s]
+            do_want += mu[s] * P[s, s2] * delta * phi[s]
+            dc_want += mu[s] * P[s, s2] * delta * om0 * dphi[s]
     do, dw = particle_velocities(ens, feat, mrp, mu)
     assert do[0] == pytest.approx(do_want, abs=1e-14)
     assert dw[0, 0] == pytest.approx(dc_want, abs=1e-14)
@@ -310,7 +310,7 @@ def test_g_profile_narrow_bump_picks_single_state(chain5):
     s0 = 2  # state at 0.0
     got = g_profile(ens, feat, mrp, mu, np.array([states[s0]]))[0]
     residual_at_s0 = mrp.rbar[s0]  # V = 0 so the residual is the reward
-    assert got == pytest.approx(mu.mu[s0] * residual_at_s0, rel=1e-6)
+    assert got == pytest.approx(mu[s0] * residual_at_s0, rel=1e-6)
 
 
 def test_g_profile_sign_flips_with_reward(chain5):
@@ -340,6 +340,16 @@ def test_h1_profile_point_mass():
     want[1] = (1.0 + 2.0 - 0.5) / 3.0  # bin [0.25, 0.5)
     np.testing.assert_allclose(prof, want, atol=1e-15)
     assert prof.sum() == pytest.approx(ens.omega0.sum() / ens.n)
+
+
+def test_h1_profile_reads_a_flat_list_as_one_axis():
+    ens = ParticleEnsemble(np.array([1.0, 2.0]), np.array([0.2, 0.7]))
+    np.testing.assert_array_equal(h1_profile(ens, [0.0, 0.5, 1.0]), [0.5, 1.0])
+    np.testing.assert_array_equal(h1_profile(ens, np.array([0.0, 0.5, 1.0])), [0.5, 1.0])
+    # with a 2-D feature space, one list of edges per axis
+    ens2 = ParticleEnsemble(np.array([1.0, 2.0]), np.array([[0.2, 0.2], [0.7, 0.2]]))
+    np.testing.assert_array_equal(h1_profile(ens2, [[0.0, 0.5, 1.0], [0.0, 1.0]]),
+                                  [[0.5], [1.0]])
 
 
 def test_equal_h1_gives_equal_value_for_bin_constant_features(chain5):

@@ -98,6 +98,27 @@ def test_relu_positive_homogeneity_in_output_weights():
     np.testing.assert_allclose(scaled, 3.5 * base, atol=1e-14)
 
 
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_relu_rows_are_a_view_of_the_parameters(m):
+    # coordinate-major packing: w is the rows a, b_.1, ..., b_.m, c raveled
+    model = ReluNet(4, np.random.default_rng(m).uniform(-1, 1, (5, m)))
+    w = np.arange(model.p, dtype=float)
+    rows = model._rows(w)
+    assert rows.shape == (m + 2, 4)
+    assert np.shares_memory(rows, w)
+    np.testing.assert_array_equal(rows.ravel(), w)
+
+
+def test_relu_pack_unpack_round_trip_two_inputs():
+    model = ReluNet(6, np.random.default_rng(0).uniform(-1, 1, (5, 2)))
+    rng = np.random.default_rng(1)
+    a, b, c = rng.standard_normal(6), rng.standard_normal((6, 2)), rng.standard_normal(6)
+    w = model.pack(a, b, c)
+    np.testing.assert_array_equal(w[6:18], b.T.ravel())     # coordinate-major
+    for got, want in zip(model.unpack(w), (a, b, c)):
+        np.testing.assert_array_equal(got, want)
+
+
 def test_tangent_model_exactness():
     base = SpiralModel()
     tan = TangentModel(base, np.zeros(1))

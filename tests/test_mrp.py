@@ -27,18 +27,25 @@ from oracles import eig_stationary, neumann_value, series_td_operator
 def test_stationary_symmetric_two_state():
     mrp = Mrp(P=np.array([[0.5, 0.5], [0.5, 0.5]]), rbar=np.zeros(2), gamma=0.5)
     mu = stationary_measure(mrp)
-    np.testing.assert_allclose(mu.mu, [0.5, 0.5], atol=1e-12)
+    np.testing.assert_allclose(mu, [0.5, 0.5], atol=1e-12)
+
+
+def test_stationary_measure_is_a_float_vector():
+    mu = stationary_measure(Mrp(P=random_chain(4, np.random.default_rng(1)), rbar=np.zeros(4),
+                                gamma=0.5))
+    assert isinstance(mu, np.ndarray)
+    assert mu.dtype == np.float64 and mu.shape == (4,)
 
 
 def test_stationary_doubly_stochastic_cycle():
     mrp = Mrp(P=cyclic_chain(3, "forward"), rbar=np.zeros(3), gamma=0.5)
-    np.testing.assert_allclose(stationary_measure(mrp).mu, np.ones(3) / 3, atol=1e-10)
+    np.testing.assert_allclose(stationary_measure(mrp), np.ones(3) / 3, atol=1e-10)
 
 
 def test_stationary_matches_eigen_solve():
     P = random_chain(4, np.random.default_rng(11))
     mrp = Mrp(P=P, rbar=np.zeros(4), gamma=0.5)
-    mu = stationary_measure(mrp).mu
+    mu = stationary_measure(mrp)
     np.testing.assert_allclose(mu, eig_stationary(P), atol=1e-8)
     assert np.abs(mu @ P - mu).max() < 1e-10
     assert abs(mu.sum() - 1.0) < 1e-12
@@ -48,7 +55,7 @@ def test_stationary_periodic_chain():
     # irreducible with period 2: plain power iteration oscillates forever
     P = np.array([[0.0, 1.0, 0.0], [0.5, 0.0, 0.5], [0.0, 1.0, 0.0]])
     mrp = Mrp(P=P, rbar=np.zeros(3), gamma=0.5)
-    np.testing.assert_allclose(stationary_measure(mrp).mu, [0.25, 0.5, 0.25], atol=1e-12)
+    np.testing.assert_allclose(stationary_measure(mrp), [0.25, 0.5, 0.25], atol=1e-12)
 
 
 def _irreducible_chain(kind: str, d: int, rng: np.random.Generator) -> np.ndarray:
@@ -77,7 +84,7 @@ def _irreducible_chain(kind: str, d: int, rng: np.random.Generator) -> np.ndarra
 def test_stationary_measure_matches_eigen_oracle(kind, d, seed):
     # periodic chains included: power iteration on P alone would oscillate
     P = _irreducible_chain(kind, d, np.random.default_rng(seed))
-    mu = stationary_measure(Mrp(P=P, rbar=np.zeros(d), gamma=0.5)).mu
+    mu = stationary_measure(Mrp(P=P, rbar=np.zeros(d), gamma=0.5))
     np.testing.assert_allclose(mu, eig_stationary(P), rtol=0, atol=1e-8)
     assert np.abs(mu @ P - mu).max() < 1e-10
     assert abs(mu.sum() - 1.0) < 1e-12
@@ -305,6 +312,18 @@ def test_projection_idempotent_rank_deficient(proj_setup):
     W = rng.standard_normal(6)
     once = mu_projection(Jdef, mu, W)
     np.testing.assert_allclose(mu_projection(Jdef, mu, once), once, atol=1e-10)
+
+
+@pytest.mark.parametrize("weights,W", [
+    ([0.5], np.ones(6)),                  # one weight would broadcast over six states
+    (np.full(5, 0.2), np.ones(6)),
+    (np.full(6, 1 / 6), np.ones(5)),
+    (np.full(6, 1 / 6), np.ones((6, 1))),
+], ids=["one-weight", "short-weights", "short-vector", "column-vector"])
+def test_projection_rejects_mismatched_lengths(proj_setup, weights, W):
+    _, _, J = proj_setup
+    with pytest.raises(DimensionMismatch):
+        mu_projection(J, weights, W)
 
 
 # ------------------------------------------------------------- construction
