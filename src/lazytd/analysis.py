@@ -204,12 +204,6 @@ class DecayCertificate:
     displacement: float
     passed: bool
 
-    def to_dict(self) -> dict:
-        out = dict(self.__dict__)
-        if out["fitted_rate"] is None:
-            out["fitted_rate"] = "no clean exponential"
-        return out
-
 
 def overparametrized_certificate(
     geometry: LazyGeometry,
@@ -276,9 +270,6 @@ class FixedPointCertificate:
     envelope_constant: float
     envelope_ok: bool
     passed: bool
-
-    def to_dict(self) -> dict:
-        return dict(self.__dict__)
 
 
 def underparametrized_certificate(

@@ -16,19 +16,13 @@ import sys
 from pathlib import Path
 
 from .errors import LazyTdError
-from .experiments import (
-    ExperimentConfig,
-    run_from_config,
-    run_meanfield,
-    run_nn,
-    run_spiral,
-    run_sweep,
-)
+from .experiments import ExperimentConfig, run_from_config
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", type=Path, default=None,
-                   help="JSON experiment config; other flags are ignored")
+                   help="JSON experiment config (ExperimentConfig) of this subcommand's "
+                        "experiment; flags other than --out are ignored")
     p.add_argument("--out", type=Path, default=None, help="output directory")
     p.add_argument("--seed", type=int, default=None)
 
@@ -78,32 +72,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _given(args: argparse.Namespace) -> dict:
-    """The run flags given on the command line, keyed by runner parameter."""
-    return {k: v for k, v in vars(args).items()
-            if v is not None and k not in ("command", "config", "out")}
-
-
 def _dispatch(args: argparse.Namespace):
+    """Run the experiment of the --config file, or else the one the flags
+    ask for: ``nn --regime R`` is nn-R, ``sweep --kind K`` is K-sweep, and
+    every other flag given is a runner parameter."""
     if args.config is not None:
-        cfg = ExperimentConfig.from_json(Path(args.config).read_text())
-        if args.out is not None:
-            cfg.out_dir = str(args.out)
-        return run_from_config(cfg)
-
-    out = None if args.out is None else str(args.out)
-    kw = _given(args)
-    if args.command == "spiral":
-        return run_spiral(out_dir=out, **kw)
-    if args.command == "nn":
-        return run_nn(kw.pop("regime"), out_dir=out, **kw)
-    if args.command == "sweep":
-        grid = [float(x) for x in kw.pop("grid").split(",") if x.strip()]
-        base = {k: kw.pop(k) for k in ("regime", "seed") if k in kw}
-        return run_sweep(kw.pop("kind"), grid, base=base, out_dir=out, **kw)
-    if args.command == "meanfield":
-        return run_meanfield(out_dir=out, **kw)
-    raise LazyTdError(f"unknown command {args.command!r}")
+        config = ExperimentConfig.from_json(Path(args.config).read_text())
+    else:
+        params = {k: v for k, v in vars(args).items()
+                  if v is not None and k not in ("command", "config", "out", "seed")}
+        experiment = args.command
+        if experiment == "nn":
+            experiment = f"nn-{params.pop('regime')}"
+        elif experiment == "sweep":
+            experiment = f"{params.pop('kind')}-sweep"
+            params["grid"] = [float(x) for x in params["grid"].split(",") if x.strip()]
+            params["base"] = {"regime": params.pop("regime")} if "regime" in params else {}
+        config = ExperimentConfig(experiment, seed=args.seed, params=params)
+    if args.out is not None:
+        config.out_dir = str(args.out)
+    return run_from_config(config, args.command)
 
 
 def main(argv: list[str] | None = None) -> int:

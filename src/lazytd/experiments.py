@@ -255,10 +255,10 @@ def run_spiral(
     alpha: float = 1.0,
     out_dir: str | Path | None = None,
     mode: str = "ode",
-    integrator: str = "rk4",
-    dt: float = 1e-2,
+    integrator: str | None = None,
+    dt: float | None = None,
     horizon: float | None = None,
-    beta: float = SPIRAL_BETA,
+    beta: float | None = None,
     seed: int = 0,
 ) -> RunReport:
     """Spiral manifold on the 3-state chain: diverges unscaled (the default
@@ -268,9 +268,19 @@ def run_spiral(
     reference constant step size is available for visual comparison.
     ``horizon`` is flow time for the ode engine (default 2000, i.e. 2e5
     steps of 1e-2) and a step count for the sampled engine (default 2e5).
+    ``dt`` and ``integrator`` (default 1e-2 and "rk4") set the ode step and
+    ``beta`` (default ``SPIRAL_BETA``) the sampled one; giving the other
+    engine's setting is an error. config.json records all three.
     The deterministic run stops early once the projected residual falls
     below ``SPIRAL_STOP_TOL``; divergence is a recorded outcome, not an error.
     """
+    if mode == "ode" and beta is not None:
+        raise DomainError("beta is the sampled step; the ode engine steps by dt")
+    if mode != "ode" and (dt is not None or integrator is not None):
+        raise DomainError("dt and integrator set the ode step; the sampled engine steps by beta")
+    dt = 1e-2 if dt is None else dt
+    integrator = "rk4" if integrator is None else integrator
+    beta = SPIRAL_BETA if beta is None else beta
     if horizon is None:
         horizon = 2000.0 if mode == "ode" else 200_000
     t_start = time.perf_counter()
@@ -451,7 +461,7 @@ def run_nn(
         fit = None
 
     return _run_report(f"nn-{regime}", config, run, t_start, out_dir, fit=fit,
-                       certificate=cert.to_dict(), extra=extra)
+                       certificate=asdict(cert), extra=extra)
 
 
 def run_sweep(
@@ -600,8 +610,8 @@ def run_meanfield(
         diverged=history.diverged,
         final_value_error=float(gaps[-1]),
         certificate={
-            "optimality": final_report.to_dict(),
-            "separation_final": separation[-1].to_dict(),
+            "optimality": asdict(final_report),
+            "separation_final": asdict(separation[-1]),
             "gap_constant": cal,
             "gap_tail_nonincreasing": tail_monotone,
         },
@@ -613,23 +623,26 @@ def run_meanfield(
     )
 
 
-def run_from_config(config: ExperimentConfig) -> RunReport:
-    """Dispatch a serialized experiment description to its runner."""
+def run_from_config(config: ExperimentConfig, command: str | None = None) -> RunReport:
+    """Run a serialized experiment description, the one path from a
+    command line or a JSON config to a runner. ``command`` is the CLI
+    subcommand the request came through, when it did: the experiment must
+    be one of its own (``spiral``, ``nn-*``, ``*-sweep``, ``meanfield``)."""
+    experiment = config.experiment
+    if command is not None and command not in experiment.split("-"):
+        raise DomainError(f"a {experiment!r} config cannot run as {command!r}")
     params = dict(config.params)
     if config.seed is not None:
         params.setdefault("seed", config.seed)
     out = config.out_dir
-    if config.experiment == "spiral":
+    if experiment == "spiral":
         return run_spiral(out_dir=out, **params)
-    if config.experiment == "nn-over":
-        return run_nn("over", out_dir=out, **params)
-    if config.experiment == "nn-under":
-        return run_nn("under", out_dir=out, **params)
-    if config.experiment == "meanfield":
+    if experiment in ("nn-over", "nn-under"):
+        return run_nn(experiment[3:], out_dir=out, **params)
+    if experiment == "meanfield":
         return run_meanfield(out_dir=out, **params)
-    if config.experiment in ("alpha-sweep", "gamma-sweep"):
-        # as with ``sweep --seed``, the seed reaches every run through base
-        if "seed" in params:
-            params["base"] = {"seed": params.pop("seed"), **(params.get("base") or {})}
-        return run_sweep(config.experiment.split("-")[0], out_dir=out, **params)
-    raise DomainError(f"unknown experiment {config.experiment!r}")
+    # a sweep: the seed reaches every run through base, where one already
+    # given takes precedence
+    if "seed" in params:
+        params["base"] = {"seed": params.pop("seed"), **(params.get("base") or {})}
+    return run_sweep(experiment.split("-")[0], out_dir=out, **params)

@@ -317,15 +317,6 @@ class SeparationReport:
     resolution: float
     uncovered: np.ndarray        # witness grid points with no particle nearby
 
-    def to_dict(self) -> dict:
-        return {
-            "passed": self.passed,
-            "r0": self.r0,
-            "max_abs_omega0": self.max_abs_omega0,
-            "resolution": self.resolution,
-            "uncovered": self.uncovered.tolist(),
-        }
-
 
 def separation_check(
     ensemble: ParticleEnsemble,
@@ -371,9 +362,6 @@ class OptimalityReport:
     features_universal: bool
     gap_tolerance: float | None  # gap bound implied when all hold
     implication_holds: bool | None
-
-    def to_dict(self) -> dict:
-        return dict(self.__dict__)
 
 
 def fixed_point_optimality(

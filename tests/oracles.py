@@ -6,6 +6,10 @@ series truncation, dense eigendecompositions, and hand-assembled sums.
 
 import numpy as np
 
+from lazytd import random_chain
+
+CHAIN_KINDS = ("dense", "bipartite", "cycle", "shift")
+
 
 def eig_stationary(P):
     """Left eigenvector of P for eigenvalue 1 via dense eigendecomposition."""
@@ -64,3 +68,26 @@ def linear_td_fixed_point(features, mu_vec, P, rbar, gamma, lam):
     G = features.T @ (mu_vec[:, None] * ((gamma * P_lam - np.eye(P.shape[0])) @ features))
     b = features.T @ (mu_vec * r_lam)
     return np.linalg.solve(G, -b)
+
+
+def irreducible_chain(kind: str, d: int, rng: np.random.Generator) -> np.ndarray:
+    """An irreducible chain on d states with transition weights in [0.1, 1]
+    before normalization. "dense": every transition. "bipartite": two
+    nonempty classes, each moving only into the other (period 2). "cycle":
+    a random cyclic order of the states plus some random shortcuts, periodic
+    with period d when none are drawn. "shift": the deterministic cyclic
+    shift i -> i + 1, periodic with period d."""
+    W = np.zeros((d, d))
+    if kind == "dense":
+        return random_chain(d, rng)
+    if kind == "shift":
+        return np.roll(np.eye(d), 1, axis=1)
+    if kind == "bipartite":
+        side = rng.permutation(d) < int(rng.integers(1, d))
+        W[np.ix_(side, ~side)] = rng.uniform(0.1, 1.0, (side.sum(), (~side).sum()))
+        W[np.ix_(~side, side)] = rng.uniform(0.1, 1.0, ((~side).sum(), side.sum()))
+    else:
+        order = rng.permutation(d)
+        W[order, np.roll(order, -1)] = rng.uniform(0.1, 1.0, d)
+        W += (rng.random((d, d)) < 0.2) * rng.uniform(0.1, 1.0, (d, d))
+    return W / W.sum(axis=1, keepdims=True)

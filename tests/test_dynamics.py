@@ -29,7 +29,7 @@ from lazytd import (
 from lazytd.dynamics import RKC_MARGIN, rkc_scheme, rkc_stage_count, write_csv
 from lazytd.errors import DimensionMismatch, DomainError, NonFiniteState
 
-from oracles import linear_td_fixed_point, series_td_components
+from oracles import CHAIN_KINDS, irreducible_chain, linear_td_fixed_point, series_td_components
 
 SPIRAL_RBAR = np.array([-6.85, 8.35, -1.5])
 
@@ -252,6 +252,25 @@ def test_lazy_rhs_vanishes_at_tangent_fixed_point(chain3):
     target = linear_td_fixed_point(features, mu, mrp.P, mrp.rbar, mrp.gamma, lam)
     w_fixed = target / alpha
     assert np.linalg.norm(make_lazy_rhs(model, mrp, mu, lam, alpha)(w_fixed)) < 1e-9
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(CHAIN_KINDS), d=st.integers(2, 8), seed=st.integers(0, 2**16),
+       gamma=st.floats(0.05, 0.99), lam=st.floats(0.0, 0.9))
+def test_lazy_rhs_vanishes_at_linear_td_fixed_point(kind, d, seed, gamma, lam):
+    # on any irreducible chain, periodic ones included, the scaled flow of a
+    # full-column-rank linear model stops where alpha times its value is the
+    # linear TD fixed point
+    rng = np.random.default_rng(seed)
+    mrp = Mrp(P=irreducible_chain(kind, d, rng), rbar=rng.standard_normal(d), gamma=gamma)
+    mu = stationary_measure(mrp)
+    features = rng.standard_normal((d, int(rng.integers(1, d + 1))))  # full rank almost surely
+    target = linear_td_fixed_point(features, mu, mrp.P, mrp.rbar, gamma, lam)
+    model = LinearModel(features)
+    for alpha in (1.0, 100.0):
+        rhs = make_lazy_rhs(model, mrp, mu, lam, alpha)
+        reward_term = np.linalg.norm(rhs(np.zeros(model.p)))  # what the fixed point cancels
+        assert np.linalg.norm(rhs(target / alpha)) <= 1e-8 * reward_term + 1e-15
 
 
 def test_lazy_flow_reaches_tangent_fixed_point(chain3):

@@ -5,6 +5,7 @@ import csv
 import inspect
 import io
 import json
+import re
 import threading
 
 import numpy as np
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from lazytd import GaussianBumpFeatures, LinearModel, Mrp, cli
+from lazytd import GaussianBumpFeatures, LinearModel, Mrp, experiments
 from lazytd.analysis import fit_exponential_rate
 from lazytd.cli import main as cli_main
 from lazytd.dynamics import TrainConfig, integrate
@@ -368,6 +369,7 @@ NAN, INF = float("nan"), float("inf")
 
 BAD_VALUE, NO_STEP = "must be positive and finite", "a run takes at least one"
 ODE_ONLY = "dt is the ode step"
+SPIRAL_ODE_ONLY, SAMPLED_ONLY = "set the ode step", "beta is the sampled step"
 
 
 @pytest.mark.parametrize("call,argv,message", [
@@ -394,10 +396,19 @@ ODE_ONLY = "dt is the ode step"
     # the sampled engine steps by beta, so an ode step would be recorded unused
     (lambda: run_nn("under", mode="stochastic", dt=123.0),
      ["nn", "--regime", "under", "--mode", "stochastic", "--dt", "123"], ODE_ONLY),
+    # likewise each spiral engine refuses the other's step settings
+    (lambda: run_spiral(mode="stochastic", horizon=2000, dt=5.0),
+     ["spiral", "--mode", "stochastic", "--horizon", "2000", "--dt", "5"], SPIRAL_ODE_ONLY),
+    (lambda: run_spiral(mode="stochastic", horizon=2000, integrator="euler"),
+     ["spiral", "--mode", "stochastic", "--horizon", "2000", "--integrator", "euler"],
+     SPIRAL_ODE_ONLY),
+    (lambda: run_spiral(alpha=100.0, horizon=50.0, beta=7.0),
+     ["spiral", "--alpha", "100", "--horizon", "50", "--beta", "7"], SAMPLED_ONLY),
 ], ids=["meanfield-zero-dt", "meanfield-nan-dt", "meanfield-inf-horizon", "nn-zero-dt",
         "nn-nan-dt", "nn-inf-horizon", "sampled-inf-horizon", "sampled-nan-horizon",
         "meanfield-no-step", "nn-no-step", "spiral-no-step", "spiral-sampled-no-step",
-        "sampled-no-step", "sampled-dt"])
+        "sampled-no-step", "sampled-dt", "spiral-sampled-dt", "spiral-sampled-integrator",
+        "spiral-ode-beta"])
 def test_step_and_horizon_are_checked_before_use(call, argv, message, capsys):
     # a step count derived from them first would raise ZeroDivisionError,
     # OverflowError or numpy's ValueError instead of the library's error, and
@@ -478,6 +489,63 @@ def test_cli_config_file(tmp_path, capsys):
     assert echoed["alpha"] == 100.0
 
 
+# flags nn and sweep require even next to --config, which ignores them
+REQUIRED = {"nn": ["--regime", "over"], "sweep": ["--kind", "gamma", "--grid", "1"]}
+
+
+@pytest.mark.parametrize("command,experiment", [
+    ("meanfield", "spiral"), ("spiral", "nn-over"), ("nn", "alpha-sweep"),
+    ("sweep", "nn-under"), ("nn", "meanfield"), ("spiral", "gamma-sweep"),
+])
+def test_cli_refuses_a_config_of_another_subcommand(tmp_path, capsys, command, experiment):
+    path = tmp_path / "cfg.json"
+    path.write_text(ExperimentConfig(experiment=experiment).to_json())
+    argv = [command, *REQUIRED.get(command, []), "--config", str(path),
+            "--out", str(tmp_path / "o")]
+    assert cli_main(argv) == 2
+    assert "cannot run as" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+WALL_CLOCK = re.compile(rb'"wall_clock": [-+0-9.eE]+')
+
+
+def _output_files(out):
+    return {str(p.relative_to(out)): WALL_CLOCK.sub(b"", p.read_bytes())
+            for p in sorted(out.rglob("*")) if p.is_file()}
+
+
+@pytest.mark.parametrize("argv,config", [
+    (["spiral", "--alpha", "100", "--horizon", "5"],
+     {"experiment": "spiral", "params": {"alpha": 100.0, "horizon": 5.0}}),
+    (["nn", "--regime", "over", "--units", "20", "--states", "5", "--horizon", "500",
+      "--seed", "3"],
+     {"experiment": "nn-over", "seed": 3,
+      "params": {"n_units": 20, "n_states": 5, "horizon": 500.0}}),
+    (["nn", "--regime", "under", "--units", "6", "--states", "6", "--alpha", "50"],
+     {"experiment": "nn-under", "params": {"n_units": 6, "n_states": 6, "alpha": 50.0}}),
+    (["meanfield", "--particles", "20", "--horizon", "5", "--seed", "8"],
+     {"experiment": "meanfield", "seed": 8, "params": {"n_particles": 20, "horizon": 5.0}}),
+    (["sweep", "--kind", "alpha", "--grid", "100,200", "--regime", "under", "--seed", "13"],
+     {"experiment": "alpha-sweep", "seed": 13,
+      "params": {"grid": [100.0, 200.0], "base": {"regime": "under"}}}),
+], ids=["spiral", "nn-over", "nn-under", "meanfield", "alpha-sweep"])
+def test_cli_flags_and_config_file_write_the_same_files(tmp_path, capsys, argv, config):
+    # a command line and its JSON config are one request: the same output
+    # files byte for byte, apart from the wall clock
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    assert cli_main([*argv, "--out", str(tmp_path / "flags")]) == 0
+    by_flags = capsys.readouterr().out
+    assert cli_main([argv[0], *REQUIRED.get(argv[0], []), "--config", str(path),
+                     "--out", str(tmp_path / "file")]) == 0
+    by_file = capsys.readouterr().out
+    assert WALL_CLOCK.sub(b"", by_flags.encode()) == WALL_CLOCK.sub(b"", by_file.encode())
+    flags, file = _output_files(tmp_path / "flags"), _output_files(tmp_path / "file")
+    assert "report.json" in flags
+    assert flags == file
+
+
 def test_cli_nn_and_sweep(tmp_path, capsys):
     assert cli_main(["nn", "--regime", "under", "--out", str(tmp_path / "n")]) == 0
     assert cli_main(["sweep", "--kind", "gamma", "--grid", "0.9",
@@ -520,15 +588,15 @@ def test_cli_passes_only_given_flags(monkeypatch, capsys, argv, runner, expected
         received.update(args=args, kwargs=kwargs)
         return RunReport(experiment="fake", config={}, diverged=False)
 
-    monkeypatch.setattr(cli, runner, fake)
+    monkeypatch.setattr(experiments, runner, fake)
     assert cli_main(argv) == 0
     kwargs = received["kwargs"]
     assert kwargs.pop("out_dir") is None
-    assert kwargs == expected
-    if runner == "run_nn":
-        assert received["args"] == (argv[2],)
     if runner == "run_sweep":
-        assert received["args"] == (argv[2], [float(x) for x in argv[4].split(",")])
+        assert kwargs.pop("grid") == [float(x) for x in argv[4].split(",")]
+    assert kwargs == expected
+    if runner in ("run_nn", "run_sweep"):
+        assert received["args"] == (argv[2],)
 
 
 def _rates_in_parameter_space(model, w0, mrp, mu, lam):

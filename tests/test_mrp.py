@@ -19,7 +19,7 @@ from lazytd import (
     td_resolvent,
 )
 from lazytd.errors import DimensionMismatch, DomainError, FullSupportViolation
-from oracles import eig_stationary, neumann_value, series_td_operator
+from oracles import CHAIN_KINDS, eig_stationary, irreducible_chain, neumann_value, series_td_operator
 
 
 # ------------------------------------------------------- stationary measure
@@ -58,32 +58,12 @@ def test_stationary_periodic_chain():
     np.testing.assert_allclose(stationary_measure(mrp), [0.25, 0.5, 0.25], atol=1e-12)
 
 
-def _irreducible_chain(kind: str, d: int, rng: np.random.Generator) -> np.ndarray:
-    """An irreducible chain on d states with transition weights in [0.1, 1]
-    before normalization. "dense": every transition. "bipartite": two
-    nonempty classes, each moving only into the other (period 2). "cycle":
-    a random cyclic order of the states plus some random shortcuts, periodic
-    with period d when none are drawn."""
-    W = np.zeros((d, d))
-    if kind == "dense":
-        return random_chain(d, rng)
-    if kind == "bipartite":
-        side = rng.permutation(d) < int(rng.integers(1, d))
-        W[np.ix_(side, ~side)] = rng.uniform(0.1, 1.0, (side.sum(), (~side).sum()))
-        W[np.ix_(~side, side)] = rng.uniform(0.1, 1.0, ((~side).sum(), side.sum()))
-    else:
-        order = rng.permutation(d)
-        W[order, np.roll(order, -1)] = rng.uniform(0.1, 1.0, d)
-        W += (rng.random((d, d)) < 0.2) * rng.uniform(0.1, 1.0, (d, d))
-    return W / W.sum(axis=1, keepdims=True)
-
-
 @settings(max_examples=60, deadline=None)
 @given(kind=st.sampled_from(["dense", "bipartite", "cycle"]), d=st.integers(2, 8),
        seed=st.integers(0, 2**16))
 def test_stationary_measure_matches_eigen_oracle(kind, d, seed):
     # periodic chains included: power iteration on P alone would oscillate
-    P = _irreducible_chain(kind, d, np.random.default_rng(seed))
+    P = irreducible_chain(kind, d, np.random.default_rng(seed))
     mu = stationary_measure(Mrp(P=P, rbar=np.zeros(d), gamma=0.5))
     np.testing.assert_allclose(mu, eig_stationary(P), rtol=0, atol=1e-8)
     assert np.abs(mu @ P - mu).max() < 1e-10
@@ -260,6 +240,23 @@ def test_td_contraction_property(seed, gamma, lam):
     lhs = mu_norm(td_operator(mrp, lam, V) - td_operator(mrp, lam, W), mu)
     rhs = contraction_modulus(gamma, lam) * mu_norm(V - W, mu)
     assert lhs <= rhs + 1e-10
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(CHAIN_KINDS), d=st.integers(2, 8), seed=st.integers(0, 2**16),
+       gamma=st.floats(0.05, 0.99), lam=st.floats(0.0, 0.95))
+def test_td_operator_contracts_with_its_modulus(kind, d, seed, gamma, lam):
+    # periodic chains included; a constant difference attains the modulus,
+    # since P maps the constant vector to itself
+    rng = np.random.default_rng(seed)
+    mrp = Mrp(P=irreducible_chain(kind, d, rng), rbar=rng.standard_normal(d), gamma=gamma)
+    mu = stationary_measure(mrp)
+    modulus = contraction_modulus(gamma, lam)
+    V, W = rng.standard_normal(d), rng.standard_normal(d)
+    T = lambda U: td_operator(mrp, lam, U)
+    assert mu_norm(T(V) - T(W), mu) <= modulus * mu_norm(V - W, mu) * (1 + 1e-10)
+    shift = float(rng.uniform(0.5, 2.0))
+    assert mu_norm(T(V + shift) - T(V), mu) == pytest.approx(modulus * shift, rel=1e-9)
 
 
 @settings(max_examples=30, deadline=None)

@@ -1,0 +1,103 @@
+"""Compare the output files of two lazytd source trees, run for run.
+
+    python3 tools/diff_outputs.py PARENT CHANGE [CLI ARGS...]
+
+PARENT and CHANGE are checkouts of the repository (each with its own
+``src``). Every invocation runs once under each tree, as
+``python -m lazytd.cli ARGS --out DIR`` with ``OPENBLAS_NUM_THREADS=1``,
+into a temporary directory. The invocations are every benchmark workload
+of ``bench/workloads.py`` (under CHANGE) at each of its stored seeds, plus
+the spiral and narrow-net runs of ``EXTRA``; CLI ARGS given after the two
+trees replace the list with that one invocation.
+
+Exit codes, stdout and every output file must match byte for byte, apart
+from the ``wall_clock`` figure in report.json and on stdout. Every file
+that differs is printed with the start of its diff; the exit code is 1 on
+any difference and 0 otherwise.
+"""
+
+from __future__ import annotations
+
+import difflib
+import os
+import re
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+EXTRA = (
+    ("spiral", "--alpha", "100"),
+    ("spiral", "--mode", "stochastic", "--horizon", "20000"),
+    ("nn", "--regime", "under"),
+)
+WALL_CLOCK = re.compile(rb'("wall_clock": )[-+0-9.eE]+')
+DIFF_LINES = 12
+
+
+def invocations(change: Path) -> list[list[str]]:
+    sys.path.insert(0, str(change / "bench"))
+    import workloads
+
+    runs = [w.cli_args(seed) for w in workloads.WORKLOADS.values() for seed in w.lazytd_seeds]
+    return runs + [list(argv) for argv in EXTRA]
+
+
+def run(tree: Path, argv: list[str], out: Path) -> dict[str, bytes]:
+    """Exit code, stdout and every output file of one invocation, keyed by
+    name, with wall_clock blanked."""
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": str(tree / "src")}
+    env.pop("LAZYTD_BENCH_HOOK", None)
+    proc = subprocess.run([sys.executable, "-m", "lazytd.cli", *argv, "--out", str(out)],
+                          env=env, capture_output=True, cwd=out.parent)
+    found = {"<exit code>": str(proc.returncode).encode(), "<stdout>": proc.stdout}
+    if proc.returncode != 0:
+        found["<stderr>"] = proc.stderr
+    for path in sorted(p for p in out.rglob("*") if p.is_file()):
+        found[str(path.relative_to(out))] = path.read_bytes()
+    return {k: WALL_CLOCK.sub(rb"\1null", v) for k, v in found.items()}
+
+
+def compare(parent: dict[str, bytes], change: dict[str, bytes]) -> list[str]:
+    """One entry per differing file: its name and the start of its diff."""
+    differing = []
+    for name in sorted(parent.keys() | change.keys()):
+        a, b = parent.get(name), change.get(name)
+        if a == b:
+            continue
+        if a is None or b is None:
+            differing.append(f"{name}: only under {'CHANGE' if a is None else 'PARENT'}")
+            continue
+        diff = difflib.unified_diff(a.decode(errors="replace").splitlines(),
+                                    b.decode(errors="replace").splitlines(),
+                                    "PARENT", "CHANGE", n=0, lineterm="")
+        lines = list(diff)[2:]
+        more = [f"... {len(lines) - DIFF_LINES} more lines"] if len(lines) > DIFF_LINES else []
+        differing.append("\n    ".join([name, *lines[:DIFF_LINES], *more]))
+    return differing
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) < 2:
+        print(__doc__, file=sys.stderr)
+        return 2
+    parent, change = Path(argv[0]).resolve(), Path(argv[1]).resolve()
+    todo = [argv[2:]] if len(argv) > 2 else invocations(change)
+    status = 0
+    with tempfile.TemporaryDirectory(prefix="diff_outputs-") as tmp:
+        for i, args in enumerate(todo):
+            outputs = []
+            for tree, label in ((parent, "parent"), (change, "change")):
+                out = Path(tmp) / f"{i}-{label}" / "out"
+                out.parent.mkdir()
+                outputs.append(run(tree, args, out))
+            differing = compare(*outputs)
+            print(f"{'DIFFERS' if differing else 'same   '}  {' '.join(args)}")
+            for entry in differing:
+                print(f"  {entry}")
+            status |= bool(differing)
+    return status
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
