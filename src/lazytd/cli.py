@@ -27,9 +27,12 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=None)
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(require_experiment: bool = False) -> argparse.ArgumentParser:
     # optional flags default to None and carry the runner's parameter name
-    # as dest, so that a flag left out leaves the library's default in force
+    # as dest, so that a flag left out leaves the library's default in force.
+    # The flags that name the experiment (nn --regime, sweep --kind, --grid)
+    # are required only with require_experiment, since a --config file names
+    # it too.
     parser = argparse.ArgumentParser(prog="lazytd", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -44,7 +47,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("nn", help="ReLU network run on a cyclic chain")
     _add_common(p)
-    p.add_argument("--regime", choices=["over", "under"], required=True)
+    p.add_argument("--regime", choices=["over", "under"], required=require_experiment)
     p.add_argument("--alpha", type=float)
     p.add_argument("--gamma", type=float)
     p.add_argument("--units", dest="n_units", type=int)
@@ -55,8 +58,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="grid of network runs")
     _add_common(p)
-    p.add_argument("--kind", choices=["alpha", "gamma"], required=True)
-    p.add_argument("--grid", type=str, required=True,
+    p.add_argument("--kind", choices=["alpha", "gamma"], required=require_experiment)
+    p.add_argument("--grid", type=str, required=require_experiment,
                    help="comma-separated grid values, e.g. 0.8,0.85,0.9")
     p.add_argument("--regime", choices=["over", "under"])
     p.add_argument("--workers", type=int,
@@ -96,6 +99,9 @@ def _dispatch(args: argparse.Namespace):
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    if args.config is None:
+        # the flags name the experiment: argparse reports a missing one
+        args = build_parser(require_experiment=True).parse_args(argv)
     try:
         report = _dispatch(args)
     except (LazyTdError, OSError, ValueError, KeyError, TypeError) as exc:

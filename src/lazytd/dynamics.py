@@ -91,7 +91,7 @@ class Trajectory:
     diagnostics: dict[str, np.ndarray] = field(default_factory=dict)
     diverged: bool = False
     diverged_at: float | None = None
-    # what the integrator did: integrator, steps, rhs_calls, stages_min, stages_max
+    # what the run did: steps; integrate adds integrator, rhs_calls, stages_min, stages_max
     stats: dict = field(default_factory=dict)
 
     @property
@@ -137,8 +137,7 @@ def sample_chain(mrp: Mrp, mu: np.ndarray, steps: int, rng: np.random.Generator 
     """Sample a state path: s0 from the weights mu, then the chain."""
     if steps < 1:
         raise DomainError("steps must be >= 1")
-    if not isinstance(rng, np.random.Generator):
-        rng = np.random.default_rng(rng)
+    rng = np.random.default_rng(rng)
     cum = np.cumsum(mrp.P, axis=1)
     cum[:, -1] = 1.0
     # bisect on the rows as Python lists: a per-step np.searchsorted costs
@@ -336,7 +335,7 @@ def integrate(
     half, sixth = 0.5 * dt, dt / 6.0
     stage = np.empty(np.shape(w0))
     k1 = None
-    calls = steps = 0
+    calls = 0
     stage_counts = {"rk4": {4}, "euler": {1}, "rkc": set()}[config.integrator]
 
     def f(w):
@@ -383,12 +382,14 @@ def integrate(
             stage_counts.add(s)
             scheme = rkc_scheme(s)
         _, mu1, stages = scheme
-        prev2, prev, spare = w, buffers[0], buffers[1:]
-        np.multiply(k1, mu1 * dt, prev)
-        prev += w
-        for c0, mu, nu, mu_t, gamma_t in stages:
+        np.multiply(k1, mu1 * dt, buffers[0])
+        buffers[0] += w
+        # the stages rotate through the three buffers: stage j reads the
+        # latest two states and overwrites the one before them
+        for j, (c0, mu, nu, mu_t, gamma_t) in enumerate(stages):
+            prev, y = buffers[j % 3], buffers[(j + 1) % 3]
+            prev2 = buffers[(j - 1) % 3] if j else w
             fj = f(prev)
-            y = spare.pop()
             np.multiply(w, c0, y)
             np.multiply(prev, mu, stage)
             y += stage
@@ -398,29 +399,21 @@ def integrate(
             y += stage
             np.multiply(k1, gamma_t * dt, stage)
             y += stage
-            if prev2 is not w:
-                spare.append(prev2)
-            prev2, prev = prev, y
-        np.copyto(out, prev)
+        np.copyto(out, y)
 
     advance = {"rk4": rk4, "euler": euler, "rkc": rkc}[config.integrator]
-
-    def counted_step(k, w, out):
-        nonlocal steps
-        steps += 1
-        advance(k, w, out)
-
-    run = _run(counted_step, look, w0, dt, config.n_steps, config.save_every, stop_when)
-    run.stats = {"integrator": config.integrator, "steps": steps, "rhs_calls": calls,
-                 "stages_min": min(stage_counts), "stages_max": max(stage_counts)}
+    run = _run(advance, look, w0, dt, config.n_steps, config.save_every, stop_when)
+    run.stats.update(integrator=config.integrator, rhs_calls=calls,
+                     stages_min=min(stage_counts), stages_max=max(stage_counts))
     return run
 
 
 def _run(advance, look, w0: np.ndarray, h: float, n_steps: int, save_every: int,
          stop_when=None) -> Trajectory:
-    """The one run loop of every engine: n_steps steps of size h, the state
-    after step k + 1 at time (k + 1) h, saved every save_every steps and at
-    the last.
+    """The one run loop of every engine: n_steps >= 1 steps of size h, the
+    state after step k + 1 at time (k + 1) h, saved every save_every steps
+    and at the last. The trajectory's ``stats`` count the steps taken, the
+    one that diverged included.
 
     ``advance(k, w, out)`` writes the state after step k + 1 into ``out``;
     ``look(w)`` evaluates at each accepted state what the next step needs
@@ -467,4 +460,5 @@ def _run(advance, look, w0: np.ndarray, h: float, n_steps: int, save_every: int,
         params=np.asarray(saved),
         diverged=diverged_at is not None,
         diverged_at=diverged_at,
+        stats={"steps": k + 1},
     )

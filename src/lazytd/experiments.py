@@ -159,6 +159,12 @@ def _jsonable(obj):
     return obj
 
 
+def _floats(*values):
+    """The given float parameters as floats, None left as is, so that a
+    config file's 100 records as the flag's 100.0."""
+    return [None if v is None else float(v) for v in values]
+
+
 def _emit(out_dir, report: RunReport, tables: dict, listed=()) -> None:
     """Write one run's output files: config.json, one CSV per entry of
     ``tables`` ({name: (header, rows)}) and report.json, whose manifest
@@ -274,6 +280,7 @@ def run_spiral(
     The deterministic run stops early once the projected residual falls
     below ``SPIRAL_STOP_TOL``; divergence is a recorded outcome, not an error.
     """
+    alpha, dt, horizon, beta = _floats(alpha, dt, horizon, beta)
     if mode == "ode" and beta is not None:
         raise DomainError("beta is the sampled step; the ode engine steps by dt")
     if mode != "ode" and (dt is not None or integrator is not None):
@@ -386,6 +393,7 @@ def run_nn(
     """
     if regime not in ("over", "under"):
         raise DomainError(f"regime must be 'over' or 'under', got {regime!r}")
+    gamma, alpha, lam, dt, horizon = _floats(gamma, alpha, lam, dt, horizon)
     defaults = OVER_DEFAULTS if regime == "over" else UNDER_DEFAULTS
     n_units = defaults["n_units"] if n_units is None else n_units
     n_states = defaults["n_states"] if n_states is None else n_states
@@ -483,6 +491,7 @@ def run_sweep(
         raise DomainError(f"sweep kind must be 'gamma' or 'alpha', got {kind!r}")
     if not grid:
         raise DomainError("sweep grid must be nonempty")
+    grid = _floats(*grid)
     if not workers >= 1:
         raise DomainError(f"workers must be >= 1, got {workers}")
     # each run's directory name; two values that format alike would share one
@@ -557,6 +566,7 @@ def run_meanfield(
     parameter defaults are chosen so the run settles within the horizon.
     config.json records every one of them.
     """
+    gamma, dt, horizon = _floats(gamma, dt, horizon)
     t_start = time.perf_counter()
     cfg = TrainConfig(dt=dt, horizon=horizon)  # checks both before they set the save interval
     save_every = max(1, cfg.n_steps // 40)

@@ -122,8 +122,7 @@ def doubled_ensemble(
     """
     if n_particles < 2 or n_particles % 2 != 0:
         raise DomainError(f"doubled ensemble needs an even particle count >= 2, got {n_particles}")
-    if not isinstance(rng, np.random.Generator):
-        rng = np.random.default_rng(rng)
+    rng = np.random.default_rng(rng)
     half = n_particles // 2
     omega0 = rng.standard_normal(half)
     wbar = np.atleast_2d(np.asarray(wbar_sampler(half, rng), dtype=float))

@@ -267,8 +267,7 @@ class ReluNet(ValueModel):
         """
         if self.n_units % 2 != 0:
             raise OddWidth(f"doubled initialization needs even width, got {self.n_units}")
-        if not isinstance(rng, np.random.Generator):
-            rng = np.random.default_rng(rng)
+        rng = np.random.default_rng(rng)
         half = self.n_units // 2
         a = rng.standard_normal(half)
         b = rng.standard_normal((half, self.m)) / np.sqrt(self.m)
@@ -320,8 +319,6 @@ class RankProfile:
 
     singular_values: np.ndarray
     rank: int
-    sigma_min: float
-    sigma_max: float
     overparametrized: bool
 
     @property
@@ -342,13 +339,5 @@ def rank_profile(model: ValueModel, w: np.ndarray) -> RankProfile:
     Over-parametrized means the Jacobian spans all d state directions.
     """
     sv = np.linalg.svd(model.jacobian(w), compute_uv=False)
-    smax = float(sv[0]) if sv.size else 0.0
     rank = numerical_rank(sv)
-    smin = float(sv[rank - 1]) if rank > 0 else 0.0
-    return RankProfile(
-        singular_values=sv,
-        rank=rank,
-        sigma_min=smin,
-        sigma_max=smax,
-        overparametrized=(rank == model.d),
-    )
+    return RankProfile(singular_values=sv, rank=rank, overparametrized=(rank == model.d))

@@ -2,14 +2,22 @@
 
 Run with `pytest tests/test_acceptance.py -v -s`. Criterion 5 (decay-rate
 monotonicity in the discount factor) is implemented exactly as stated and
-is expected to FAIL: across every full-rank seed of the reference network
-size, the realized fitted rate is essentially discount-independent, with
-the trend slightly inverted; only the guaranteed lower-bound envelope
-carries the (1 - gamma) factor. The failure is a property of the dynamics,
-not of the implementation; see the repository notes for the analysis.
+is expected to FAIL: on the reference network the fitted rates rise
+with the discount. The slow mode of Gamma (gamma P - I) J J^T on
+the backward cyclic chain is near-alternating, and TD damps a mode of
+angle theta there at a rate proportional to 1 - gamma cos(theta), which
+grows with gamma when cos(theta) < 0. On the smooth Gaussian-bump
+instance, whose slow mode is smooth, the fitted rates fall in gamma. Only
+the guaranteed lower-bound envelope carries the (1 - gamma) factor. The
+failure is a property of the dynamics, not of the implementation; ROADMAP.md
+has the analysis under "Criterion 5 explained by the spectrum".
+
+Criteria 4, 5, 6, 7 and 11 run full-size experiments and are marked slow:
+`pytest -m "not slow"` leaves them out.
 """
 
 import numpy as np
+import pytest
 
 from lazytd import (
     GaussianBumpFeatures,
@@ -86,6 +94,7 @@ def test_criterion_03_contraction_property():
     assert outcome(3, worst <= 1e-10, f"max contraction violation {worst:.2e}")
 
 
+@pytest.mark.slow
 def test_criterion_04_global_decay_envelope():
     rep = run_nn("over")   # width 100, 30 states, scaling 500, discount 0.9, fixed seed
     cert = rep.certificate
@@ -95,16 +104,18 @@ def test_criterion_04_global_decay_envelope():
                    % (cert["envelope_margin"], cert["r_squared"], rep.wall_clock))
 
 
+@pytest.mark.slow
 def test_criterion_05_rate_monotonicity_in_discount():
     sweep = run_sweep("gamma", [0.8, 0.83, 0.85, 0.87, 0.9])
     rates = sweep.certificate["rates_by_gamma"]
     ok = sweep.certificate["passed"]
     detail = "fitted rates by discount " + str(["%.3e" % r if r else "-" for r in rates])
-    # Expected to fail: realized rates are conditioning-dominated and nearly
-    # discount-independent for this model family (slightly increasing).
+    # Expected to fail: the swept net's slow mode is near-alternating, and
+    # its damping grows with the discount (see the module docstring).
     assert outcome(5, ok, detail)
 
 
+@pytest.mark.slow
 def test_criterion_06_local_fixed_point_error_bound():
     alphas = [50.0, 100.0, 200.0]
 
@@ -133,6 +144,7 @@ def test_criterion_06_local_fixed_point_error_bound():
                    % (cert_s.passed, ["%.1e" % p for p in pes], nn_env))
 
 
+@pytest.mark.slow
 def test_criterion_07_displacement_scaling():
     sweep = run_sweep("alpha", [1e2, 1e3, 1e4])
     relu_slope = sweep.certificate["slope"]
@@ -229,6 +241,7 @@ def test_criterion_10_jacobian_checks():
     assert outcome(10, worst <= 1e-4, f"max relative Jacobian gap {worst:.2e}")
 
 
+@pytest.mark.slow
 def test_criterion_11_stochastic_ode_consistency():
     mrp = spiral_mrp()
     mu = stationary_measure(mrp)

@@ -29,6 +29,7 @@ from lazytd.analysis import displacement_slope
 from lazytd.errors import (
     DimensionMismatch,
     DomainError,
+    InitNotZero,
     NotOverParametrized,
     NotUnderParametrized,
     RankCollapse,
@@ -310,6 +311,15 @@ def test_underparametrized_certificate_rejects_full_rank(chain3):
     model = LinearModel(np.eye(3))
     run = Trajectory(times=np.array([0.0]), params=np.zeros((1, 3)))
     with pytest.raises(NotUnderParametrized):
+        underparametrized_certificate(model, mrp, mu, 0.0, [10.0], [run])
+
+
+def test_underparametrized_certificate_rejects_nonzero_init(chain3):
+    # the 1/alpha envelope is stated for runs that start from a vanishing value
+    mrp, mu = chain3
+    model = TangentModel(SpiralModel(), np.zeros(1))
+    run = Trajectory(times=np.array([0.0]), params=np.ones((1, 1)))
+    with pytest.raises(InitNotZero):
         underparametrized_certificate(model, mrp, mu, 0.0, [10.0], [run])
 
 

@@ -329,6 +329,15 @@ def test_train_config_validation(bad):
         TrainConfig(**bad)
 
 
+@pytest.mark.parametrize("call", [
+    lambda mrp, mu: make_lazy_rhs(LinearModel(np.eye(3)), mrp, mu, 0.0, 0.5),
+    lambda mrp, mu: sample_chain(mrp, mu, 0, 0),
+], ids=["rhs-alpha-below-one", "chain-of-no-steps"])
+def test_invalid_engine_input_raises_domain_error(chain3, call):
+    with pytest.raises(DomainError):
+        call(*chain3)
+
+
 # ----------------------------------------------------------------- integrator
 
 def test_integrate_zero_rhs_is_constant():
@@ -528,7 +537,7 @@ def test_sampled_run_reads_one_row_map_per_state(chain3):
     n = 250
     cfg = TrainConfig(alpha=100.0, beta0=1e-2, horizon=n, save_every=50)
     run = run_stochastic_td(model, mrp, mu, cfg, model.init_doubled(0))
-    assert not run.diverged
+    assert not run.diverged and run.stats == {"steps": n}
     assert calls == {"value_and_row": n + 1, "value": 0, "jacobian": 0, "value_and_vjp": 0}
 
 
@@ -547,6 +556,17 @@ def test_integrate_raises_on_nonfinite_rhs(chain3):
     mrp, mu = chain3
     with pytest.raises(NonFiniteState):
         run_stochastic_td(NanPullback(np.eye(3)), mrp, mu, TrainConfig(horizon=10), np.zeros(3))
+
+
+def test_nonfinite_step_from_a_large_state_is_divergence():
+    # within three orders of the threshold a single explosive step can jump
+    # straight past it to inf: the run halts as diverged, and the step that
+    # diverged counts among its steps
+    run = integrate(lambda w: np.array([np.inf]), np.array([1e6]),
+                    TrainConfig(dt=0.1, horizon=1.0, integrator="euler"))
+    assert run.diverged and run.diverged_at == pytest.approx(0.1)
+    np.testing.assert_array_equal(run.params, [[1e6]])
+    assert run.stats["steps"] == 1
 
 
 def test_trajectory_csv_round_trip(tmp_path, chain3):

@@ -133,6 +133,7 @@ def test_linearized_rates_returns_unstable_eigenvalues():
     np.testing.assert_allclose(unstable, [0.2])
 
 
+@pytest.mark.slow
 def test_nn_under_three_seeds_converge():
     for seed in (5, 17, 3):
         rep = run_nn("under", seed=seed)
@@ -356,8 +357,14 @@ def test_sweep_rejects_values_sharing_a_run_name(tmp_path, grid):
     lambda: run_sweep("alpha", [100.0], base={"regime": "under"}, workers=0),
     lambda: run_sweep("alpha", [100.0], base={"regime": "under"}, workers=-2),
     lambda: run_nn("over", n_units=0, n_states=5),
+    lambda: ExperimentConfig("bogus"),
+    lambda: run_spiral(mode="bogus"),
+    lambda: run_nn("sideways"),
+    lambda: run_sweep("beta", [0.9]),
+    lambda: run_sweep("alpha", []),
 ], ids=["no-particles", "nan-width", "inf-width", "zero-workers", "negative-workers",
-        "no-units"])
+        "no-units", "unknown-experiment", "unknown-mode", "unknown-regime", "unknown-sweep",
+        "empty-grid"])
 def test_invalid_run_input_raises_domain_error(call):
     from lazytd.errors import DomainError
     with pytest.raises(DomainError):
@@ -489,10 +496,6 @@ def test_cli_config_file(tmp_path, capsys):
     assert echoed["alpha"] == 100.0
 
 
-# flags nn and sweep require even next to --config, which ignores them
-REQUIRED = {"nn": ["--regime", "over"], "sweep": ["--kind", "gamma", "--grid", "1"]}
-
-
 @pytest.mark.parametrize("command,experiment", [
     ("meanfield", "spiral"), ("spiral", "nn-over"), ("nn", "alpha-sweep"),
     ("sweep", "nn-under"), ("nn", "meanfield"), ("spiral", "gamma-sweep"),
@@ -500,11 +503,22 @@ REQUIRED = {"nn": ["--regime", "over"], "sweep": ["--kind", "gamma", "--grid", "
 def test_cli_refuses_a_config_of_another_subcommand(tmp_path, capsys, command, experiment):
     path = tmp_path / "cfg.json"
     path.write_text(ExperimentConfig(experiment=experiment).to_json())
-    argv = [command, *REQUIRED.get(command, []), "--config", str(path),
-            "--out", str(tmp_path / "o")]
+    argv = [command, "--config", str(path), "--out", str(tmp_path / "o")]
     assert cli_main(argv) == 2
     assert "cannot run as" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("argv,missing", [
+    (["nn"], "--regime"), (["nn", "--alpha", "50"], "--regime"),
+    (["sweep", "--regime", "under"], "--kind, --grid"), (["sweep", "--kind", "alpha"], "--grid"),
+])
+def test_cli_without_config_requires_the_experiment_flags(capsys, argv, missing):
+    # with no --config file the flags are what names the experiment
+    with pytest.raises(SystemExit) as exc:
+        cli_main(argv)
+    assert exc.value.code == 2
+    assert f"the following arguments are required: {missing}" in capsys.readouterr().err
 
 
 WALL_CLOCK = re.compile(rb'"wall_clock": [-+0-9.eE]+')
@@ -529,16 +543,36 @@ def _output_files(out):
     (["sweep", "--kind", "alpha", "--grid", "100,200", "--regime", "under", "--seed", "13"],
      {"experiment": "alpha-sweep", "seed": 13,
       "params": {"grid": [100.0, 200.0], "base": {"regime": "under"}}}),
-], ids=["spiral", "nn-over", "nn-under", "meanfield", "alpha-sweep"])
+    # integer-valued numbers in a file record as the flags' floats
+    (["spiral", "--alpha", "100", "--horizon", "5"],
+     {"experiment": "spiral", "params": {"alpha": 100, "horizon": 5}}),
+    (["spiral", "--mode", "stochastic", "--alpha", "100", "--horizon", "50", "--beta", "1"],
+     {"experiment": "spiral",
+      "params": {"mode": "stochastic", "alpha": 100, "horizon": 50, "beta": 1}}),
+    (["nn", "--regime", "under", "--units", "6", "--states", "6", "--alpha", "50"],
+     {"experiment": "nn-under", "params": {"n_units": 6, "n_states": 6, "alpha": 50, "lam": 0}}),
+    (["nn", "--regime", "under", "--units", "6", "--states", "6", "--mode", "stochastic",
+      "--horizon", "300"],
+     {"experiment": "nn-under",
+      "params": {"n_units": 6, "n_states": 6, "mode": "stochastic", "horizon": 300}}),
+    (["meanfield", "--particles", "20", "--dt", "1", "--horizon", "5"],
+     {"experiment": "meanfield", "params": {"n_particles": 20, "dt": 1, "horizon": 5}}),
+    (["sweep", "--kind", "alpha", "--grid", "100,200", "--regime", "under", "--seed", "13"],
+     {"experiment": "alpha-sweep", "seed": 13,
+      "params": {"grid": [100, 200], "base": {"regime": "under"}}}),
+], ids=["spiral", "nn-over", "nn-under", "meanfield", "alpha-sweep", "spiral-int",
+        "spiral-sampled-int", "nn-under-int", "nn-sampled-int", "meanfield-int",
+        "alpha-sweep-int"])
 def test_cli_flags_and_config_file_write_the_same_files(tmp_path, capsys, argv, config):
     # a command line and its JSON config are one request: the same output
-    # files byte for byte, apart from the wall clock
+    # files byte for byte, apart from the wall clock. The file needs no
+    # flag beside --config, nn's --regime and sweep's --kind and --grid
+    # included.
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(config))
     assert cli_main([*argv, "--out", str(tmp_path / "flags")]) == 0
     by_flags = capsys.readouterr().out
-    assert cli_main([argv[0], *REQUIRED.get(argv[0], []), "--config", str(path),
-                     "--out", str(tmp_path / "file")]) == 0
+    assert cli_main([argv[0], "--config", str(path), "--out", str(tmp_path / "file")]) == 0
     by_file = capsys.readouterr().out
     assert WALL_CLOCK.sub(b"", by_flags.encode()) == WALL_CLOCK.sub(b"", by_file.encode())
     flags, file = _output_files(tmp_path / "flags"), _output_files(tmp_path / "file")

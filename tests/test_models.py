@@ -10,13 +10,14 @@ from lazytd import (
     EnsembleModel,
     GaussianBumpFeatures,
     LinearModel,
+    ParticleEnsemble,
     ReluNet,
     SpiralModel,
     TangentModel,
     finite_difference_jacobian,
     rank_profile,
 )
-from lazytd.errors import DomainError, OddWidth
+from lazytd.errors import DimensionMismatch, DomainError, OddWidth
 
 # hand differentiation at theta = 0: growth*a - frequency*b
 SPIRAL_JAC_AT_ZERO = np.array([
@@ -76,6 +77,17 @@ def test_relu_odd_width_rejected():
 def test_relu_without_units_rejected(n_units):
     with pytest.raises(DomainError):
         ReluNet(n_units, np.linspace(-1, 1, 4))
+
+
+@pytest.mark.parametrize("call", [
+    lambda: LinearModel(np.ones(3)),
+    lambda: ReluNet(4, np.linspace(-1, 1, 3)).value(np.zeros(11)),
+    lambda: EnsembleModel(GaussianBumpFeatures(np.linspace(-1, 1, 3)), 4).unpack(np.zeros(7)),
+    lambda: ParticleEnsemble(np.ones(3), np.ones(2)),
+], ids=["linear-1d-features", "relu-short-w", "ensemble-short-w", "ensemble-lengths"])
+def test_parameters_of_another_shape_are_rejected(call):
+    with pytest.raises(DimensionMismatch):
+        call()
 
 
 def test_relu_jacobian_matches_finite_difference_away_from_kinks():

@@ -103,6 +103,23 @@ def test_mrp_rejects_non_finite_input(P, rbar):
         Mrp(P=np.array(P), rbar=np.array(rbar), gamma=0.9)
 
 
+HALVES = np.full((2, 2), 0.5)
+
+
+@pytest.mark.parametrize("call,error", [
+    (lambda: Mrp(P=np.full((2, 3), 1 / 3), rbar=np.zeros(2), gamma=0.9), DimensionMismatch),
+    (lambda: Mrp(P=HALVES, rbar=np.zeros(1), gamma=0.9), DimensionMismatch),
+    (lambda: td_resolvent(Mrp(P=HALVES, rbar=np.zeros(2), gamma=0.9), 1.0), DomainError),
+    (lambda: td_resolvent(Mrp(P=HALVES, rbar=np.zeros(2), gamma=0.9), -0.1), DomainError),
+    (lambda: cyclic_chain(1), DomainError),
+    (lambda: cyclic_chain(3, "sideways"), DomainError),
+], ids=["non-square-P", "short-rbar", "lam-one", "lam-negative", "one-state-cycle",
+        "unknown-orientation"])
+def test_invalid_chain_input_raises_typed_error(call, error):
+    with pytest.raises(error):
+        call()
+
+
 # ------------------------------------------------------------- exact value
 
 def test_exact_value_zero_reward():
