@@ -16,13 +16,11 @@ from .mrp import (
 )
 from .models import (
     LinearModel,
-    RankProfile,
     ReluNet,
     SpiralModel,
     TangentModel,
     ValueModel,
     finite_difference_jacobian,
-    rank_profile,
 )
 from .dynamics import (
     TrainConfig,

@@ -26,7 +26,7 @@ from .errors import (
     NotUnderParametrized,
     RankCollapse,
 )
-from .models import ValueModel, numerical_rank, rank_profile
+from .models import ValueModel, numerical_rank
 from .mrp import (
     Mrp,
     exact_value,
@@ -44,21 +44,39 @@ FIXED_POINT_TOL = 1e-6            # projected residual of a converged run
 SLOPE_BOUND = -0.8                # largest log-log displacement slope that passes
 
 
+def _linearized(drive: np.ndarray, J: np.ndarray) -> np.ndarray:
+    """J^T drive J, or drive J J^T when there are fewer states than
+    parameters: the two products share their nonzero spectrum."""
+    return drive @ (J @ J.T) if J.shape[0] < J.shape[1] else J.T @ drive @ J
+
+
 @dataclass(frozen=True)
 class LazyGeometry:
-    """Initialization geometry of a model on a fixed chain.
+    """Initialization geometry of a model on a fixed chain: the one
+    decomposition of the Jacobian J0 at w0 that a run's rates, step sizes
+    and certificates are read from.
 
     ``g0`` is the pseudo-inverse of J0 J0^T, the metric the model pushes
     forward onto value space at the anchor point; ``norm0`` is the norm it
     induces. ``kappa`` is the equivalence constant between that norm and
-    the stationary weighted norm on the span of J0. ``radius_bound`` and
-    ``alpha_threshold`` are the initialization-size bound and the minimal
-    scaling under which the global exponential-decay guarantee applies,
-    built from the model's ``jacobian_lipschitz``: a constant Jacobian gives
-    an infinite radius and a zero threshold, a Jacobian with no Lipschitz
-    constant a zero radius and an infinite threshold. Both are worst-case
-    constants and very conservative, so certificates report them separately
-    from the observed decay.
+    the stationary weighted norm on the span of J0 (infinite for a zero
+    Jacobian). ``radius_bound`` and ``alpha_threshold`` are the
+    initialization-size bound and the minimal scaling under which the
+    global exponential-decay guarantee applies, built from the model's
+    ``jacobian_lipschitz``: a constant Jacobian gives an infinite radius
+    and a zero threshold, a Jacobian with no Lipschitz constant a zero
+    radius and an infinite threshold. Both are worst-case constants and
+    very conservative, so certificates report them separately from the
+    observed decay.
+
+    ``drive`` is Gamma (gamma P_lam - I), which makes J^T drive J the matrix
+    of the flow linearized at a point with Jacobian J (see ``linearized``).
+    ``rate_fast`` and ``rate_slow`` are the fastest and the slowest nonzero
+    decay rate of that flow at w0: minus the real parts of its eigenvalues,
+    those within 1e-12 * max(fast, 1) of zero being the flat directions.
+    Positive real parts beyond that make the linearization unstable; they
+    play no part in the two decay rates and are ``rates_unstable``, largest
+    first. The scaling drops out, so one geometry serves every alpha.
     """
 
     j0: np.ndarray
@@ -72,10 +90,14 @@ class LazyGeometry:
     alpha_threshold: float
     gamma: float
     vstar: np.ndarray
+    drive: np.ndarray
+    rate_fast: float
+    rate_slow: float
+    rates_unstable: np.ndarray
 
     @classmethod
     def from_model(cls, model: ValueModel, w0: np.ndarray, mrp: Mrp,
-                   mu: np.ndarray) -> "LazyGeometry":
+                   mu: np.ndarray, lam: float = 0.0) -> "LazyGeometry":
         mu = per_state(mu, mrp.d)
         J0 = model.jacobian(w0)
         U, S, _ = np.linalg.svd(J0, full_matrices=False)
@@ -83,11 +105,13 @@ class LazyGeometry:
         rank = numerical_rank(S)
         Ur, Sr = U[:, :rank], S[:rank]
         g0 = (Ur / Sr**2) @ Ur.T
-        # Generalized extreme eigenvalues of the weighted norm against the
-        # induced one on the span: ratios r(f) = <f,f>_mu / <f,f>_0.
-        C = (Sr[:, None] * (Ur.T @ (mu[:, None] * Ur))) * Sr[None, :]
-        ratios = np.linalg.eigvalsh((C + C.T) / 2.0)
-        kappa = float(np.sqrt(max(ratios[-1], 1.0 / ratios[0])))
+        kappa = np.inf
+        if rank:
+            # Generalized extreme eigenvalues of the weighted norm against the
+            # induced one on the span: ratios r(f) = <f,f>_mu / <f,f>_0.
+            C = (Sr[:, None] * (Ur.T @ (mu[:, None] * Ur))) * Sr[None, :]
+            ratios = np.linalg.eigvalsh((C + C.T) / 2.0)
+            kappa = float(np.sqrt(max(ratios[-1], 1.0 / ratios[0])))
         lipschitz = model.jacobian_lipschitz
         sigma_min = float(Sr[-1]) if rank else 0.0
         vstar = exact_value(mrp)
@@ -101,6 +125,12 @@ class LazyGeometry:
             alpha_threshold = size / radius_bound if radius_bound > 0 else np.inf
         else:
             radius_bound, alpha_threshold = np.inf, 0.0
+        _, P_lam = td_resolvent(mrp, lam)
+        drive = mu[:, None] * (mrp.gamma * P_lam - np.eye(mrp.d))
+        re = np.linalg.eigvals(_linearized(drive, J0)).real
+        fast = float(-re.min())
+        tol = 1e-12 * max(fast, 1.0)
+        nonzero = -re[re < -tol]
         return cls(
             j0=J0,
             g0=g0,
@@ -113,7 +143,16 @@ class LazyGeometry:
             alpha_threshold=float(alpha_threshold),
             gamma=mrp.gamma,
             vstar=vstar,
+            drive=drive,
+            rate_fast=fast,
+            rate_slow=float(nonzero.min()) if nonzero.size else fast,
+            rates_unstable=np.sort(re[re > tol])[::-1],
         )
+
+    def linearized(self, J: np.ndarray) -> np.ndarray:
+        """A matrix with the nonzero spectrum of the flow linearized at a
+        point whose Jacobian is J."""
+        return _linearized(self.drive, J)
 
     def norm0(self, f: np.ndarray) -> float:
         """Norm of f in the initialization metric.
@@ -294,8 +333,7 @@ def underparametrized_certificate(
         raise DimensionMismatch(f"need one run per scaling value, got {len(alphas)} "
                                 f"values and {len(runs)} runs")
     w_init = runs[0].params[0]
-    profile = rank_profile(model, w_init)
-    if profile.overparametrized:
+    if numerical_rank(np.linalg.svd(model.jacobian(w_init), compute_uv=False)) == model.d:
         raise NotUnderParametrized("Jacobian has full row rank at initialization")
     v_init = model.value(w_init)
     if np.max(np.abs(v_init)) > 1e-10:

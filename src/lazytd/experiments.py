@@ -46,14 +46,13 @@ from .meanfield import (
     linearized_gap_bound,
     separation_check,
 )
-from .models import ReluNet, SpiralModel, rank_profile
+from .models import ReluNet, SpiralModel
 from .mrp import (
     Mrp,
     cyclic_chain,
     exact_value,
     mu_norm,
     stationary_measure,
-    td_resolvent,
 )
 
 SPIRAL_RBAR = np.array([-6.85, 8.35, -1.5])
@@ -198,11 +197,13 @@ def _attach_run_diagnostics(run: Trajectory, model, mu: np.ndarray, alpha: float
 
 
 def _report(experiment: str, config: dict, t_start: float, out_dir, tables: dict,
-            listed=(), **fields) -> RunReport:
-    """Every runner's report: built from ``fields``, stamped with the wall
-    clock since ``t_start``, and written out by ``_emit`` with ``tables``
-    and ``listed`` when ``out_dir`` is given."""
+            listed=(), stats=None, **fields) -> RunReport:
+    """Every runner's report: built from ``fields``, with the ``stats`` of
+    the run behind it (what the run loop counted) in ``extra``, stamped with
+    the wall clock since ``t_start``, and written out by ``_emit`` with
+    ``tables`` and ``listed`` when ``out_dir`` is given."""
     report = RunReport(experiment=experiment, config=config, **fields)
+    report.extra.update(stats or {})
     report.wall_clock = time.perf_counter() - t_start
     if out_dir is not None:
         _emit(out_dir, report, tables, listed)
@@ -224,6 +225,7 @@ def _run_report(experiment: str, config: dict, run: Trajectory, t_start: float, 
         fitted_rate=rate,
         r_squared=r2,
         displacement=float(run.diagnostics["displacement"].max()),
+        stats=run.stats,
         **fields,
     )
 
@@ -326,41 +328,6 @@ def _nn_setup(gamma: float, seed: int, n_units: int, n_states: int):
     return mrp, mu, model, w0, vstar
 
 
-def linearization(model, mrp: Mrp, mu: np.ndarray, lam: float):
-    """The map w -> a matrix with the nonzero spectrum of the flow
-    linearized at w.
-
-    That flow's matrix is J^T Gamma (gamma P_lam - I) J; the map gives
-    Gamma (gamma P_lam - I) J J^T instead when there are fewer states than
-    parameters: the two products share their nonzero spectrum. The scaling
-    drops out, so one spectrum serves every alpha.
-    """
-    _, P_lam = td_resolvent(mrp, lam)
-    B = mu[:, None] * (mrp.gamma * P_lam - np.eye(mrp.d))
-
-    def at(w):
-        J = model.jacobian(w)
-        return B @ (J @ J.T) if J.shape[0] < J.shape[1] else J.T @ B @ J
-
-    return at
-
-
-def linearized_rates(model, w0, mrp: Mrp, mu: np.ndarray, lam: float):
-    """(fastest, slowest-nonzero, unstable) rates of the flow linearized at w0.
-
-    Real parts of the eigenvalues of its ``linearization``. Real parts
-    within 1e-12 * max(fast, 1) of zero are the flat directions. Positive
-    ones beyond that make the linearization unstable; they play no part in
-    the two decay rates and come third, largest first.
-    """
-    re = np.linalg.eigvals(linearization(model, mrp, mu, lam)(w0)).real
-    fast = float(-re.min())
-    tol = 1e-12 * max(fast, 1.0)
-    nonzero = -re[re < -tol]
-    slow = float(nonzero.min()) if nonzero.size else fast
-    return fast, slow, np.sort(re[re > tol])[::-1]
-
-
 def run_nn(
     regime: str,
     gamma: float = 0.9,
@@ -414,11 +381,14 @@ def run_nn(
         steps = cfg.n_samples
         cfg = replace(cfg, horizon=steps, save_every=max(1, steps // 400))
         config.update(horizon=steps, save_every=cfg.save_every)
+        # only the rank is reported; holding the whole geometry through the
+        # run raised the sampled-over workload's peak RSS by about 1 MiB
+        rank = LazyGeometry.from_model(model, w0, mrp, mu, lam).rank
         run = _train(model, mrp, mu, w0, vstar, mode, cfg)
-        return _run_report(f"nn-{regime}", config, run, t_start, out_dir,
-                           extra={"rank": rank_profile(model, w0).rank})
+        return _run_report(f"nn-{regime}", config, run, t_start, out_dir, extra={"rank": rank})
 
-    fast, slow, unstable = linearized_rates(model, w0, mrp, mu, lam)
+    geometry = LazyGeometry.from_model(model, w0, mrp, mu, lam)
+    fast, slow, unstable = geometry.rate_fast, geometry.rate_slow, geometry.rates_unstable
     if (dt is None or horizon is None) and not fast > 0.0:
         raise FlatLinearization(
             f"the flow linearized at initialization has no decaying direction "
@@ -429,10 +399,9 @@ def run_nn(
             horizon = NN_TIME_FACTOR / slow
         if dt is None:
             dt = min(NN_RKC_FACTOR / fast, horizon / NN_MIN_STEPS)
-        linear = linearization(model, mrp, mu, lam)
 
         def spectral_radius(w):
-            return float(np.abs(np.linalg.eigvals(linear(w))).max())
+            return float(np.abs(np.linalg.eigvals(geometry.linearized(model.jacobian(w)))).max())
     else:
         if dt is None:
             dt = NN_STABILITY_FACTOR / fast
@@ -449,12 +418,10 @@ def run_nn(
     run = _train(model, mrp, mu, w0, vstar, mode, cfg, NN_STOP_TOL if regime == "under" else None,
                  spectral_radius)
 
-    extra = {**run.stats, "rate_fast": fast, "rate_slow": slow,
-             "unstable_count": int(unstable.size),
+    extra = {"rate_fast": fast, "rate_slow": slow, "unstable_count": int(unstable.size),
              "rate_unstable": float(unstable[0]) if unstable.size else None,
-             "rank": rank_profile(model, w0).rank}
+             "rank": geometry.rank}
     if regime == "over":
-        geometry = LazyGeometry.from_model(model, w0, mrp, mu)
         cert = overparametrized_certificate(geometry, model, run, alpha)
         fit = cert.fitted_rate, cert.r_squared
         extra["kappa"] = geometry.kappa
@@ -630,6 +597,7 @@ def run_meanfield(
             "velocity_final": float(history.diagnostics["velocity_norm"][-1]),
             "bellman_final": float(history.diagnostics["bellman_residual"][-1]),
         },
+        stats=history.stats,
     )
 
 

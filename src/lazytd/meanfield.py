@@ -171,7 +171,8 @@ class EnsembleModel(ValueModel):
         return w[: self.n], w[self.n:].reshape(self.n, self.features.wbar_dim)
 
     def value(self, w):
-        return ensemble_value(ParticleEnsemble(*self.unpack(w)), self.features)
+        omega0, wbar = self.unpack(w)
+        return self.features.phi_matrix(wbar) @ omega0 / self.n
 
     def jacobian(self, w):
         omega0, wbar = self.unpack(w)

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -313,31 +312,8 @@ def finite_difference_jacobian(model: ValueModel, w: np.ndarray) -> np.ndarray:
     return np.column_stack(cols)
 
 
-@dataclass(frozen=True)
-class RankProfile:
-    """Singular-value summary of a model Jacobian at one parameter point."""
-
-    singular_values: np.ndarray
-    rank: int
-    overparametrized: bool
-
-    @property
-    def underparametrized(self) -> bool:
-        return not self.overparametrized
-
-
 def numerical_rank(sv: np.ndarray) -> int:
     """The package's one rank rule: the number of singular values (given in
     descending order) above ``RANK_CUTOFF`` times the largest one."""
     smax = float(sv[0]) if sv.size else 0.0
     return int(np.sum(sv > RANK_CUTOFF * smax)) if smax > 0 else 0
-
-
-def rank_profile(model: ValueModel, w: np.ndarray) -> RankProfile:
-    """Classify a model as over- or under-parametrized at ``w``.
-
-    Over-parametrized means the Jacobian spans all d state directions.
-    """
-    sv = np.linalg.svd(model.jacobian(w), compute_uv=False)
-    rank = numerical_rank(sv)
-    return RankProfile(singular_values=sv, rank=rank, overparametrized=(rank == model.d))

@@ -128,6 +128,14 @@ def test_constant_jacobian_gives_infinite_radius(chain3):
     assert geom.alpha_threshold == 0.0
 
 
+def test_zero_jacobian_gives_rank_zero_and_infinite_kappa(chain3):
+    mrp, mu = chain3
+    geom = LazyGeometry.from_model(LinearModel(np.zeros((3, 2))), np.zeros(2), mrp, mu)
+    assert geom.rank == 0 and geom.sigma_min == geom.sigma_max == 0.0
+    assert geom.kappa == np.inf and geom.rate_bound == 0.0
+    assert geom.rate_fast == geom.rate_slow == 0.0 and geom.rates_unstable.size == 0
+
+
 @pytest.mark.parametrize("weights", [[0.5], np.full(4, 0.25)], ids=["one", "four"])
 def test_geometry_rejects_weights_of_another_length(chain3, weights):
     # a single weight would broadcast and give kappa = 1 on any chain

@@ -14,7 +14,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from lazytd import GaussianBumpFeatures, LinearModel, Mrp, experiments
-from lazytd.analysis import fit_exponential_rate
+from lazytd.analysis import LazyGeometry, fit_exponential_rate
 from lazytd.cli import main as cli_main
 from lazytd.dynamics import TrainConfig, integrate
 from lazytd.experiments import (
@@ -22,7 +22,7 @@ from lazytd.experiments import (
     NN_MIN_STEPS,
     ExperimentConfig,
     RunReport,
-    linearized_rates,
+    _nn_setup,
     run_from_config,
     run_meanfield,
     run_nn,
@@ -122,6 +122,30 @@ def test_network_ode_runs_report_their_integration(regime, tmp_path):
     assert not {"integrator", "steps", "rhs_calls", "stages_min", "stages_max"} & set(config)
 
 
+@pytest.mark.parametrize("regime,n_units,n_states", [("over", 20, 5), ("under", 6, 5)])
+def test_nn_reports_the_geometry_of_its_initialization(regime, n_units, n_states):
+    rep = run_nn(regime, n_units=n_units, n_states=n_states)
+    mrp, mu, model, w0, _ = _nn_setup(0.9, rep.config["seed"], n_units, n_states)
+    geometry = LazyGeometry.from_model(model, w0, mrp, mu)
+    want = {"rate_fast": geometry.rate_fast, "rate_slow": geometry.rate_slow,
+            "unstable_count": geometry.rates_unstable.size, "rank": geometry.rank}
+    if regime == "over":
+        want.update(kappa=geometry.kappa, rate_bound=geometry.rate_bound)
+    assert {key: rep.extra[key] for key in want} == want
+
+
+def test_every_run_report_carries_its_run_stats():
+    ode = run_spiral(1.0, horizon=5.0)
+    assert ode.extra["integrator"] == "rk4" and ode.extra["steps"] == 500
+    assert ode.extra["rhs_calls"] == 4 * 500 + 1
+    assert ode.extra["stages_min"] == ode.extra["stages_max"] == 4
+    sampled = run_spiral(1.0, mode="stochastic", horizon=1000)
+    assert sampled.extra["steps"] == 1000 and "integrator" not in sampled.extra
+    assert run_nn("under", mode="stochastic", horizon=500).extra["steps"] == 500
+    particles = run_meanfield(n_particles=4, horizon=1.0)
+    assert particles.extra["integrator"] == "rk4" and particles.extra["steps"] == 10
+
+
 def test_linearized_rates_returns_unstable_eigenvalues():
     # features (1, 2), both states jump to the second, equal weights that
     # are not the chain's stationary measure: the classic off-policy
@@ -129,8 +153,8 @@ def test_linearized_rates_returns_unstable_eigenvalues():
     model = LinearModel(np.array([[1.0], [2.0]]))
     mrp = Mrp(P=np.array([[0.0, 1.0], [0.0, 1.0]]), rbar=np.zeros(2), gamma=0.9)
     mu = np.array([0.5, 0.5])
-    unstable = linearized_rates(model, np.zeros(1), mrp, mu, 0.0)[2]
-    np.testing.assert_allclose(unstable, [0.2])
+    geometry = LazyGeometry.from_model(model, np.zeros(1), mrp, mu)
+    np.testing.assert_allclose(geometry.rates_unstable, [0.2])
 
 
 @pytest.mark.slow
@@ -142,7 +166,6 @@ def test_nn_under_three_seeds_converge():
 
 
 def test_nn_over_initial_error_is_target_norm(tmp_path):
-    from lazytd.experiments import _nn_setup
     from lazytd import mu_norm
 
     rep = run_nn("over", horizon=2e5, out_dir=tmp_path)
@@ -651,14 +674,13 @@ def _rates_in_parameter_space(model, w0, mrp, mu, lam):
     ("under", 4, 30, 5),    # d > p: the p x p form itself
 ])
 def test_linearized_rates_match_parameter_space_form(regime, n_units, n_states, seed):
-    from lazytd.experiments import _nn_setup
     mrp, mu, model, w0, _ = _nn_setup(0.9, seed, n_units, n_states)
     assert (model.d < model.p) == (regime == "over")
     for lam in (0.0, 0.5):
-        fast, slow, unstable = linearized_rates(model, w0, mrp, mu, lam)
+        geometry = LazyGeometry.from_model(model, w0, mrp, mu, lam)
         want = _rates_in_parameter_space(model, w0, mrp, mu, lam)
-        np.testing.assert_allclose([fast, slow], want[:2], rtol=1e-10)
-        assert unstable.size == want[2].size == 0
+        np.testing.assert_allclose([geometry.rate_fast, geometry.rate_slow], want[:2], rtol=1e-10)
+        assert geometry.rates_unstable.size == want[2].size == 0
 
 
 def test_linearized_rates_unstable_case_matches_parameter_space_form():
@@ -668,11 +690,11 @@ def test_linearized_rates_unstable_case_matches_parameter_space_form():
     P = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 1.0], [0.0, 0.0, 1.0]])
     mrp = Mrp(P=P, rbar=np.zeros(3), gamma=0.9)
     mu = np.array([0.4, 0.4, 0.2])
-    got = linearized_rates(model, np.zeros(4), mrp, mu, 0.0)
+    geometry = LazyGeometry.from_model(model, np.zeros(4), mrp, mu)
     want = _rates_in_parameter_space(model, np.zeros(4), mrp, mu, 0.0)
-    assert got[2].size == want[2].size == 2
-    np.testing.assert_allclose(got[2], want[2], rtol=1e-10)
-    np.testing.assert_allclose(got[:2], want[:2], rtol=1e-10)
+    assert geometry.rates_unstable.size == want[2].size == 2
+    np.testing.assert_allclose(geometry.rates_unstable, want[2], rtol=1e-10)
+    np.testing.assert_allclose([geometry.rate_fast, geometry.rate_slow], want[:2], rtol=1e-10)
 
 
 def test_nn_without_active_hinge_raises_typed_error():
@@ -682,3 +704,15 @@ def test_nn_without_active_hinge_raises_typed_error():
     with pytest.raises(FlatLinearization):
         run_nn("under", n_units=4, n_states=5, seed=13)
     assert issubclass(FlatLinearization, LazyTdError)
+
+
+def test_nn_over_without_active_hinge_has_no_decay_certificate(tmp_path):
+    # the net above with its step and horizon given: the narrow run
+    # completes at rank 0, the wide one has no decay certificate to check
+    from lazytd.errors import NotOverParametrized
+    args = ["nn", "--units", "4", "--states", "5", "--seed", "13", "--dt", "0.1", "--horizon", "1"]
+    assert cli_main([*args, "--regime", "under", "--out", str(tmp_path / "under")]) == 0
+    assert json.loads((tmp_path / "under" / "report.json").read_text())["extra"]["rank"] == 0
+    assert cli_main([*args, "--regime", "over", "--out", str(tmp_path / "over")]) == 2
+    with pytest.raises(NotOverParametrized):
+        run_nn("over", n_units=4, n_states=5, seed=13, dt=0.1, horizon=1)

@@ -102,6 +102,8 @@ def test_bump_pass_matches_reference_bit_for_bit(k, d, n, width, seed):
     assert F_pass.tobytes() == F.tobytes() and G_pass.tobytes() == G.tobytes()
     value, vjp = model.value_and_vjp(w)
     assert value.tobytes() == (F @ omega0 / n).tobytes()
+    assert model.value(w).tobytes() == value.tobytes()
+    assert ensemble_value(ParticleEnsemble(omega0, wbar), features).tobytes() == value.tobytes()
     assert vjp(g).tobytes() == (pullback / n).tobytes()
 
 

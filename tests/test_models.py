@@ -9,13 +9,16 @@ from hypothesis import strategies as st
 from lazytd import (
     EnsembleModel,
     GaussianBumpFeatures,
+    LazyGeometry,
     LinearModel,
+    Mrp,
     ParticleEnsemble,
     ReluNet,
     SpiralModel,
     TangentModel,
+    cyclic_chain,
     finite_difference_jacobian,
-    rank_profile,
+    stationary_measure,
 )
 from lazytd.errors import DimensionMismatch, DomainError, OddWidth
 
@@ -151,29 +154,28 @@ def test_linear_model_jacobian_constant():
     np.testing.assert_allclose(fd, model.features, rtol=1e-6, atol=1e-8)
 
 
+def _geometry(model, w):
+    # the rank is the model's own; any chain on its states serves
+    mrp = Mrp(P=cyclic_chain(model.d), rbar=np.zeros(model.d), gamma=0.9)
+    return LazyGeometry.from_model(model, w, mrp, stationary_measure(mrp))
+
+
 def test_rank_profile_orthonormal_tangent():
     Q, _ = np.linalg.qr(np.random.default_rng(3).standard_normal((6, 4)))
-    model = LinearModel(Q)
-    prof = rank_profile(model, np.zeros(4))
-    np.testing.assert_allclose(prof.singular_values[:4], np.ones(4), atol=1e-12)
-    assert prof.rank == 4
-    assert prof.underparametrized
+    geometry = _geometry(LinearModel(Q), np.zeros(4))
+    np.testing.assert_allclose([geometry.sigma_min, geometry.sigma_max], [1.0, 1.0], atol=1e-12)
+    assert geometry.rank == 4 < 6
 
 
 def test_rank_profile_spiral_rank_one():
-    prof = rank_profile(SpiralModel(), np.zeros(1))
-    assert prof.rank == 1
-    assert prof.underparametrized
+    assert _geometry(SpiralModel(), np.zeros(1)).rank == 1
 
 
 def test_rank_profile_wide_relu_full_rank():
     # width 100 on 30 grid points: full-rank at this seed (checked during
     # development; most seeds land a few kinks short of the grid size)
     model = ReluNet(100, np.linspace(-1, 1, 30))
-    w0 = model.init_doubled(1454)
-    prof = rank_profile(model, w0)
-    assert prof.rank == 30
-    assert prof.overparametrized
+    assert _geometry(model, model.init_doubled(1454)).rank == 30
 
 
 @pytest.mark.parametrize("builder,seed", [

@@ -7,8 +7,8 @@ PARENT and CHANGE are checkouts of the repository (each with its own
 ``python -m lazytd.cli ARGS --out DIR`` with ``OPENBLAS_NUM_THREADS=1``,
 into a temporary directory. The invocations are every benchmark workload
 of ``bench/workloads.py`` (under CHANGE) at each of its stored seeds, plus
-the spiral and narrow-net runs of ``EXTRA``; CLI ARGS given after the two
-trees replace the list with that one invocation.
+the spiral, narrow-net and discount-sweep runs of ``EXTRA``; CLI ARGS given
+after the two trees replace the list with that one invocation.
 
 Exit codes, stdout and every output file must match byte for byte, apart
 from the ``wall_clock`` figure in report.json and on stdout. Every file
@@ -26,10 +26,15 @@ import sys
 import tempfile
 from pathlib import Path
 
+# runs no benchmark workload covers: the spiral, the narrow net, the
+# wide nets' rates in the rows of a discount sweep, and the rank a sampled
+# narrow net reports
 EXTRA = (
     ("spiral", "--alpha", "100"),
     ("spiral", "--mode", "stochastic", "--horizon", "20000"),
     ("nn", "--regime", "under"),
+    ("sweep", "--kind", "gamma", "--grid", "0.85,0.9"),
+    ("nn", "--regime", "under", "--mode", "stochastic", "--horizon", "20000"),
 )
 WALL_CLOCK = re.compile(rb'("wall_clock": )[-+0-9.eE]+')
 DIFF_LINES = 12
