@@ -35,10 +35,10 @@ from .analysis import (
     DecayCertificate,
     FixedPointCertificate,
     LazyGeometry,
+    SaveSeries,
     fit_exponential_rate,
     metric_drift,
     overparametrized_certificate,
-    projected_error_fn,
     underparametrized_certificate,
 )
 from .meanfield import (

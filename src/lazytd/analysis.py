@@ -4,10 +4,11 @@ The central object is the geometry the model induces on value space at
 initialization: the pseudo-inverse metric of the Jacobian outer product,
 the norm it defines, its equivalence constant against the stationary
 weighted norm, and the radius/threshold constants that the convergence
-guarantees are stated in. Certificates then check those guarantees on
-completed trajectories: exponential Lyapunov decay with a full-rank
-Jacobian, convergence to a local fixed point with an error bound decaying
-like 1/alpha otherwise, displacement scaling, and drift of the metric.
+guarantees are stated in. One pass over a run's saved states computes
+every per-save series (``SaveSeries``), and certificates check those
+guarantees on them: exponential Lyapunov decay with a full-rank Jacobian,
+convergence to a local fixed point with an error bound decaying like
+1/alpha otherwise, displacement scaling, and drift of the metric.
 """
 
 from __future__ import annotations
@@ -115,16 +116,15 @@ class LazyGeometry:
         lipschitz = model.jacobian_lipschitz
         sigma_min = float(Sr[-1]) if rank else 0.0
         vstar = exact_value(mrp)
-        if lipschitz > 0 and rank:
-            # zero when the Jacobian has no Lipschitz constant
+        radius_bound, alpha_threshold = np.inf, 0.0   # a constant Jacobian
+        if lipschitz > 0:
+            # zero when the Jacobian has no Lipschitz constant or no rank
             radius_bound = (1.0 - mrp.gamma) ** 2 * sigma_min**2 / (
                 192.0 * kappa**2 * lipschitz * smax
-            )
+            ) if rank else 0.0
             # norm0(v*) over the radius; no scaling suffices for a zero radius
             size = np.sqrt(max(vstar @ g0 @ vstar, 0.0))
             alpha_threshold = size / radius_bound if radius_bound > 0 else np.inf
-        else:
-            radius_bound, alpha_threshold = np.inf, 0.0
         _, P_lam = td_resolvent(mrp, lam)
         drive = mu[:, None] * (mrp.gamma * P_lam - np.eye(mrp.d))
         re = np.linalg.eigvals(_linearized(drive, J0)).real
@@ -173,33 +173,68 @@ class LazyGeometry:
         return (1.0 - self.gamma) / (2.0 * self.kappa**2)
 
 
-def projected_error_fn(
-    model: ValueModel,
-    mrp: Mrp,
-    mu: np.ndarray,
-    lam: float,
-    alpha: float,
-):
-    """The projected TD error of one run as a function of the parameters:
-    the weighted norm of the backup residual of the scaled value, projected
-    on the tangent space at w.
+class SaveSeries:
+    """Every per-save series of one spiral or network run, from one
+    evaluation of each saved state w: its value V(w), scaled to alpha V(w),
+    and its Jacobian J(w).
 
-    It vanishes exactly at stationary points of the (scaled) averaged
-    dynamics, which makes it the certificate of convergence to a local
-    fixed point. The backup resolvent is solved once, here, not at every
-    point. A caller holding the scaled value alpha * model.value(w) passes
-    it as V."""
-    r_lam, P_lam = td_resolvent(mrp, lam)
-    gP = mrp.gamma * P_lam
+    Each state gives ``projected_error``, the weighted norm of the backup
+    residual of alpha V(w) projected on the tangent space at w, which
+    vanishes exactly at stationary points of the scaled averaged dynamics
+    and so certifies convergence to a local fixed point, and
+    ``value_error``, the weighted distance of alpha V(w) to ``vstar`` (by
+    default the chain's exact value). The ``geometry`` of an
+    over-parametrized run adds ``lyapunov`` and the metric drift (see
+    ``metric_drift``), which stops at the first state whose Jacobian has
+    lost rank.
 
-    def error(w: np.ndarray, V: np.ndarray | None = None) -> float:
-        if V is None:
-            V = alpha * model.value(w)
-        residual = r_lam + gP @ V - V
-        proj = mu_projection(model.jacobian(w), mu, residual)
-        return mu_norm(proj, mu)
+    ``record(w, t)`` evaluates the next saved state and returns its
+    projected error, so that a stop rule reads each state as the run saves
+    it; ``attach(run)`` evaluates the states not yet recorded and writes the
+    columns, with ``displacement`` from the first state, into
+    ``run.diagnostics``, the values V(w) into ``run.values`` and the drift,
+    or the RankCollapse that ended it, into ``run.drift``.
+    """
 
-    return error
+    def __init__(self, model: ValueModel, mrp: Mrp, mu: np.ndarray, lam: float, alpha: float,
+                 vstar: np.ndarray | None = None, geometry: LazyGeometry | None = None):
+        self.model, self.mu, self.alpha, self.geometry = model, mu, alpha, geometry
+        self.vstar = exact_value(mrp) if vstar is None else vstar
+        self.r_lam, P_lam = td_resolvent(mrp, lam)  # the backup, solved once per run
+        self.gP = mrp.gamma * P_lam
+        self.values, self.rows, self.drift, self.collapse = [], [], [], None
+
+    def record(self, w: np.ndarray, t: float = 0.0) -> float:
+        value = self.model.value(w)
+        V = self.alpha * value
+        J = self.model.jacobian(w)
+        residual = self.r_lam + self.gP @ V - V
+        row = [mu_norm(mu_projection(J, self.mu, residual), self.mu),
+               mu_norm(V - self.vstar, self.mu)]
+        g = self.geometry
+        if g is not None:
+            row.append(g.lyapunov(V))
+            if self.collapse is None:
+                rank = numerical_rank(np.linalg.svd(J, compute_uv=False))
+                if rank < g.rank:
+                    self.collapse = RankCollapse(f"rank dropped from {g.rank} to {rank} at t={t:g}")
+                else:
+                    M = g.span.T @ (g.g0 @ (J @ J.T) - np.eye(len(V))) @ g.span
+                    self.drift.append(np.linalg.norm(M, ord=2))
+        self.values.append(value)
+        self.rows.append(row)
+        return row[0]
+
+    def attach(self, run: Trajectory) -> None:
+        done = len(self.rows)
+        for w, t in zip(run.params[done:], run.times[done:]):
+            self.record(w, t)
+        names = ("projected_error", "value_error", "lyapunov")
+        run.diagnostics.update((k, np.array(col)) for k, col in zip(names, zip(*self.rows)))
+        run.diagnostics["displacement"] = np.linalg.norm(run.params - run.params[0], axis=1)
+        run.values = np.array(self.values)
+        if self.geometry is not None:
+            run.drift = self.collapse or np.array(self.drift)
 
 
 def fit_exponential_rate(times: np.ndarray, values: np.ndarray) -> tuple[float | None, float]:
@@ -246,11 +281,11 @@ class DecayCertificate:
 
 def overparametrized_certificate(
     geometry: LazyGeometry,
-    model: ValueModel,
     run: Trajectory,
     alpha: float,
 ) -> DecayCertificate:
-    """Check the exponential Lyapunov envelope on an over-parametrized run.
+    """Check the exponential Lyapunov envelope on an over-parametrized run,
+    from the series its ``SaveSeries`` attached with ``geometry``.
 
     Passing requires the Lyapunov series to stay below its guaranteed
     envelope (up to ``ENVELOPE_SLACK``) at every saved time and to decay as
@@ -263,10 +298,7 @@ def overparametrized_certificate(
         raise NotOverParametrized(
             f"rank {geometry.rank} < {geometry.j0.shape[0]} states; decay certificate undefined"
         )
-    U = np.array([
-        geometry.lyapunov(alpha * model.value(w)) for w in run.params
-    ])
-    run.diagnostics["lyapunov"] = U
+    U = run.diagnostics["lyapunov"]
     rate = geometry.rate_bound
     envelope = U[0] * np.exp(-rate * run.times)
     # against a zero envelope, a zero value holds it (ratio 1), a positive one does not
@@ -277,11 +309,9 @@ def overparametrized_certificate(
 
     fitted, r2 = fit_exponential_rate(run.times, U)
     clean = fitted is not None and r2 >= R2_MIN
-    init_v = model.value(run.params[0])
-    displacement = float(np.max(np.linalg.norm(run.params - run.params[0], axis=1)))
     return DecayCertificate(
         sigma_min_positive=geometry.sigma_min > 0,
-        init_within_radius=geometry.norm0(init_v) < geometry.radius_bound,
+        init_within_radius=geometry.norm0(run.values[0]) < geometry.radius_bound,
         alpha_above_threshold=alpha > geometry.alpha_threshold,
         rate_bound=rate,
         envelope_margin=margin,
@@ -290,7 +320,7 @@ def overparametrized_certificate(
         r_squared=r2,
         clean_exponential=clean,
         rate_exceeds_bound=bool(clean and fitted >= rate),
-        displacement=displacement,
+        displacement=float(np.max(run.diagnostics["displacement"])),
         passed=bool(envelope_ok and clean),
     )
 
@@ -319,7 +349,9 @@ def underparametrized_certificate(
     alphas: Sequence[float],
     runs: Sequence[Trajectory],
 ) -> FixedPointCertificate:
-    """Check fixed-point convergence and the 1/alpha excess-error envelope.
+    """Check fixed-point convergence and the 1/alpha excess-error envelope,
+    from the series each run's ``SaveSeries`` attached at ``lam`` and its
+    scaling.
 
     For each run the projected backup residual at the final iterate must
     fall below ``FIXED_POINT_TOL``. The excess of the final value error over
@@ -332,31 +364,23 @@ def underparametrized_certificate(
     if len(alphas) != len(runs):
         raise DimensionMismatch(f"need one run per scaling value, got {len(alphas)} "
                                 f"values and {len(runs)} runs")
-    w_init = runs[0].params[0]
-    if numerical_rank(np.linalg.svd(model.jacobian(w_init), compute_uv=False)) == model.d:
+    J_init = model.jacobian(runs[0].params[0])
+    if numerical_rank(np.linalg.svd(J_init, compute_uv=False)) == model.d:
         raise NotUnderParametrized("Jacobian has full row rank at initialization")
-    v_init = model.value(w_init)
-    if np.max(np.abs(v_init)) > 1e-10:
+    if np.max(np.abs(runs[0].values[0])) > 1e-10:
         raise InitNotZero("initial value vector must vanish")
 
     vstar = exact_value(mrp)
     factor = (1.0 - lam * mrp.gamma) / (1.0 - mrp.gamma)
-    best_linear = mu_projection(model.jacobian(w_init), mu, vstar)
+    best_linear = mu_projection(J_init, mu, vstar)
     base = factor * mu_norm(best_linear - vstar, mu)
 
     order = np.argsort(alphas)
     diverged, proj_errors, value_errors, excesses, converged = [], [], [], [], []
     for a, run in zip(alphas, runs):
         diverged.append(bool(run.diverged))
-        if run.diverged:
-            proj_errors.append(float("inf"))
-            value_errors.append(float("inf"))
-            excesses.append(float("inf"))
-            converged.append(False)
-            continue
-        w = run.final_params
-        pe = projected_error_fn(model, mrp, mu, lam, a)(w)
-        err = mu_norm(a * model.value(w) - vstar, mu)
+        pe, err = (float("inf"), float("inf")) if run.diverged else (
+            float(run.diagnostics["projected_error"][-1]), mu_norm(a * run.values[-1] - vstar, mu))
         proj_errors.append(pe)
         value_errors.append(err)
         excesses.append(err - base)
@@ -396,21 +420,14 @@ def displacement_slope(alphas, displacements, diverged) -> tuple[float, bool]:
     return slope, bool(ok and slope <= SLOPE_BOUND)
 
 
-def metric_drift(geometry: LazyGeometry, model: ValueModel, run: Trajectory) -> np.ndarray:
-    """Relative drift of the pushforward metric along a run.
-
-    Returns, per saved time, the operator norm of g0 (J_w J_w^T) - I
-    restricted to the initial span. The lazy regime keeps this below
-    (1 - gamma)/4; a rank drop along the way raises RankCollapse since the
-    comparison is then meaningless.
-    """
-    Ur = geometry.span
-    drifts = np.empty(len(run.times))
-    for i, w in enumerate(run.params):
-        Jw = model.jacobian(w)
-        rank = numerical_rank(np.linalg.svd(Jw, compute_uv=False))
-        if rank < geometry.rank:
-            raise RankCollapse(f"rank dropped from {geometry.rank} to {rank} at t={run.times[i]:g}")
-        M = Ur.T @ (geometry.g0 @ (Jw @ Jw.T) - np.eye(geometry.j0.shape[0])) @ Ur
-        drifts[i] = np.linalg.norm(M, ord=2)
-    return drifts
+def metric_drift(run: Trajectory) -> np.ndarray:
+    """Relative drift of the pushforward metric along a run, as its
+    ``SaveSeries`` computed it: per saved time, the operator norm of
+    g0 (J_w J_w^T) - I restricted to the initial span. The lazy regime
+    keeps this below (1 - gamma)/4; a rank drop along the way raises
+    RankCollapse, since the comparison is then meaningless."""
+    if run.drift is None:
+        raise DomainError("no metric drift on this run: attach a SaveSeries with its geometry")
+    if isinstance(run.drift, RankCollapse):
+        raise run.drift
+    return run.drift

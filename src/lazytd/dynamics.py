@@ -93,6 +93,10 @@ class Trajectory:
     diverged_at: float | None = None
     # what the run did: steps; integrate adds integrator, rhs_calls, stages_min, stages_max
     stats: dict = field(default_factory=dict)
+    # set with the per-save series (analysis.SaveSeries): the model's value at
+    # each saved state, and the metric drift or the RankCollapse that ended it
+    values: np.ndarray | None = None
+    drift: np.ndarray | Exception | None = None
 
     @property
     def final_params(self) -> np.ndarray:

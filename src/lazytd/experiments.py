@@ -20,11 +20,11 @@ import numpy as np
 
 from .analysis import (
     LazyGeometry,
+    SaveSeries,
     displacement_slope,
     fit_exponential_rate,
     metric_drift,
     overparametrized_certificate,
-    projected_error_fn,
     underparametrized_certificate,
 )
 from .dynamics import (
@@ -51,7 +51,6 @@ from .mrp import (
     Mrp,
     cyclic_chain,
     exact_value,
-    mu_norm,
     stationary_measure,
 )
 
@@ -177,25 +176,6 @@ def _emit(out_dir, report: RunReport, tables: dict, listed=()) -> None:
     (out / "report.json").write_text(report.to_json())
 
 
-def _attach_run_diagnostics(run: Trajectory, model, mu: np.ndarray, alpha: float,
-                            vstar: np.ndarray, error, known: dict) -> None:
-    """Per-saved-time series every report quotes: projected residual (by
-    ``error``, or read from ``known`` {time: (residual, scaled value)} where
-    the run already computed it), value error, and parameter displacement."""
-    pe = np.empty(len(run.times))
-    ve = np.empty(len(run.times))
-    for i, (t, w) in enumerate(zip(run.times, run.params)):
-        if t in known:
-            pe[i], V = known[t]
-        else:
-            V = alpha * model.value(w)
-            pe[i] = error(w, V)
-        ve[i] = mu_norm(V - vstar, mu)
-    run.diagnostics["projected_error"] = pe
-    run.diagnostics["value_error"] = ve
-    run.diagnostics["displacement"] = np.linalg.norm(run.params - run.params[0], axis=1)
-
-
 def _report(experiment: str, config: dict, t_start: float, out_dir, tables: dict,
             listed=(), stats=None, **fields) -> RunReport:
     """Every runner's report: built from ``fields``, with the ``stats`` of
@@ -232,30 +212,28 @@ def _run_report(experiment: str, config: dict, run: Trajectory, t_start: float, 
 
 def _train(model, mrp: Mrp, mu: np.ndarray, w0: np.ndarray, vstar: np.ndarray,
            mode: str, cfg: TrainConfig, stop_tol: float | None = None,
-           spectral_radius=None) -> Trajectory:
+           spectral_radius=None, geometry: LazyGeometry | None = None) -> Trajectory:
     """The one training path of the spiral and network runs: the averaged
     flow ("ode") or sampled TD(lambda) ("stochastic") under ``cfg``, with
-    the series every report quotes attached. The averaged flow stops early
+    the series of one ``SaveSeries`` attached (given the ``geometry``, the
+    Lyapunov value and the metric drift too). The averaged flow stops early
     once the projected residual falls below ``stop_tol``, when given;
     ``spectral_radius`` reaches ``integrate`` (the RKC stage count)."""
     if mode not in ("ode", "stochastic"):
         raise DomainError(f"mode must be 'ode' or 'stochastic', got {mode!r}")
-    lam, alpha = cfg.lam, cfg.alpha
-    error = projected_error_fn(model, mrp, mu, lam, alpha)
-    known = {}  # residual and scaled value at every saved time the early stop checked
+    series = SaveSeries(model, mrp, mu, cfg.lam, cfg.alpha, vstar, geometry)
     if mode == "ode":
-        rhs = make_lazy_rhs(model, mrp, mu, lam, alpha)
+        rhs = make_lazy_rhs(model, mrp, mu, cfg.lam, cfg.alpha)
         stop = None
         if stop_tol is not None:
+            series.record(w0)  # the stop records every saved state after the first
             def stop(w, t):
-                V = alpha * model.value(w)
-                known[t] = (error(w, V), V)
-                return known[t][0] < stop_tol
+                return series.record(w, t) < stop_tol
         run = integrate(rhs, w0, cfg, divergence_probe=rhs.scaled_value_norm, stop_when=stop,
                         spectral_radius=spectral_radius)
     else:
         run = run_stochastic_td(model, mrp, mu, cfg, w0)
-    _attach_run_diagnostics(run, model, mu, alpha, vstar, error, known)
+    series.attach(run)
     return run
 
 
@@ -361,7 +339,8 @@ def run_nn(
     if regime not in ("over", "under"):
         raise DomainError(f"regime must be 'over' or 'under', got {regime!r}")
     gamma, alpha, lam, dt, horizon = _floats(gamma, alpha, lam, dt, horizon)
-    defaults = OVER_DEFAULTS if regime == "over" else UNDER_DEFAULTS
+    over = regime == "over"
+    defaults = OVER_DEFAULTS if over else UNDER_DEFAULTS
     n_units = defaults["n_units"] if n_units is None else n_units
     n_states = defaults["n_states"] if n_states is None else n_states
     alpha = defaults["alpha"] if alpha is None else alpha
@@ -394,7 +373,7 @@ def run_nn(
             f"the flow linearized at initialization has no decaying direction "
             f"(fastest rate {fast:g}), so no step or horizon follows from it")
     spectral_radius = None
-    if regime == "over":
+    if over:
         if horizon is None:
             horizon = NN_TIME_FACTOR / slow
         if dt is None:
@@ -412,25 +391,24 @@ def run_nn(
             horizon = min(2000.0 / slow, 150_000 * dt)
     # the config checks step and horizon before they become a step count
     cfg = TrainConfig(lam=lam, alpha=alpha, dt=dt, horizon=horizon, seed=seed,
-                      integrator="rkc" if regime == "over" else "rk4")
+                      integrator="rkc" if over else "rk4")
     cfg = replace(cfg, save_every=max(1, cfg.n_steps // 400))
     config.update(dt=dt, horizon=horizon, stop_tol=NN_STOP_TOL, save_every=cfg.save_every)
-    run = _train(model, mrp, mu, w0, vstar, mode, cfg, NN_STOP_TOL if regime == "under" else None,
-                 spectral_radius)
+    run = _train(model, mrp, mu, w0, vstar, mode, cfg, None if over else NN_STOP_TOL,
+                 spectral_radius, geometry if over else None)
 
     extra = {"rate_fast": fast, "rate_slow": slow, "unstable_count": int(unstable.size),
              "rate_unstable": float(unstable[0]) if unstable.size else None,
              "rank": geometry.rank}
-    if regime == "over":
-        cert = overparametrized_certificate(geometry, model, run, alpha)
+    if over:
+        cert = overparametrized_certificate(geometry, run, alpha)
         fit = cert.fitted_rate, cert.r_squared
         extra["kappa"] = geometry.kappa
         extra["rate_bound"] = geometry.rate_bound
         try:
-            extra["metric_drift_max"] = float(np.max(metric_drift(geometry, model, run)))
+            extra["metric_drift_max"] = float(np.max(metric_drift(run)))
         except RankCollapse as exc:
-            extra["metric_drift_max"] = None
-            extra["metric_drift_note"] = str(exc)
+            extra.update(metric_drift_max=None, metric_drift_note=str(exc))
     else:
         cert = underparametrized_certificate(model, mrp, mu, lam, [alpha], [run])
         fit = None

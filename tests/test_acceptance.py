@@ -24,6 +24,7 @@ from lazytd import (
     LinearModel,
     Mrp,
     ReluNet,
+    SaveSeries,
     SpiralModel,
     TangentModel,
     TrainConfig,
@@ -129,6 +130,7 @@ def test_criterion_06_local_fixed_point_error_bound():
         cfg = TrainConfig(dt=1e-2, horizon=2000.0, save_every=100)
         probe = lambda w, _a=a: _a * np.max(np.abs(model.value(w)))
         runs.append(integrate(rhs, np.zeros(1), cfg, divergence_probe=probe))
+        SaveSeries(model, mrp, mu, 0.0, a).attach(runs[-1])
     cert_s = underparametrized_certificate(model, mrp, mu, 0.0, alphas, runs)
 
     # narrow network grid

@@ -8,6 +8,7 @@ from lazytd import (
     LinearModel,
     Mrp,
     ReluNet,
+    SaveSeries,
     SpiralModel,
     TangentModel,
     Trajectory,
@@ -20,7 +21,6 @@ from lazytd import (
     metric_drift,
     mu_norm,
     overparametrized_certificate,
-    projected_error_fn,
     stationary_measure,
     td_operator,
     underparametrized_certificate,
@@ -159,7 +159,8 @@ def test_relu_net_gives_zero_radius_and_infinite_threshold():
     assert geom.radius_bound == 0.0
     assert geom.alpha_threshold == np.inf
     run = Trajectory(times=np.array([0.0]), params=w0[None, :])
-    cert = overparametrized_certificate(geom, model, run, 1e12)
+    SaveSeries(model, mrp, mu, 0.0, 1e12, geometry=geom).attach(run)
+    cert = overparametrized_certificate(geom, run, 1e12)
     assert not cert.init_within_radius and not cert.alpha_above_threshold
 
 
@@ -169,7 +170,7 @@ def test_projected_error_zero_at_exact_value(chain3):
     mrp, mu = chain3
     model = LinearModel(np.eye(3))
     vstar = exact_value(mrp)
-    assert projected_error_fn(model, mrp, mu, 0.0, 1.0)(vstar) < 1e-12
+    assert SaveSeries(model, mrp, mu, 0.0, 1.0).record(vstar) < 1e-12
 
 
 def test_projected_error_full_rank_equals_unprojected(chain3):
@@ -180,13 +181,13 @@ def test_projected_error_full_rank_equals_unprojected(chain3):
     V = model.value(w)
     td = td_operator(mrp, 0.3, V) - V
     want = mu_norm(td, mu)
-    assert projected_error_fn(model, mrp, mu, 0.3, 1.0)(w) == pytest.approx(want, rel=1e-10)
+    assert SaveSeries(model, mrp, mu, 0.3, 1.0).record(w) == pytest.approx(want, rel=1e-10)
 
 
 def test_projected_error_spiral_origin_by_quadrature(chain3):
     mrp, mu = chain3
     model = SpiralModel()
-    got = projected_error_fn(model, mrp, mu, 0.0, 1.0)(np.zeros(1))
+    got = SaveSeries(model, mrp, mu, 0.0, 1.0).record(np.zeros(1))
     # one-dimensional tangent: |<residual, j>_mu| / ||j||_mu, residual = rbar at 0
     j = model.jacobian(np.zeros(1))[:, 0]
     inner = np.sum(mu * SPIRAL_RBAR * j)
@@ -203,12 +204,12 @@ def test_stationarity_equivalence(chain3):
     target = linear_td_fixed_point(features, mu, mrp.P, mrp.rbar, mrp.gamma, 0.0)
     alpha = 20.0
     at_fixed = target / alpha
-    assert projected_error_fn(model, mrp, mu, 0.0, alpha)(at_fixed) < 1e-9
+    assert SaveSeries(model, mrp, mu, 0.0, alpha).record(at_fixed) < 1e-9
     rhs = make_lazy_rhs(model, mrp, mu, 0.0, alpha)
     assert np.linalg.norm(rhs(at_fixed)) < 1e-9
     for _ in range(10):
         w = rng.standard_normal(2)
-        pe = projected_error_fn(model, mrp, mu, 0.0, alpha)(w)
+        pe = SaveSeries(model, mrp, mu, 0.0, alpha).record(w)
         rh = np.linalg.norm(rhs(w))
         assert (pe < 1e-9) == (rh < 1e-9)
 
@@ -240,7 +241,8 @@ def test_overparametrized_certificate_linear_full_rank(chain3):
     rhs = make_lazy_rhs(model, mrp, mu, 0.0, alpha)
     cfg = TrainConfig(dt=1e-2, horizon=400.0, save_every=100)
     run = integrate(rhs, w0, cfg)
-    cert = overparametrized_certificate(geom, model, run, alpha)
+    SaveSeries(model, mrp, mu, 0.0, alpha, geometry=geom).attach(run)
+    cert = overparametrized_certificate(geom, run, alpha)
     assert cert.sigma_min_positive
     assert cert.envelope_ok
     assert cert.clean_exponential
@@ -255,7 +257,7 @@ def test_overparametrized_certificate_rejects_rank_deficient(chain3):
     geom = LazyGeometry.from_model(model, np.zeros(1), mrp, mu)
     run = Trajectory(times=np.array([0.0]), params=np.zeros((1, 1)))
     with pytest.raises(NotOverParametrized):
-        overparametrized_certificate(geom, model, run, 10.0)
+        overparametrized_certificate(geom, run, 10.0)
 
 
 def test_run_that_starts_at_its_target_holds_the_envelope():
@@ -268,13 +270,15 @@ def test_run_that_starts_at_its_target_holds_the_envelope():
     geom = LazyGeometry.from_model(model, w0, mrp, mu)
     run = integrate(make_lazy_rhs(model, mrp, mu, 0.0, 1.0), w0,
                     TrainConfig(dt=0.1, horizon=1.0, save_every=2))
-    cert = overparametrized_certificate(geom, model, run, 1.0)
+    SaveSeries(model, mrp, mu, 0.0, 1.0, geometry=geom).attach(run)
+    cert = overparametrized_certificate(geom, run, 1.0)
     np.testing.assert_array_equal(run.diagnostics["lyapunov"], 0.0)
     assert cert.envelope_margin == 1.0
     assert cert.envelope_ok
     # a positive value against a zero envelope still breaks it
     moved = Trajectory(times=run.times, params=run.params + (run.times > 0)[:, None])
-    assert overparametrized_certificate(geom, model, moved, 1.0).envelope_margin == np.inf
+    SaveSeries(model, mrp, mu, 0.0, 1.0, geometry=geom).attach(moved)
+    assert overparametrized_certificate(geom, moved, 1.0).envelope_margin == np.inf
 
 
 # -------------------------------------------------- rank-deficient certificate
@@ -287,6 +291,8 @@ def test_underparametrized_certificate_tangent_model(chain3):
     cfg = TrainConfig(dt=1e-3, horizon=3.0, save_every=50)
     runs = [integrate(make_lazy_rhs(model, mrp, mu, 0.0, a), np.zeros(1), cfg)
             for a in alphas]
+    for a, run in zip(alphas, runs):
+        SaveSeries(model, mrp, mu, 0.0, a).attach(run)
     cert = underparametrized_certificate(model, mrp, mu, 0.0, alphas, runs)
     assert all(cert.converged)
     # exactly linear model: the reached point is the linear fixed point and
@@ -305,6 +311,7 @@ def test_error_bound_factor_reduces_at_lam_zero(chain3):
     model = TangentModel(base, np.zeros(1))
     cfg = TrainConfig(dt=1e-3, horizon=3.0, save_every=50)
     run = integrate(make_lazy_rhs(model, mrp, mu, 0.0, 50.0), np.zeros(1), cfg)
+    SaveSeries(model, mrp, mu, 0.0, 50.0).attach(run)
     cert = underparametrized_certificate(model, mrp, mu, 0.0, [50.0], [run])
     # factor (1 - lam gamma)/(1 - gamma) at lam = 0 is 1/(1 - gamma)
     from lazytd import mu_projection, exact_value as ev
@@ -327,6 +334,7 @@ def test_underparametrized_certificate_rejects_nonzero_init(chain3):
     mrp, mu = chain3
     model = TangentModel(SpiralModel(), np.zeros(1))
     run = Trajectory(times=np.array([0.0]), params=np.ones((1, 1)))
+    SaveSeries(model, mrp, mu, 0.0, 10.0).attach(run)
     with pytest.raises(InitNotZero):
         underparametrized_certificate(model, mrp, mu, 0.0, [10.0], [run])
 
@@ -351,6 +359,7 @@ def test_underparametrized_certificate_records_divergence(chain3):
     probe = lambda w: np.max(np.abs(model.value(w)))
     run = integrate(make_lazy_rhs(model, mrp, mu, 0.0, 1.0), np.zeros(1), cfg,
                     divergence_probe=probe)
+    SaveSeries(model, mrp, mu, 0.0, 1.0).attach(run)
     cert = underparametrized_certificate(model, mrp, mu, 0.0, [1.0], [run])
     assert cert.diverged == [True]
     assert not cert.passed
@@ -389,7 +398,8 @@ def test_metric_drift_zero_for_tangent(chain3):
     geom = LazyGeometry.from_model(model, np.zeros(3), mrp, mu)
     run = Trajectory(times=np.linspace(0, 1, 5),
                      params=rng.standard_normal((5, 3)))
-    np.testing.assert_allclose(metric_drift(geom, model, run), np.zeros(5), atol=1e-10)
+    SaveSeries(model, mrp, mu, 0.0, 1.0, geometry=geom).attach(run)
+    np.testing.assert_allclose(metric_drift(run), np.zeros(5), atol=1e-10)
 
 
 class _RankDropModel:
@@ -411,8 +421,19 @@ def test_metric_drift_rank_collapse(chain3):
     geom = LazyGeometry.from_model(model, np.array([1.0, 1.0]), mrp2, mu2)
     run = Trajectory(times=np.array([0.0, 1.0]),
                      params=np.array([[1.0, 1.0], [0.0, 0.0]]))
+    SaveSeries(model, mrp2, mu2, 0.0, 1.0, geometry=geom).attach(run)
     with pytest.raises(RankCollapse):
-        metric_drift(geom, model, run)
+        metric_drift(run)
+
+
+def test_metric_drift_needs_the_series_of_a_geometry(chain3):
+    mrp, mu = chain3
+    run = Trajectory(times=np.array([0.0]), params=np.zeros((1, 3)))
+    with pytest.raises(DomainError):
+        metric_drift(run)
+    SaveSeries(LinearModel(np.eye(3)), mrp, mu, 0.0, 1.0).attach(run)  # no geometry, no drift
+    with pytest.raises(DomainError):
+        metric_drift(run)
 
 
 def test_metric_drift_small_in_lazy_relu_run():
@@ -428,13 +449,51 @@ def test_metric_drift_small_in_lazy_relu_run():
     assert geom.rank == d
     cfg = TrainConfig(dt=1.0, horizon=2000.0, save_every=200)
     lazy = integrate(make_lazy_rhs(model, mrp, mu, 0.0, 500.0), w0, cfg)
-    drift = metric_drift(geom, model, lazy)
+    SaveSeries(model, mrp, mu, 0.0, 500.0, geometry=geom).attach(lazy)
+    drift = metric_drift(lazy)
     assert np.max(drift) < (1.0 - mrp.gamma) / 4.0
     # contrast: without the scaling the parameters travel far and the metric
     # drifts well past the lazy regime (reported, not a guarantee)
     unscaled = integrate(make_lazy_rhs(model, mrp, mu, 0.0, 1.0), w0, cfg)
+    SaveSeries(model, mrp, mu, 0.0, 1.0, geometry=geom).attach(unscaled)
     try:
-        drift1 = float(np.max(metric_drift(geom, model, unscaled)))
+        drift1 = float(np.max(metric_drift(unscaled)))
     except RankCollapse:
         drift1 = np.inf
     assert drift1 > np.max(drift)
+
+
+def test_rank_zero_jacobian_without_lipschitz_constant_gives_zero_radius():
+    # no hinge of this net is active on the grid, so J(w0) = 0: with no
+    # Lipschitz constant the radius is 0 and the threshold infinite, while a
+    # constant zero Jacobian keeps the infinite radius and zero threshold
+    from lazytd.experiments import _nn_setup
+    mrp, mu, model, w0, _ = _nn_setup(0.9, 13, 4, 5)
+    geom = LazyGeometry.from_model(model, w0, mrp, mu)
+    assert geom.rank == 0
+    assert (geom.radius_bound, geom.alpha_threshold) == (0.0, np.inf)
+    for constant, w in ((LinearModel(np.zeros((5, 2))), np.zeros(2)),
+                        (TangentModel(model, w0), w0)):
+        geom = LazyGeometry.from_model(constant, w, mrp, mu)
+        assert geom.rank == 0
+        assert (geom.radius_bound, geom.alpha_threshold) == (np.inf, 0.0)
+
+
+def test_series_a_stop_recorded_equal_those_attached_after_the_run(chain3):
+    # the narrow-net stop records the saved states after the first as the
+    # run saves them; attach evaluates only the rest
+    mrp, mu = chain3
+    model = SpiralModel()
+    cfg = TrainConfig(dt=1e-2, horizon=5.0, save_every=50)
+    run = integrate(make_lazy_rhs(model, mrp, mu, 0.0, 100.0), np.zeros(1), cfg)
+    whole = Trajectory(times=run.times, params=run.params)
+    SaveSeries(model, mrp, mu, 0.0, 100.0).attach(whole)
+    series = SaveSeries(model, mrp, mu, 0.0, 100.0)
+    for i in range(4):
+        pe = series.record(run.params[i], run.times[i])
+        assert pe == whole.diagnostics["projected_error"][i]
+    series.attach(run)
+    assert len(series.rows) == len(run.times)
+    for name in ("projected_error", "value_error", "displacement"):
+        np.testing.assert_array_equal(run.diagnostics[name], whole.diagnostics[name])
+    np.testing.assert_array_equal(run.values, whole.values)

@@ -716,3 +716,56 @@ def test_nn_over_without_active_hinge_has_no_decay_certificate(tmp_path):
     assert cli_main([*args, "--regime", "over", "--out", str(tmp_path / "over")]) == 2
     with pytest.raises(NotOverParametrized):
         run_nn("over", n_units=4, n_states=5, seed=13, dt=0.1, horizon=1)
+
+
+# the wide net of the metric-drift report: full rank along its whole run
+SMALL_OVER = dict(n_units=200, n_states=10, seed=9, alpha=1e4)
+
+
+def test_nn_over_reports_its_metric_drift():
+    rep = run_nn("over", **SMALL_OVER)
+    assert rep.extra["metric_drift_max"] == pytest.approx(7.86e-5, rel=1e-3)
+    assert "metric_drift_note" not in rep.extra
+
+
+@pytest.mark.slow
+def test_nn_over_default_reports_where_its_rank_dropped():
+    rep = run_nn("over")
+    assert rep.extra["metric_drift_max"] is None
+    assert rep.extra["metric_drift_note"] == "rank dropped from 30 to 29 at t=857439"
+
+
+@pytest.mark.parametrize("regime, kw, certificate_jacobians", [
+    ("over", SMALL_OVER, 0),
+    ("under", dict(n_units=6, n_states=5), 1),
+], ids=["over", "under"])
+def test_network_run_evaluates_each_saved_state_once(monkeypatch, regime, kw,
+                                                     certificate_jacobians):
+    # every per-save series and the certificate read one evaluation of each
+    # saved state; the RKC stage counts' Jacobians are left out of the count
+    from lazytd import ReluNet
+    calls = {"value": 0, "jacobian": 0}
+    in_stage_count = [False]
+    for name in calls:
+        def counted(self, w, _name=name, _method=getattr(ReluNet, name)):
+            calls[_name] += not in_stage_count[0]
+            return _method(self, w)
+        monkeypatch.setattr(ReluNet, name, counted)
+    runs, engine = [], experiments.integrate
+
+    def integrate(*args, spectral_radius=None, **kwargs):
+        def stage_count_radius(w):
+            in_stage_count[0] = True
+            try:
+                return spectral_radius(w)
+            finally:
+                in_stage_count[0] = False
+        runs.append(engine(*args, spectral_radius=spectral_radius and stage_count_radius,
+                           **kwargs))
+        return runs[-1]
+    monkeypatch.setattr(experiments, "integrate", integrate)
+    run_nn(regime, **kw)
+    saved = len(runs[0].times)
+    assert calls["value"] == saved
+    # one per saved state, plus J(w0) for the geometry and the certificate
+    assert calls["jacobian"] == saved + 1 + certificate_jacobians

@@ -7,7 +7,7 @@ PARENT and CHANGE are checkouts of the repository (each with its own
 ``python -m lazytd.cli ARGS --out DIR`` with ``OPENBLAS_NUM_THREADS=1``,
 into a temporary directory. The invocations are every benchmark workload
 of ``bench/workloads.py`` (under CHANGE) at each of its stored seeds, plus
-the spiral, narrow-net and discount-sweep runs of ``EXTRA``; CLI ARGS given
+the spiral, narrow-net and sweep runs of ``EXTRA``; CLI ARGS given
 after the two trees replace the list with that one invocation.
 
 Exit codes, stdout and every output file must match byte for byte, apart
@@ -27,14 +27,15 @@ import tempfile
 from pathlib import Path
 
 # runs no benchmark workload covers: the spiral, the narrow net, the
-# wide nets' rates in the rows of a discount sweep, and the rank a sampled
-# narrow net reports
+# wide nets' rates in the rows of a discount sweep, the rank a sampled
+# narrow net reports, and the wide net's decay certificate at two scalings
 EXTRA = (
     ("spiral", "--alpha", "100"),
     ("spiral", "--mode", "stochastic", "--horizon", "20000"),
     ("nn", "--regime", "under"),
     ("sweep", "--kind", "gamma", "--grid", "0.85,0.9"),
     ("nn", "--regime", "under", "--mode", "stochastic", "--horizon", "20000"),
+    ("sweep", "--kind", "alpha", "--grid", "500,5000"),
 )
 WALL_CLOCK = re.compile(rb'("wall_clock": )[-+0-9.eE]+')
 DIFF_LINES = 12
