@@ -91,7 +91,8 @@ class Trajectory:
     diagnostics: dict[str, np.ndarray] = field(default_factory=dict)
     diverged: bool = False
     diverged_at: float | None = None
-    # what the run did: steps; integrate adds integrator, rhs_calls, stages_min, stages_max
+    # what the run did: steps and the stop reason; integrate adds integrator,
+    # rhs_calls, stages_min, stages_max
     stats: dict = field(default_factory=dict)
     # set with the per-save series (analysis.SaveSeries): the model's value at
     # each saved state, and the metric drift or the RankCollapse that ended it
@@ -417,7 +418,10 @@ def _run(advance, look, w0: np.ndarray, h: float, n_steps: int, save_every: int,
     """The one run loop of every engine: n_steps >= 1 steps of size h, the
     state after step k + 1 at time (k + 1) h, saved every save_every steps
     and at the last. The trajectory's ``stats`` count the steps taken, the
-    one that diverged included.
+    one that diverged included, and name why the run ended as ``stop``:
+    "horizon", "stop_when", "diverged:value" (the probe tripped) or
+    "diverged:parameter" (the state's max-norm tripped, or the state went
+    non-finite).
 
     ``advance(k, w, out)`` writes the state after step k + 1 into ``out``;
     ``look(w)`` evaluates at each accepted state what the next step needs
@@ -434,6 +438,7 @@ def _run(advance, look, w0: np.ndarray, h: float, n_steps: int, save_every: int,
     w_new = np.empty_like(w)   # the state buffers swap roles after every accepted step
     times, saved = [0.0], [w.copy()]
     diverged_at = None
+    stop = "horizon"
     # blowup is detected and classified below; let the steps overflow quietly
     with np.errstate(over="ignore", invalid="ignore"):
         last_mag = max(float(np.maximum.reduce(np.abs(w))), float(look(w)))
@@ -444,25 +449,29 @@ def _run(advance, look, w0: np.ndarray, h: float, n_steps: int, save_every: int,
             mag = float(np.maximum.reduce(np.abs(w_new)))
             if not math.isfinite(mag):
                 if last_mag > 1e-3 * DIVERGENCE_THRESHOLD:
-                    diverged_at = t
+                    diverged_at, stop = t, "diverged:parameter"
                     break
                 raise NonFiniteState(f"non-finite state at t={t:g}")
-            # the probe first, so that max keeps a NaN probe and it fails
-            mag = max(float(look(w_new)), mag)
+            # written so that a NaN probe fails it
+            probe = float(look(w_new))
+            if not probe <= DIVERGENCE_THRESHOLD:
+                diverged_at, stop = t, "diverged:value"
+                break
             if not mag <= DIVERGENCE_THRESHOLD:
-                diverged_at = t
+                diverged_at, stop = t, "diverged:parameter"
                 break
             w, w_new = w_new, w
-            last_mag = mag
+            last_mag = max(probe, mag)
             if (k + 1) % save_every == 0 or k == n_steps - 1:
                 times.append(t)
                 saved.append(w.copy())
                 if stop_when is not None and stop_when(saved[-1], t):
+                    stop = "stop_when"
                     break
     return Trajectory(
         times=np.asarray(times),
         params=np.asarray(saved),
         diverged=diverged_at is not None,
         diverged_at=diverged_at,
-        stats={"steps": k + 1},
+        stats={"steps": k + 1, "stop": stop},
     )

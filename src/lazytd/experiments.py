@@ -509,7 +509,9 @@ def run_meanfield(
     the initial centers are drawn from, the separation check's settings and
     the optimality tolerance are the module constants ``MF_*``; they and the
     parameter defaults are chosen so the run settles within the horizon.
-    config.json records every one of them.
+    config.json records every one of them. The first-moment profile bins
+    the final ensemble in 12 bins over [-1.7, 1.7], widened to every
+    particle that drifted past it, so its bins sum to the mean output weight.
     """
     gamma, dt, horizon = _floats(gamma, dt, horizon)
     t_start = time.perf_counter()
@@ -549,7 +551,9 @@ def run_meanfield(
 
     profile_grid = np.linspace(MF_CENTER_LOW, MF_CENTER_HIGH, 33)
     g_vals = g_profile(history.final, features, mrp, mu, profile_grid)
-    edges = np.linspace(MF_CENTER_LOW - 0.5, MF_CENTER_HIGH + 0.5, 13)
+    wbar_final = history.final.wbar[:, 0]
+    edges = np.linspace(min(MF_CENTER_LOW - 0.5, wbar_final.min()),
+                        max(MF_CENTER_HIGH + 0.5, wbar_final.max()), 13)
     h_vals = h1_profile(history.final, edges)
 
     history.diagnostics["separation_passed"] = np.array([float(s.passed) for s in separation])

@@ -32,9 +32,11 @@ class GaussianBumpFeatures:
     ``universal_for_states``). Hinge particles need no family here: they
     are ``models.ReluNet`` run at alpha = 1 on particle time.
 
-    ``phi_matrix`` is the one place the bump is written; asked for the
-    gradient, it returns the bumps and their gradient in the centers from
-    one pass, which is what ``EnsembleModel`` reads on every call.
+    ``phi_matrix`` is the one place the bump is written. It lays the bumps
+    out in particle rows, one row of d feature values per particle, and,
+    asked for the gradient, also returns the differences s - wbar from the
+    same pass, which is what ``EnsembleModel`` reads on every call. The
+    constants -1/(2 width^2) and 1/width^2 are fixed here once.
     """
 
     def __init__(self, states: np.ndarray, width: float = 0.35):
@@ -46,31 +48,32 @@ class GaussianBumpFeatures:
         self.states = states
         self.width = float(width)
         self.d, self.wbar_dim = states.shape
+        self.exponent_scale = -1.0 / (2.0 * self.width**2)
+        self.gradient_scale = 1.0 / self.width**2
 
     def phi_matrix(self, wbars, gradient: bool = False):
-        """Columns phi(.; wbar_i) for a batch, F of shape (d, N).
+        """Rows phi(.; wbar_i) for a batch, F of shape (N, d) with
+        F[i, s] = phi(s; wbar_i).
 
-        With ``gradient`` the same pass also returns the gradient in wbar,
-        G of shape (N, d, k) with G[i, s] = phi(s; wbar_i) (s - wbar_i) /
-        width^2, as (F, G). The pass takes the differences s - c once, one
-        (d, N) array per coordinate, sums their squares in coordinate order,
-        then divides by -2 width^2 and exponentiates in place. F and G come
-        out C-contiguous: the model's products and its einsum pullback sum
-        in memory order, so their layout fixes the rounding.
+        With ``gradient`` the same pass also returns the differences
+        D[i, s] = s - wbar_i, of shape (N, d, k), as (F, D). The gradient of
+        F[i, s] in wbar_i is F[i, s] D[i, s] / width^2; the caller forms it
+        from the two. The pass takes D once, sums the squares of its
+        coordinates in coordinate order, multiplies by -1/(2 width^2) and
+        exponentiates in place. F and D come out C-contiguous.
         """
-        wbars = np.atleast_2d(np.asarray(wbars, dtype=float))
+        wbars = np.asarray(wbars, dtype=float)
+        if wbars.ndim < 2:
+            wbars = wbars.reshape(1, -1)
         if wbars.shape[1] != self.wbar_dim:
             raise DimensionMismatch(f"expected feature parameters of dimension {self.wbar_dim}")
-        diff = self.states.T[:, :, None] - wbars.T[:, None, :]    # (k, d, N)
-        F = diff[0] ** 2
-        for coordinate in diff[1:]:
-            F += coordinate**2
-        F /= -2.0 * self.width**2
+        D = self.states - wbars[:, None, :]                      # (N, d, k)
+        F = np.square(D[:, :, 0])
+        for j in range(1, self.wbar_dim):
+            F += np.square(D[:, :, j])
+        F *= self.exponent_scale
         np.exp(F, out=F)
-        if not gradient:
-            return F
-        diff *= F
-        return F, np.divide(diff.transpose(2, 1, 0), self.width**2, order="C")
+        return (F, D) if gradient else F
 
     def universal_for_states(self, centers: np.ndarray) -> bool:
         """True when bumps at the given centers span value space on the
@@ -136,8 +139,7 @@ def doubled_ensemble(
 
 def ensemble_value(ensemble: ParticleEnsemble, features: GaussianBumpFeatures) -> np.ndarray:
     """Value vector (1/N) sum_i omega0_i phi(.; wbar_i)."""
-    F = features.phi_matrix(ensemble.wbar)
-    return F @ ensemble.omega0 / ensemble.n
+    return np.dot(ensemble.omega0, features.phi_matrix(ensemble.wbar)) / float(ensemble.n)
 
 
 class EnsembleModel(ValueModel):
@@ -148,8 +150,12 @@ class EnsembleModel(ValueModel):
     rows raveled in particle order, and value(w) = (1/N) sum_i omega0_i
     phi(.; wbar_i): the width-normalized function a lazily scaled network
     computes, here run on the particle time scale (see ``_particle_system``).
-    ``value_and_vjp`` and ``jacobian`` take the feature matrix F (d, N) and
-    its gradient G (N, d, k) from one ``phi_matrix`` pass per call. The
+    Every evaluation is one ``phi_matrix`` pass in particle rows, the bumps
+    F (N, d) and the differences D (N, d, k): the value is (omega0 . F) / N,
+    and the pullback of g is [F g, omega0 * ((D_j * F) g)_j / width^2] / N,
+    one matrix-vector product for the output weights and one per feature
+    coordinate j, written into one output array. ``jacobian`` is the same
+    pass, its rows the pullbacks of the one-hot vectors. The
     Jacobian's derivative in wbar_i is omega0_i / N times the bump's
     Hessian, unbounded in omega0, so the Jacobian has no Lipschitz constant.
     """
@@ -159,6 +165,7 @@ class EnsembleModel(ValueModel):
         self.n = int(n)
         self.d = features.d
         self.p = self.n * (1 + features.wbar_dim)
+        self._count = float(self.n)  # numpy divides by a float faster than by a Python int
 
     def pack(self, ensemble: ParticleEnsemble) -> np.ndarray:
         return np.concatenate([ensemble.omega0, ensemble.wbar.ravel()])
@@ -172,27 +179,35 @@ class EnsembleModel(ValueModel):
 
     def value(self, w):
         omega0, wbar = self.unpack(w)
-        return self.features.phi_matrix(wbar) @ omega0 / self.n
+        return np.dot(omega0, self.features.phi_matrix(wbar)) / self._count
 
     def jacobian(self, w):
-        omega0, wbar = self.unpack(w)
-        F, G = self.features.phi_matrix(wbar, gradient=True)
-        wbar_cols = (omega0[None, :, None] * np.moveaxis(G, 0, 1)).reshape(self.d, -1)
-        return np.hstack([F, wbar_cols]) / self.n
+        """The rows J[s], the pullbacks of the one-hot vectors e_s."""
+        _, vjp = self.value_and_vjp(w)
+        return np.array([vjp(one_hot) for one_hot in np.eye(self.d)])
 
     def value_and_vjp(self, w):
-        """Value and J^T g = [F^T g, omega0 * sum_s G[:, s, :] g_s] / N."""
+        """Value and J^T g = [F g, omega0 * ((D_j * F) g)_j / width^2] / N,
+        with g divided by N first."""
         omega0, wbar = self.unpack(w)
-        F, G = self.features.phi_matrix(wbar, gradient=True)
-
-        n = float(self.n)  # numpy divides by a float faster than by a Python int
+        F, DF = self.features.phi_matrix(wbar, gradient=True)
+        DF *= F[:, :, None]
+        scale = (omega0 * self.features.gradient_scale)[:, None]
+        n, k, count = self.n, self.features.wbar_dim, self._count
 
         def vjp(g: np.ndarray) -> np.ndarray:
-            wbar_part = np.einsum("ndk,d->nk", G, g)
-            wbar_part *= omega0[:, None]
-            return np.concatenate([F.T @ g, wbar_part.ravel()]) / n
+            g = g / count  # d entries to divide, not p
+            out = np.empty(self.p)
+            np.dot(F, g, out=out[:n])
+            wbar_part = out[n:].reshape(n, k)
+            for j in range(k):
+                wbar_part[:, j] = np.dot(DF[:, :, j], g)
+            wbar_part *= scale
+            return out
 
-        return F @ omega0 / n, vjp
+        value = np.dot(omega0, F)
+        value /= count
+        return value, vjp
 
 
 def _averaged_residual(V: np.ndarray, mrp: Mrp) -> np.ndarray:
@@ -290,7 +305,7 @@ def g_profile(
     grid = np.atleast_2d(np.asarray(wbar_grid, dtype=float))
     if grid.shape[1] != features.wbar_dim:
         grid = grid.T
-    return features.phi_matrix(grid).T @ weighted
+    return np.dot(features.phi_matrix(grid), weighted)
 
 
 def h1_profile(ensemble: ParticleEnsemble, bin_edges) -> np.ndarray:

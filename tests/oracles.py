@@ -6,7 +6,7 @@ series truncation, dense eigendecompositions, and hand-assembled sums.
 
 import numpy as np
 
-from lazytd import random_chain
+from lazytd import EnsembleModel, random_chain
 
 CHAIN_KINDS = ("dense", "bipartite", "cycle", "shift")
 
@@ -91,3 +91,47 @@ def irreducible_chain(kind: str, d: int, rng: np.random.Generator) -> np.ndarray
         W[order, np.roll(order, -1)] = rng.uniform(0.1, 1.0, d)
         W += (rng.random((d, d)) < 0.2) * rng.uniform(0.1, 1.0, (d, d))
     return W / W.sum(axis=1, keepdims=True)
+
+
+def column_bumps(states, wbars, width, gradient=False):
+    """The bump pass in column layout: F (d, N) with F[s, i] = phi(s; wbar_i)
+    and, with ``gradient``, G (N, d, k) with G[i, s] = F[s, i] (s - wbar_i) /
+    width^2, the latter a C-order copy of the transposed product."""
+    diff = states.T[:, :, None] - wbars.T[:, None, :]    # (k, d, N)
+    F = diff[0] ** 2
+    for coordinate in diff[1:]:
+        F += coordinate**2
+    F /= -2.0 * width**2
+    np.exp(F, out=F)
+    if not gradient:
+        return F
+    diff *= F
+    return F, np.divide(diff.transpose(2, 1, 0), width**2, order="C")
+
+
+class ColumnEnsembleModel(EnsembleModel):
+    """``EnsembleModel`` computed in column layout: ``column_bumps`` per
+    call, the value F omega0 / N and the pullback
+    [F^T g, omega0 * einsum("ndk,d->nk", G, g)] / N."""
+
+    def value(self, w):
+        omega0, wbar = self.unpack(w)
+        return column_bumps(self.features.states, wbar, self.features.width) @ omega0 / self.n
+
+    def jacobian(self, w):
+        omega0, wbar = self.unpack(w)
+        F, G = column_bumps(self.features.states, wbar, self.features.width, gradient=True)
+        wbar_cols = (omega0[None, :, None] * np.moveaxis(G, 0, 1)).reshape(self.d, -1)
+        return np.hstack([F, wbar_cols]) / self.n
+
+    def value_and_vjp(self, w):
+        omega0, wbar = self.unpack(w)
+        F, G = column_bumps(self.features.states, wbar, self.features.width, gradient=True)
+        n = float(self.n)
+
+        def vjp(g):
+            wbar_part = np.einsum("ndk,d->nk", G, g)
+            wbar_part *= omega0[:, None]
+            return np.concatenate([F.T @ g, wbar_part.ravel()]) / n
+
+        return F @ omega0 / n, vjp

@@ -537,7 +537,7 @@ def test_sampled_run_reads_one_row_map_per_state(chain3):
     n = 250
     cfg = TrainConfig(alpha=100.0, beta0=1e-2, horizon=n, save_every=50)
     run = run_stochastic_td(model, mrp, mu, cfg, model.init_doubled(0))
-    assert not run.diverged and run.stats == {"steps": n}
+    assert not run.diverged and run.stats == {"steps": n, "stop": "horizon"}
     assert calls == {"value_and_row": n + 1, "value": 0, "jacobian": 0, "value_and_vjp": 0}
 
 
@@ -567,6 +567,43 @@ def test_nonfinite_step_from_a_large_state_is_divergence():
     assert run.diverged and run.diverged_at == pytest.approx(0.1)
     np.testing.assert_array_equal(run.params, [[1e6]])
     assert run.stats["steps"] == 1
+
+
+def test_run_that_takes_every_step_stops_at_the_horizon():
+    run = integrate(lambda w: -w, np.ones(2), TrainConfig(dt=0.1, horizon=1.0, save_every=3))
+    assert not run.diverged and run.stats["stop"] == "horizon" and run.stats["steps"] == 10
+
+
+def test_run_ended_by_stop_when_says_so():
+    seen = []
+    run = integrate(lambda w: -w, np.ones(2), TrainConfig(dt=0.1, horizon=1.0, save_every=2),
+                    stop_when=lambda w, t: seen.append(t) or t > 0.3)
+    assert seen == pytest.approx([0.2, 0.4])
+    assert not run.diverged and run.stats == {
+        "steps": 4, "stop": "stop_when", "integrator": "rk4", "rhs_calls": 17,
+        "stages_min": 4, "stages_max": 4}
+
+
+@pytest.mark.parametrize("probe", [lambda w: 100.0 * np.abs(w).max(), lambda w: np.nan],
+                         ids=["large", "nan"])
+def test_run_ended_by_the_probe_diverged_in_value(probe):
+    # growth by 1.1 per step: the probe, 100 times the state, passes the
+    # threshold (or reads NaN) while the state is still below it
+    run = integrate(lambda w: w, np.ones(1), TrainConfig(dt=0.1, horizon=1000.0,
+                                                         integrator="euler"),
+                    divergence_probe=probe)
+    assert run.diverged and run.stats["stop"] == "diverged:value"
+    assert np.abs(run.params).max() <= 1e6
+
+
+@pytest.mark.parametrize("rhs,w0", [(lambda w: w, 1.0), (lambda w: np.array([np.inf]), 1e6)],
+                         ids=["threshold", "non-finite"])
+def test_run_ended_by_the_state_diverged_in_parameter(rhs, w0):
+    # the state passes the threshold with no probe, or jumps from a large
+    # state straight to inf
+    run = integrate(rhs, np.array([w0]), TrainConfig(dt=0.1, horizon=1000.0,
+                                                     integrator="euler"))
+    assert run.diverged and run.stats["stop"] == "diverged:parameter"
 
 
 def test_trajectory_csv_round_trip(tmp_path, chain3):

@@ -116,10 +116,16 @@ def test_network_ode_runs_report_their_integration(regime, tmp_path):
         assert extra["integrator"] == "rk4"
         assert extra["stages_min"] == extra["stages_max"] == 4 and calls == 4 * steps + 1
     # the run stops at its horizon or, in the under regime, early
-    assert 1 <= steps <= round(rep.config["horizon"] / rep.config["dt"])
+    horizon_steps = round(rep.config["horizon"] / rep.config["dt"])
+    assert 1 <= steps <= horizon_steps
+    if extra["stop"] == "horizon":
+        assert steps == horizon_steps
+    else:
+        assert regime == "under" and extra["stop"] == "stop_when"
     # telemetry stays out of config.json, whose keys are the run's inputs
     config = json.loads((tmp_path / "config.json").read_text())
-    assert not {"integrator", "steps", "rhs_calls", "stages_min", "stages_max"} & set(config)
+    assert not {"integrator", "steps", "stop", "rhs_calls", "stages_min",
+                "stages_max"} & set(config)
 
 
 @pytest.mark.parametrize("regime,n_units,n_states", [("over", 20, 5), ("under", 6, 5)])
@@ -137,13 +143,17 @@ def test_nn_reports_the_geometry_of_its_initialization(regime, n_units, n_states
 def test_every_run_report_carries_its_run_stats():
     ode = run_spiral(1.0, horizon=5.0)
     assert ode.extra["integrator"] == "rk4" and ode.extra["steps"] == 500
+    assert ode.extra["stop"] == "horizon"
     assert ode.extra["rhs_calls"] == 4 * 500 + 1
     assert ode.extra["stages_min"] == ode.extra["stages_max"] == 4
     sampled = run_spiral(1.0, mode="stochastic", horizon=1000)
     assert sampled.extra["steps"] == 1000 and "integrator" not in sampled.extra
-    assert run_nn("under", mode="stochastic", horizon=500).extra["steps"] == 500
+    assert sampled.extra["stop"] == "horizon"
+    net = run_nn("under", mode="stochastic", horizon=500)
+    assert net.extra["steps"] == 500 and net.extra["stop"] == "horizon"
     particles = run_meanfield(n_particles=4, horizon=1.0)
     assert particles.extra["integrator"] == "rk4" and particles.extra["steps"] == 10
+    assert particles.extra["stop"] == "horizon"
 
 
 def test_linearized_rates_returns_unstable_eigenvalues():

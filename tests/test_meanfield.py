@@ -29,6 +29,8 @@ from lazytd import (
     stationary_measure,
 )
 from lazytd.errors import DimensionMismatch, DomainError
+from lazytd.experiments import run_meanfield
+from oracles import ColumnEnsembleModel
 
 
 @pytest.fixture
@@ -54,7 +56,7 @@ def exact_fit_ensemble(features, centers, vstar):
     """Output weights putting the bump ensemble exactly on the target."""
     centers = np.asarray(centers, dtype=float)[:, None]
     F = features.phi_matrix(centers)
-    om0, *_ = np.linalg.lstsq(F / centers.shape[0], vstar, rcond=None)
+    om0, *_ = np.linalg.lstsq(F.T / centers.shape[0], vstar, rcond=None)
     return ParticleEnsemble(om0, centers)
 
 
@@ -73,38 +75,65 @@ def test_value_zero_for_doubled_pairs():
 
 
 def reference_bumps(states, wbar, width):
-    """The bump pass written as one broadcast over (d, N, k): F (d, N) and
-    its gradient G (N, d, k) in wbar, G built from the transposed F."""
-    diff = states[:, None, :] - wbar[None, :, :]
-    F = np.exp(-np.sum(diff**2, axis=2) / (2.0 * width**2))
-    G = F.T[:, :, None] * (states[None, :, :] - wbar[:, None, :]) / width**2
-    return F, G
+    """The bump pass in particle rows written as one broadcast: F (N, d)
+    from the squared differences summed over the coordinate axis, and the
+    differences D (N, d, k)."""
+    D = states[None, :, :] - wbar[:, None, :]
+    F = np.exp(np.sum(D**2, axis=2) * (-1.0 / (2.0 * width**2)))
+    return F, D
+
+
+def bump_model_case(k, d, n, width, seed):
+    """A bump ensemble model, a parameter vector and a cotangent g."""
+    rng = np.random.default_rng(seed)
+    states = rng.uniform(-1.5, 1.5, (d, k))
+    model = EnsembleModel(GaussianBumpFeatures(states, width=width), n)
+    return model, rng.standard_normal(model.p), rng.standard_normal(d)
+
+
+bump_cases = dict(k=st.integers(1, 3), d=st.integers(1, 8), n=st.integers(1, 256),
+                  width=st.floats(0.05, 3.0), seed=st.integers(0, 2**16))
 
 
 @settings(max_examples=80, deadline=None)
-@given(k=st.integers(1, 3), d=st.integers(1, 8), n=st.integers(1, 256),
-       width=st.floats(0.05, 3.0), seed=st.integers(0, 2**16))
+@given(**bump_cases)
 def test_bump_pass_matches_reference_bit_for_bit(k, d, n, width, seed):
-    rng = np.random.default_rng(seed)
-    states = rng.uniform(-1.5, 1.5, (d, k))
-    features = GaussianBumpFeatures(states, width=width)
-    model = EnsembleModel(features, n)
-    w = rng.standard_normal(model.p)
-    g = rng.standard_normal(d)
+    model, w, g = bump_model_case(k, d, n, width, seed)
+    features = model.features
     omega0, wbar = model.unpack(w)
-    F, G = reference_bumps(states, wbar, width)
-    # the pullback sums over states in G's memory order, so the reference
-    # sums over a C-contiguous G
-    G = np.ascontiguousarray(G)
-    pullback = np.concatenate([F.T @ g, (omega0[:, None] * np.einsum("ndk,d->nk", G, g)).ravel()])
+    F, D = reference_bumps(features.states, wbar, width)
+    # np.dot throughout, on the same operands: which product routine runs
+    # depends on the shape and strides (a zero's sign, or a last bit, can
+    # differ between them). The cotangent is divided by N first; then one
+    # product per feature coordinate on its (N, d) block of D * F, and the
+    # factors omega0 / width^2
+    DF = D * F[:, :, None]
+    g_n = g / n
+    rows = np.column_stack([np.dot(DF[:, :, j], g_n) for j in range(k)])
+    rows = rows * (omega0 * (1.0 / width**2))[:, None]
+    pullback = np.concatenate([np.dot(F, g_n), rows.ravel()])
     assert features.phi_matrix(wbar).tobytes() == F.tobytes()
-    F_pass, G_pass = features.phi_matrix(wbar, gradient=True)
-    assert F_pass.tobytes() == F.tobytes() and G_pass.tobytes() == G.tobytes()
+    F_pass, D_pass = features.phi_matrix(wbar, gradient=True)
+    assert F_pass.tobytes() == F.tobytes() and D_pass.tobytes() == D.tobytes()
     value, vjp = model.value_and_vjp(w)
-    assert value.tobytes() == (F @ omega0 / n).tobytes()
+    assert value.tobytes() == (np.dot(omega0, F) / n).tobytes()
     assert model.value(w).tobytes() == value.tobytes()
     assert ensemble_value(ParticleEnsemble(omega0, wbar), features).tobytes() == value.tobytes()
-    assert vjp(g).tobytes() == (pullback / n).tobytes()
+    assert vjp(g).tobytes() == pullback.tobytes()
+
+
+@settings(max_examples=80, deadline=None)
+@given(**bump_cases)
+def test_bump_pass_matches_column_einsum_oracle(k, d, n, width, seed):
+    # the same pass in column layout with an einsum pullback sums in
+    # another order: the two agree to rounding, relative to the largest entry
+    model, w, g = bump_model_case(k, d, n, width, seed)
+    oracle = ColumnEnsembleModel(model.features, n)
+    value, vjp = model.value_and_vjp(w)
+    want_value, want_vjp = oracle.value_and_vjp(w)
+    for got, want in ((value, want_value), (model.value(w), oracle.value(w)),
+                      (vjp(g), want_vjp(g)), (model.jacobian(w), oracle.jacobian(w))):
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-13 * np.abs(want).max())
 
 
 # ------------------------------------------------------------- velocities
@@ -264,6 +293,22 @@ def test_run_solves_the_backup_resolvent_once(chain5, monkeypatch):
     assert len(calls) == 1
 
 
+def test_particle_run_matches_column_einsum_oracle(chain5, monkeypatch):
+    # a run driven by the column-layout velocity ends at the same state,
+    # with the same optimality gap at every save, to rounding
+    mrp, mu, states = chain5
+    feat = GaussianBumpFeatures(states, width=0.35)
+    ens = doubled_ensemble(200, uniform_sampler(-1.2, 1.2), rng=7)
+    run = integrate_ensemble(ens, feat, mrp, mu, dt=0.1, horizon=50.0, save_every=50)
+    monkeypatch.setattr(meanfield, "EnsembleModel", ColumnEnsembleModel)
+    oracle = integrate_ensemble(ens, feat, mrp, mu, dt=0.1, horizon=50.0, save_every=50)
+    assert run.final_params.tobytes() != oracle.final_params.tobytes()
+    np.testing.assert_allclose(run.final_params, oracle.final_params, rtol=1e-12,
+                               atol=1e-12 * np.abs(oracle.final_params).max())
+    np.testing.assert_allclose(run.diagnostics["optimality_gap"],
+                               oracle.diagnostics["optimality_gap"], rtol=1e-12)
+
+
 def test_particle_permutation_leaves_value_trajectory_unchanged(chain5):
     mrp, mu, states = chain5
     feat = GaussianBumpFeatures(states, width=0.4)
@@ -352,6 +397,16 @@ def test_h1_profile_reads_a_flat_list_as_one_axis():
     ens2 = ParticleEnsemble(np.array([1.0, 2.0]), np.array([[0.2, 0.2], [0.7, 0.2]]))
     np.testing.assert_array_equal(h1_profile(ens2, [[0.0, 0.5, 1.0], [0.0, 1.0]]),
                                   [[0.5], [1.0]])
+
+
+def test_meanfield_h1_bins_cover_every_final_particle(tmp_path):
+    # particles of the default run drift past [-1.7, 1.7]; the bins widen
+    # to hold them, so the profile sums to the first moment mean(omega0)
+    run_meanfield(out_dir=tmp_path)
+    h1 = np.loadtxt(tmp_path / "h1_profile.csv", delimiter=",", skiprows=1)
+    final = np.loadtxt(tmp_path / "snapshot_final.csv", delimiter=",", skiprows=1)
+    assert h1.shape == (12, 2)
+    assert abs(h1[:, 1].sum() - final[:, 1].mean()) < 1e-12
 
 
 def test_equal_h1_gives_equal_value_for_bin_constant_features(chain5):

@@ -12,13 +12,20 @@ after the two trees replace the list with that one invocation.
 
 Exit codes, stdout and every output file must match byte for byte, apart
 from the ``wall_clock`` figure in report.json and on stdout. Every file
-that differs is printed with the start of its diff; the exit code is 1 on
-any difference and 0 otherwise.
+that differs is printed with the start of its diff. A differing CSV or
+JSON file (and stdout, a JSON summary) is also sized: the largest
+relative difference over the numeric cells both versions hold at the same
+place (row and column of a CSV, key path of a JSON file), and that place.
+The exit code is 1 on any difference and 0 otherwise.
 """
 
 from __future__ import annotations
 
+import csv
 import difflib
+import io
+import json
+import math
 import os
 import re
 import subprocess
@@ -64,8 +71,72 @@ def run(tree: Path, argv: list[str], out: Path) -> dict[str, bytes]:
     return {k: WALL_CLOCK.sub(rb"\1null", v) for k, v in found.items()}
 
 
+def leaves(name: str, data: bytes) -> dict | None:
+    """Every cell of a CSV file or leaf of a JSON file (stdout is the JSON
+    summary), keyed by its place; None for other files and for files that
+    do not parse."""
+    text = data.decode(errors="replace")
+    try:
+        if name.endswith(".csv"):
+            header, *rows = csv.reader(io.StringIO(text))
+            return {f"row {i + 1}, {col}": cell
+                    for i, row in enumerate(rows) for col, cell in zip(header, row)}
+        if name.endswith(".json") or name == "<stdout>":
+            found = {}
+
+            def walk(node, at):
+                if isinstance(node, dict):
+                    for key, value in node.items():
+                        walk(value, f"{at}.{key}" if at else key)
+                elif isinstance(node, list):
+                    for i, value in enumerate(node):
+                        walk(value, f"{at}[{i}]")
+                else:
+                    found[at] = node
+
+            walk(json.loads(text), "")
+            return found
+    except ValueError:
+        pass
+    return None
+
+
+def number(cell) -> float | None:
+    """The cell as a float, None when it is not a number (booleans and
+    nulls included)."""
+    if cell is None or isinstance(cell, bool):
+        return None
+    try:
+        return float(cell)
+    except (TypeError, ValueError):
+        return None
+
+
+def largest_relative_difference(name: str, a: bytes, b: bytes) -> str | None:
+    """Where two versions of a CSV or JSON file differ most in a numeric
+    cell, |a - b| / max(|a|, |b|) over the places both hold (inf when a
+    differing cell is not finite); None for other files."""
+    cells_a, cells_b = leaves(name, a), leaves(name, b)
+    if cells_a is None or cells_b is None:
+        return None
+    worst, where = 0.0, None
+    for place in sorted(cells_a.keys() & cells_b.keys()):
+        x, y = number(cells_a[place]), number(cells_b[place])
+        if x is None or y is None or x == y or (math.isnan(x) and math.isnan(y)):
+            continue
+        finite = math.isfinite(x) and math.isfinite(y)
+        rel = abs(x - y) / max(abs(x), abs(y)) if finite else math.inf
+        if where is None or rel > worst:
+            worst, where = rel, place
+    one_side = len(cells_a.keys() ^ cells_b.keys())
+    text = "no numeric cell differs" if where is None else \
+        f"largest relative difference {worst:.3e} at {where}"
+    return text + (f"; places under one tree only: {one_side}" if one_side else "")
+
+
 def compare(parent: dict[str, bytes], change: dict[str, bytes]) -> list[str]:
-    """One entry per differing file: its name and the start of its diff."""
+    """One entry per differing file: its name, its largest relative
+    difference (CSV and JSON files) and the start of its diff."""
     differing = []
     for name in sorted(parent.keys() | change.keys()):
         a, b = parent.get(name), change.get(name)
@@ -79,7 +150,9 @@ def compare(parent: dict[str, bytes], change: dict[str, bytes]) -> list[str]:
                                     "PARENT", "CHANGE", n=0, lineterm="")
         lines = list(diff)[2:]
         more = [f"... {len(lines) - DIFF_LINES} more lines"] if len(lines) > DIFF_LINES else []
-        differing.append("\n    ".join([name, *lines[:DIFF_LINES], *more]))
+        size = largest_relative_difference(name, a, b)
+        differing.append("\n    ".join([name, *([size] if size else []), *lines[:DIFF_LINES],
+                                          *more]))
     return differing
 
 
