@@ -5,10 +5,6 @@ class LazyTdError(Exception):
     """Base class for all lazytd errors."""
 
 
-class NonErgodic(LazyTdError):
-    """Power iteration for the stationary measure failed to converge."""
-
-
 class FullSupportViolation(LazyTdError):
     """The stationary measure has a (numerically) zero entry."""
 

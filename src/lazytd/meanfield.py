@@ -316,8 +316,14 @@ def h1_profile(ensemble: ParticleEnsemble, bin_edges) -> np.ndarray:
     profile realize the same approximator whenever features are constant
     within bins. ``bin_edges`` is one sequence of edges per feature
     dimension; a flat sequence of numbers is the edges of a single axis.
+    Raises DomainError, naming the count, when a particle lies outside the
+    first or last edge of an axis, since its weight would be dropped.
     """
     edges = [bin_edges] if np.ndim(bin_edges[0]) == 0 else bin_edges
+    low, high = [e[0] for e in edges], [e[-1] for e in edges]
+    outside = int(np.sum(~np.all((ensemble.wbar >= low) & (ensemble.wbar <= high), axis=1)))
+    if outside:
+        raise DomainError(f"{outside} of {ensemble.n} particles lie outside the bin edges")
     hist, _ = np.histogramdd(ensemble.wbar, bins=edges, weights=ensemble.omega0)
     return hist / ensemble.n
 

@@ -399,6 +399,16 @@ def test_h1_profile_reads_a_flat_list_as_one_axis():
                                   [[0.5], [1.0]])
 
 
+def test_h1_profile_rejects_edges_that_miss_a_particle():
+    rng = np.random.default_rng(8)
+    ens = ParticleEnsemble(rng.standard_normal(40), rng.uniform(-1.0, 1.0, 40))
+    covering = np.linspace(-1.0, 1.0, 9)
+    assert h1_profile(ens, covering).sum() == pytest.approx(ens.omega0.mean(), rel=1e-12)
+    short = np.linspace(-1.0, np.sort(ens.wbar[:, 0])[-2], 9)  # the largest particle is out
+    with pytest.raises(DomainError, match="1 of 40 particles"):
+        h1_profile(ens, short)
+
+
 def test_meanfield_h1_bins_cover_every_final_particle(tmp_path):
     # particles of the default run drift past [-1.7, 1.7]; the bins widen
     # to hold them, so the profile sums to the first moment mean(omega0)

@@ -1,5 +1,8 @@
 """Chain-level operations against independent dense/series oracles."""
 
+import time
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -59,15 +62,35 @@ def test_stationary_periodic_chain():
 
 
 @settings(max_examples=60, deadline=None)
-@given(kind=st.sampled_from(["dense", "bipartite", "cycle"]), d=st.integers(2, 8),
-       seed=st.integers(0, 2**16))
+@given(kind=st.sampled_from(CHAIN_KINDS), d=st.integers(2, 12), seed=st.integers(0, 2**16))
 def test_stationary_measure_matches_eigen_oracle(kind, d, seed):
-    # periodic chains included: power iteration on P alone would oscillate
+    # periodic chains included, up to the cyclic shift of period d
     P = irreducible_chain(kind, d, np.random.default_rng(seed))
     mu = stationary_measure(Mrp(P=P, rbar=np.zeros(d), gamma=0.5))
     np.testing.assert_allclose(mu, eig_stationary(P), rtol=0, atol=1e-8)
-    assert np.abs(mu @ P - mu).max() < 1e-10
-    assert abs(mu.sum() - 1.0) < 1e-12
+    assert mu.min() > 0
+    assert np.abs(mu @ P - mu).max() <= 1e-13
+    assert abs(mu.sum() - 1.0) <= 1e-12
+
+
+def test_stationary_slow_birth_death_chain_matches_detailed_balance():
+    # reflecting birth-death chain, up-probability 1/2: period 2 and a
+    # mixing time of order d^2, so power iteration on it takes minutes
+    d, up = 800, Fraction(1, 2)
+    exact = [[Fraction(0)] * d for _ in range(d)]
+    exact[0][1] = exact[d - 1][d - 2] = Fraction(1)
+    for i in range(1, d - 1):
+        exact[i][i + 1], exact[i][i - 1] = up, 1 - up
+    weights = [Fraction(1)]
+    for i in range(d - 1):
+        weights.append(weights[-1] * exact[i][i + 1] / exact[i + 1][i])
+    total = sum(weights)
+    want = np.array([float(w / total) for w in weights])
+    P = np.array(exact, dtype=float)
+    start = time.perf_counter()
+    mu = stationary_measure(Mrp(P=P, rbar=np.zeros(d), gamma=0.5))
+    assert time.perf_counter() - start < 5.0
+    np.testing.assert_allclose(mu, want, rtol=0, atol=1e-13)
 
 
 def test_stationary_full_support_violation():

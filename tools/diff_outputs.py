@@ -13,10 +13,14 @@ after the two trees replace the list with that one invocation.
 Exit codes, stdout and every output file must match byte for byte, apart
 from the ``wall_clock`` figure in report.json and on stdout. Every file
 that differs is printed with the start of its diff. A differing CSV or
-JSON file (and stdout, a JSON summary) is also sized: the largest
-relative difference over the numeric cells both versions hold at the same
-place (row and column of a CSV, key path of a JSON file), and that place.
-The exit code is 1 on any difference and 0 otherwise.
+JSON file (and stdout, a JSON summary) is also sized over the numeric
+cells both versions hold at the same place (row and column of a CSV, key
+path of a JSON file): its largest relative difference, the absolute
+difference at that place, and its largest absolute difference where that
+lies elsewhere. A quantity at the rounding floor can differ hugely in
+relative terms and negligibly in absolute ones. The last line gives the
+same sizes over every invocation. The exit code is 1 on any difference
+and 0 otherwise.
 """
 
 from __future__ import annotations
@@ -31,6 +35,7 @@ import re
 import subprocess
 import sys
 import tempfile
+from dataclasses import dataclass
 from pathlib import Path
 
 # runs no benchmark workload covers: the spiral, the narrow net, the
@@ -112,32 +117,66 @@ def number(cell) -> float | None:
         return None
 
 
-def largest_relative_difference(name: str, a: bytes, b: bytes) -> str | None:
-    """Where two versions of a CSV or JSON file differ most in a numeric
-    cell, |a - b| / max(|a|, |b|) over the places both hold (inf when a
-    differing cell is not finite); None for other files."""
+@dataclass
+class Size:
+    """How far two versions of a file lie apart in their numeric cells:
+    the largest relative difference |a - b| / max(|a|, |b|) (inf when a
+    differing cell is not finite), the absolute difference at its place,
+    and the largest absolute difference over all places."""
+
+    rel: float = 0.0
+    rel_abs: float = 0.0
+    rel_at: str | None = None
+    absolute: float = 0.0
+    absolute_at: str | None = None
+
+    def add(self, rel: float, diff: float, at: str):
+        """Take in one differing cell."""
+        self.merge(Size(rel, diff, at, diff, at))
+
+    def merge(self, other: Size, prefix: str = ""):
+        """Take in the Size of other places, their names given ``prefix``."""
+        if other.rel_at is None:
+            return
+        if self.rel_at is None or other.rel > self.rel:
+            self.rel, self.rel_abs, self.rel_at = other.rel, other.rel_abs, prefix + other.rel_at
+        if self.absolute_at is None or other.absolute > self.absolute:
+            self.absolute, self.absolute_at = other.absolute, prefix + other.absolute_at
+
+    def __str__(self) -> str:
+        if self.rel_at is None:
+            return "no numeric cell differs"
+        text = (f"largest relative difference {self.rel:.3e} (absolute {self.rel_abs:.3e})"
+                f" at {self.rel_at}")
+        if self.absolute_at != self.rel_at:
+            text += f"; largest absolute difference {self.absolute:.3e} at {self.absolute_at}"
+        return text
+
+
+def difference_size(name: str, a: bytes, b: bytes) -> tuple[Size, int] | None:
+    """The Size of two versions of a CSV or JSON file over the places both
+    hold, and the number of places only one holds; None for other files."""
     cells_a, cells_b = leaves(name, a), leaves(name, b)
     if cells_a is None or cells_b is None:
         return None
-    worst, where = 0.0, None
+    size = Size()
     for place in sorted(cells_a.keys() & cells_b.keys()):
         x, y = number(cells_a[place]), number(cells_b[place])
         if x is None or y is None or x == y or (math.isnan(x) and math.isnan(y)):
             continue
-        finite = math.isfinite(x) and math.isfinite(y)
-        rel = abs(x - y) / max(abs(x), abs(y)) if finite else math.inf
-        if where is None or rel > worst:
-            worst, where = rel, place
-    one_side = len(cells_a.keys() ^ cells_b.keys())
-    text = "no numeric cell differs" if where is None else \
-        f"largest relative difference {worst:.3e} at {where}"
-    return text + (f"; places under one tree only: {one_side}" if one_side else "")
+        if math.isfinite(x) and math.isfinite(y):
+            size.add(abs(x - y) / max(abs(x), abs(y)), abs(x - y), place)
+        else:
+            size.add(math.inf, math.inf, place)
+    return size, len(cells_a.keys() ^ cells_b.keys())
 
 
-def compare(parent: dict[str, bytes], change: dict[str, bytes]) -> list[str]:
+def compare(parent: dict[str, bytes], change: dict[str, bytes]) -> tuple[list[str], Size]:
     """One entry per differing file: its name, its largest relative
-    difference (CSV and JSON files) and the start of its diff."""
-    differing = []
+    difference with the absolute difference at that place (CSV and JSON
+    files) and the start of its diff; and the Size over all files, with
+    each place prefixed by its file's name."""
+    differing, total = [], Size()
     for name in sorted(parent.keys() | change.keys()):
         a, b = parent.get(name), change.get(name)
         if a == b:
@@ -150,10 +189,14 @@ def compare(parent: dict[str, bytes], change: dict[str, bytes]) -> list[str]:
                                     "PARENT", "CHANGE", n=0, lineterm="")
         lines = list(diff)[2:]
         more = [f"... {len(lines) - DIFF_LINES} more lines"] if len(lines) > DIFF_LINES else []
-        size = largest_relative_difference(name, a, b)
-        differing.append("\n    ".join([name, *([size] if size else []), *lines[:DIFF_LINES],
-                                          *more]))
-    return differing
+        sized = difference_size(name, a, b)
+        head = []
+        if sized:
+            size, one_side = sized
+            total.merge(size, f"{name} ")
+            head = [str(size) + (f"; places under one tree only: {one_side}" if one_side else "")]
+        differing.append("\n    ".join([name, *head, *lines[:DIFF_LINES], *more]))
+    return differing, total
 
 
 def main(argv: list[str]) -> int:
@@ -162,7 +205,7 @@ def main(argv: list[str]) -> int:
         return 2
     parent, change = Path(argv[0]).resolve(), Path(argv[1]).resolve()
     todo = [argv[2:]] if len(argv) > 2 else invocations(change)
-    status = 0
+    status, overall = 0, Size()
     with tempfile.TemporaryDirectory(prefix="diff_outputs-") as tmp:
         for i, args in enumerate(todo):
             outputs = []
@@ -170,11 +213,13 @@ def main(argv: list[str]) -> int:
                 out = Path(tmp) / f"{i}-{label}" / "out"
                 out.parent.mkdir()
                 outputs.append(run(tree, args, out))
-            differing = compare(*outputs)
+            differing, size = compare(*outputs)
             print(f"{'DIFFERS' if differing else 'same   '}  {' '.join(args)}")
             for entry in differing:
                 print(f"  {entry}")
+            overall.merge(size, f"{' '.join(args)}: ")
             status |= bool(differing)
+    print(f"over all invocations: {overall}")
     return status
 
 
