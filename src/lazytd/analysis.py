@@ -91,6 +91,8 @@ class LazyGeometry:
     alpha_threshold: float
     gamma: float
     vstar: np.ndarray
+    mu: np.ndarray                # the weights and the trace parameter it was built at
+    lam: float
     drive: np.ndarray
     rate_fast: float
     rate_slow: float
@@ -143,6 +145,8 @@ class LazyGeometry:
             alpha_threshold=float(alpha_threshold),
             gamma=mrp.gamma,
             vstar=vstar,
+            mu=mu,
+            lam=lam,
             drive=drive,
             rate_fast=fast,
             rate_slow=float(nonzero.min()) if nonzero.size else fast,
@@ -189,8 +193,9 @@ class SaveSeries:
     lost rank.
 
     ``record(w, t)`` evaluates the next saved state and returns its
-    projected error, so that a stop rule reads each state as the run saves
-    it; ``attach(run)`` evaluates the states not yet recorded and writes the
+    projected error, so that a run records each state as it saves it;
+    ``spectral_radius`` reads the Jacobian of the state recorded last.
+    ``attach(run)`` evaluates the states not yet recorded and writes the
     columns, with ``displacement`` from the first state, into
     ``run.diagnostics``, the values V(w) into ``run.values`` and the drift,
     or the RankCollapse that ended it, into ``run.drift``.
@@ -207,7 +212,7 @@ class SaveSeries:
     def record(self, w: np.ndarray, t: float = 0.0) -> float:
         value = self.model.value(w)
         V = self.alpha * value
-        J = self.model.jacobian(w)
+        J = self.jacobian = self.model.jacobian(w)
         residual = self.r_lam + self.gP @ V - V
         row = [mu_norm(mu_projection(J, self.mu, residual), self.mu),
                mu_norm(V - self.vstar, self.mu)]
@@ -224,6 +229,11 @@ class SaveSeries:
         self.values.append(value)
         self.rows.append(row)
         return row[0]
+
+    def spectral_radius(self, w: np.ndarray) -> float:
+        """Spectral radius of the flow linearized at ``w``, the state recorded
+        last (as ``integrate`` asks), from the Jacobian recorded there."""
+        return float(np.abs(np.linalg.eigvals(self.geometry.linearized(self.jacobian))).max())
 
     def attach(self, run: Trajectory) -> None:
         done = len(self.rows)
@@ -342,38 +352,34 @@ class FixedPointCertificate:
 
 
 def underparametrized_certificate(
-    model: ValueModel,
-    mrp: Mrp,
-    mu: np.ndarray,
-    lam: float,
+    geometry: LazyGeometry,
     alphas: Sequence[float],
     runs: Sequence[Trajectory],
 ) -> FixedPointCertificate:
-    """Check fixed-point convergence and the 1/alpha excess-error envelope,
-    from the series each run's ``SaveSeries`` attached at ``lam`` and its
-    scaling.
+    """Check fixed-point convergence and the 1/alpha excess-error envelope
+    on runs from the initialization of ``geometry``, from the series each
+    run's ``SaveSeries`` attached at its scaling.
 
     For each run the projected backup residual at the final iterate must
     fall below ``FIXED_POINT_TOL``. The excess of the final value error over
-    (1 - lam gamma)/(1 - gamma) times the best-in-tangent-space error must
-    fit under C/alpha with the single constant C anchored at the smallest
-    scaling in the grid; anchoring keeps the envelope test non-vacuous.
+    (1 - lam gamma)/(1 - gamma) times the best error in the span of J0, at
+    the geometry's lam, must fit under C/alpha with the single constant C
+    anchored at the smallest scaling in the grid; anchoring keeps the
+    envelope test non-vacuous.
     """
     if len(alphas) == 0:
         raise DomainError("need at least one scaling value")
     if len(alphas) != len(runs):
         raise DimensionMismatch(f"need one run per scaling value, got {len(alphas)} "
                                 f"values and {len(runs)} runs")
-    J_init = model.jacobian(runs[0].params[0])
-    if numerical_rank(np.linalg.svd(J_init, compute_uv=False)) == model.d:
+    if geometry.rank == geometry.j0.shape[0]:
         raise NotUnderParametrized("Jacobian has full row rank at initialization")
     if np.max(np.abs(runs[0].values[0])) > 1e-10:
         raise InitNotZero("initial value vector must vanish")
 
-    vstar = exact_value(mrp)
-    factor = (1.0 - lam * mrp.gamma) / (1.0 - mrp.gamma)
-    best_linear = mu_projection(J_init, mu, vstar)
-    base = factor * mu_norm(best_linear - vstar, mu)
+    vstar, mu, gamma = geometry.vstar, geometry.mu, geometry.gamma
+    factor = (1.0 - geometry.lam * gamma) / (1.0 - gamma)
+    base = factor * mu_norm(mu_projection(geometry.j0, mu, vstar) - vstar, mu)
 
     order = np.argsort(alphas)
     diverged, proj_errors, value_errors, excesses, converged = [], [], [], [], []

@@ -328,8 +328,9 @@ def integrate(
     must not keep its argument past the call.
 
     The "rkc" integrator is meant for stiff flows whose fastest modes are
-    real and decaying. Its stage count s is set at the start and at every
-    save point, as the fewest stages whose stability length covers
+    real and decaying. Its stage count s is set at w0 and at every saved
+    state the run steps on from (right after ``stop_when`` reads it; at no
+    other state), as the fewest stages whose stability length covers
     ``spectral_radius(w)`` times dt (see ``rkc_stage_count``); it must be
     given. A step of s stages makes s rhs calls. The returned trajectory's
     ``stats`` count the steps and rhs calls made and the stage counts used.

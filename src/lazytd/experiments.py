@@ -43,7 +43,6 @@ from .meanfield import (
     g_profile,
     h1_profile,
     integrate_ensemble,
-    linearized_gap_bound,
     separation_check,
 )
 from .models import ReluNet, SpiralModel
@@ -212,25 +211,25 @@ def _run_report(experiment: str, config: dict, run: Trajectory, t_start: float, 
 
 def _train(model, mrp: Mrp, mu: np.ndarray, w0: np.ndarray, vstar: np.ndarray,
            mode: str, cfg: TrainConfig, stop_tol: float | None = None,
-           spectral_radius=None, geometry: LazyGeometry | None = None) -> Trajectory:
+           geometry: LazyGeometry | None = None) -> Trajectory:
     """The one training path of the spiral and network runs: the averaged
     flow ("ode") or sampled TD(lambda) ("stochastic") under ``cfg``, with
     the series of one ``SaveSeries`` attached (given the ``geometry``, the
-    Lyapunov value and the metric drift too). The averaged flow stops early
-    once the projected residual falls below ``stop_tol``, when given;
-    ``spectral_radius`` reaches ``integrate`` (the RKC stage count)."""
+    Lyapunov value, the metric drift and the RKC stage counts too). The
+    averaged flow records each state as it saves it and stops early once
+    the projected residual falls below ``stop_tol``, when given."""
     if mode not in ("ode", "stochastic"):
         raise DomainError(f"mode must be 'ode' or 'stochastic', got {mode!r}")
     series = SaveSeries(model, mrp, mu, cfg.lam, cfg.alpha, vstar, geometry)
     if mode == "ode":
         rhs = make_lazy_rhs(model, mrp, mu, cfg.lam, cfg.alpha)
-        stop = None
-        if stop_tol is not None:
-            series.record(w0)  # the stop records every saved state after the first
-            def stop(w, t):
-                return series.record(w, t) < stop_tol
+        series.record(w0)
+
+        def stop(w, t):
+            error = series.record(w, t)
+            return stop_tol is not None and error < stop_tol
         run = integrate(rhs, w0, cfg, divergence_probe=rhs.scaled_value_norm, stop_when=stop,
-                        spectral_radius=spectral_radius)
+                        spectral_radius=None if geometry is None else series.spectral_radius)
     else:
         run = run_stochastic_td(model, mrp, mu, cfg, w0)
     series.attach(run)
@@ -372,15 +371,11 @@ def run_nn(
         raise FlatLinearization(
             f"the flow linearized at initialization has no decaying direction "
             f"(fastest rate {fast:g}), so no step or horizon follows from it")
-    spectral_radius = None
     if over:
         if horizon is None:
             horizon = NN_TIME_FACTOR / slow
         if dt is None:
             dt = min(NN_RKC_FACTOR / fast, horizon / NN_MIN_STEPS)
-
-        def spectral_radius(w):
-            return float(np.abs(np.linalg.eigvals(geometry.linearized(model.jacobian(w)))).max())
     else:
         if dt is None:
             dt = NN_STABILITY_FACTOR / fast
@@ -395,7 +390,7 @@ def run_nn(
     cfg = replace(cfg, save_every=max(1, cfg.n_steps // 400))
     config.update(dt=dt, horizon=horizon, stop_tol=NN_STOP_TOL, save_every=cfg.save_every)
     run = _train(model, mrp, mu, w0, vstar, mode, cfg, None if over else NN_STOP_TOL,
-                 spectral_radius, geometry if over else None)
+                 geometry if over else None)
 
     extra = {"rate_fast": fast, "rate_slow": slow, "unstable_count": int(unstable.size),
              "rate_unstable": float(unstable[0]) if unstable.size else None,
@@ -410,7 +405,7 @@ def run_nn(
         except RankCollapse as exc:
             extra.update(metric_drift_max=None, metric_drift_note=str(exc))
     else:
-        cert = underparametrized_certificate(model, mrp, mu, lam, [alpha], [run])
+        cert = underparametrized_certificate(geometry, [alpha], [run])
         fit = None
 
     return _run_report(f"nn-{regime}", config, run, t_start, out_dir, fit=fit,
@@ -517,11 +512,10 @@ def run_meanfield(
     t_start = time.perf_counter()
     cfg = TrainConfig(dt=dt, horizon=horizon)  # checks both before they set the save interval
     save_every = max(1, cfg.n_steps // 40)
-    states = np.linspace(-1, 1, n_states)
     # the target first, then the ensemble, from one seeded stream
     rng = np.random.default_rng(seed)
     mrp, mu, _ = _target_chain(n_states, gamma, rng)
-    features = GaussianBumpFeatures(states, width=MF_WIDTH)
+    features = GaussianBumpFeatures(np.linspace(-1, 1, n_states), width=MF_WIDTH)
     ensemble = doubled_ensemble(
         n_particles,
         lambda count, r: r.uniform(MF_CENTER_LOW, MF_CENTER_HIGH, size=(count, 1)),
@@ -538,13 +532,8 @@ def run_meanfield(
     theta_grid = np.linspace(-1.1, 1.1, MF_GRID_POINTS)
     separation = [separation_check(s, r0=MF_R0, wbar_grid=theta_grid, resolution=MF_RESOLUTION)
                   for s in history.snapshots]
-    # gap/velocity constant of the tangent reduction at the terminal state
-    cal = linearized_gap_bound(history.final, features, mrp, mu)
-    universal = features.universal_for_states(states[:, None])
-    final_report = fixed_point_optimality(
-        history.final, features, mrp, mu, eps=MF_EPS,
-        separation=separation[-1], features_universal=universal, gap_constant=cal,
-    )
+    final_report = fixed_point_optimality(history.final, features, mrp, mu, eps=MF_EPS,
+                                          separation=separation[-1])
     gaps = history.diagnostics["optimality_gap"]
     tail = gaps[len(gaps) // 2:]
     tail_monotone = bool(np.all(np.diff(tail) <= 1e-12))
@@ -571,7 +560,7 @@ def run_meanfield(
         certificate={
             "optimality": asdict(final_report),
             "separation_final": asdict(separation[-1]),
-            "gap_constant": cal,
+            "gap_constant": final_report.gap_constant,
             "gap_tail_nonincreasing": tail_monotone,
         },
         extra={

@@ -381,7 +381,8 @@ class OptimalityReport:
     stationary: bool             # velocity_norm <= eps
     separation_passed: bool
     features_universal: bool
-    gap_tolerance: float | None  # gap bound implied when all hold
+    gap_constant: float          # linearized_gap_bound at the ensemble
+    gap_tolerance: float         # gap_constant * eps, the gap bound implied when all hold
     implication_holds: bool | None
 
 
@@ -392,36 +393,34 @@ def fixed_point_optimality(
     mu: np.ndarray,
     eps: float,
     separation: SeparationReport | None = None,
-    features_universal: bool = False,
-    gap_constant: float | None = None,
 ) -> OptimalityReport:
     """Test the optimality-of-fixed-points statement at numerical tolerance.
 
     At an exact fixed point with separated support and a universal feature
     family the approximator equals the exact value function. The desk-scale
-    surrogate: when the maximal particle speed is below ``eps`` and the
-    separation surrogate passes, the optimality gap must fall below
-    ``gap_constant * eps``. The constant is computed at the ensemble (see
-    ``linearized_gap_bound``), never assumed; without one the implication
-    is reported as unchecked (None).
+    surrogate: when the maximal particle speed is below ``eps``, the
+    separation surrogate passes and bumps at the states span value space,
+    the gap must fall below ``gap_constant * eps``. The constant
+    (``linearized_gap_bound``) and the universality are computed at the
+    ensemble, never assumed; without a premise the implication is None.
     """
     model, velocity, _ = _particle_system(features, ensemble.n, mrp, mu)
     speed, bell, gap = _state_diagnostics(model, velocity, model.pack(ensemble), mrp, mu,
                                           exact_value(mrp))
     stationary = speed <= eps
     sep_ok = bool(separation.passed) if separation is not None else False
-    tol = gap_constant * eps if gap_constant is not None else None
-    implication = None
-    if stationary and sep_ok and features_universal and tol is not None:
-        implication = bool(gap <= tol)
+    universal = features.universal_for_states(features.states)
+    constant = linearized_gap_bound(ensemble, features, mrp, mu)
+    implication = bool(gap <= constant * eps) if stationary and sep_ok and universal else None
     return OptimalityReport(
         velocity_norm=speed,
         bellman_residual=bell,
         optimality_gap=gap,
         stationary=stationary,
         separation_passed=sep_ok,
-        features_universal=features_universal,
-        gap_tolerance=tol,
+        features_universal=universal,
+        gap_constant=constant,
+        gap_tolerance=constant * eps,
         implication_holds=implication,
     )
 

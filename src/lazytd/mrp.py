@@ -66,13 +66,15 @@ def stationary_measure(mrp: Mrp) -> np.ndarray:
     norms rely on) or when the computed measure has an entry at or below
     1e-14.
     """
-    # transitive closure of "reaches in one step or stays", by squaring
-    reach = (mrp.P > 0) | np.eye(mrp.d, dtype=bool)
-    while not reach.all():
-        closure = (reach.astype(float) @ reach.astype(float)) > 0
-        if np.array_equal(closure, reach):
+    # irreducible: a search from state 0 along P > 0 reaches every state,
+    # and one along its transpose finds that every state reaches state 0
+    for edges in (mrp.P > 0, (mrp.P > 0).T):
+        seen = frontier = np.arange(mrp.d) == 0
+        while frontier.any():
+            frontier = edges[frontier].any(axis=0) & ~seen
+            seen = seen | frontier
+        if not seen.all():
             raise FullSupportViolation("chain is reducible: some state cannot reach another")
-        reach = closure
     A = np.eye(mrp.d) - mrp.P.T
     A[-1] = 1.0
     b = np.zeros(mrp.d)

@@ -21,6 +21,7 @@ import pytest
 
 from lazytd import (
     GaussianBumpFeatures,
+    LazyGeometry,
     LinearModel,
     Mrp,
     ReluNet,
@@ -35,7 +36,6 @@ from lazytd import (
     finite_difference_jacobian,
     integrate,
     integrate_ensemble,
-    linearized_gap_bound,
     make_lazy_rhs,
     mu_norm,
     random_chain,
@@ -131,7 +131,8 @@ def test_criterion_06_local_fixed_point_error_bound():
         probe = lambda w, _a=a: _a * np.max(np.abs(model.value(w)))
         runs.append(integrate(rhs, np.zeros(1), cfg, divergence_probe=probe))
         SaveSeries(model, mrp, mu, 0.0, a).attach(runs[-1])
-    cert_s = underparametrized_certificate(model, mrp, mu, 0.0, alphas, runs)
+    geometry = LazyGeometry.from_model(model, np.zeros(1), mrp, mu)
+    cert_s = underparametrized_certificate(geometry, alphas, runs)
 
     # narrow network grid
     reports = [run_nn("under", alpha=a) for a in alphas]
@@ -200,11 +201,7 @@ def test_criterion_09_meanfield_optimality():
                               save_every=375)
     sep = separation_check(hist.final, r0=8.0, wbar_grid=np.linspace(-1.1, 1.1, 9),
                            resolution=0.4)
-    bound = linearized_gap_bound(hist.final, features, mrp, mu)
-    rep = fixed_point_optimality(hist.final, features, mrp, mu, eps=1e-5,
-                                 separation=sep,
-                                 features_universal=features.universal_for_states(states[:, None]),
-                                 gap_constant=bound)
+    rep = fixed_point_optimality(hist.final, features, mrp, mu, eps=1e-5, separation=sep)
     if rep.stationary:
         ok = sep.passed and rep.optimality_gap <= 1e-2
         detail = "velocity %.2e <= 1e-5, separation %s, gap %.2e <= 1e-2" % (

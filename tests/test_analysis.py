@@ -20,6 +20,7 @@ from lazytd import (
     make_lazy_rhs,
     metric_drift,
     mu_norm,
+    mu_projection,
     overparametrized_certificate,
     stationary_measure,
     td_operator,
@@ -293,7 +294,8 @@ def test_underparametrized_certificate_tangent_model(chain3):
             for a in alphas]
     for a, run in zip(alphas, runs):
         SaveSeries(model, mrp, mu, 0.0, a).attach(run)
-    cert = underparametrized_certificate(model, mrp, mu, 0.0, alphas, runs)
+    geom = LazyGeometry.from_model(model, np.zeros(1), mrp, mu)
+    cert = underparametrized_certificate(geom, alphas, runs)
     assert all(cert.converged)
     # exactly linear model: the reached point is the linear fixed point and
     # the excess over the bound is nonpositive, at every scaling
@@ -306,27 +308,28 @@ def test_underparametrized_certificate_tangent_model(chain3):
 
 
 def test_error_bound_factor_reduces_at_lam_zero(chain3):
+    # the factor (1 - lam gamma)/(1 - gamma) is read at the geometry's lam:
+    # 1/(1 - gamma) at lam = 0, (1 - 0.3 gamma)/(1 - gamma) at lam = 0.3
     mrp, mu = chain3
-    base = SpiralModel()
-    model = TangentModel(base, np.zeros(1))
+    model = TangentModel(SpiralModel(), np.zeros(1))
     cfg = TrainConfig(dt=1e-3, horizon=3.0, save_every=50)
-    run = integrate(make_lazy_rhs(model, mrp, mu, 0.0, 50.0), np.zeros(1), cfg)
-    SaveSeries(model, mrp, mu, 0.0, 50.0).attach(run)
-    cert = underparametrized_certificate(model, mrp, mu, 0.0, [50.0], [run])
-    # factor (1 - lam gamma)/(1 - gamma) at lam = 0 is 1/(1 - gamma)
-    from lazytd import mu_projection, exact_value as ev
-    vstar = ev(mrp)
-    best = mu_projection(model.j0, mu, vstar)
-    want = mu_norm(best - vstar, mu) / (1.0 - mrp.gamma)
-    assert cert.bound_base == pytest.approx(want, rel=1e-12)
+    vstar = exact_value(mrp)
+    best_error = mu_norm(mu_projection(model.j0, mu, vstar) - vstar, mu)
+    for lam in (0.0, 0.3):
+        run = integrate(make_lazy_rhs(model, mrp, mu, lam, 50.0), np.zeros(1), cfg)
+        SaveSeries(model, mrp, mu, lam, 50.0).attach(run)
+        geom = LazyGeometry.from_model(model, np.zeros(1), mrp, mu, lam)
+        cert = underparametrized_certificate(geom, [50.0], [run])
+        want = best_error * (1.0 - lam * mrp.gamma) / (1.0 - mrp.gamma)
+        assert cert.bound_base == pytest.approx(want, rel=1e-12)
 
 
 def test_underparametrized_certificate_rejects_full_rank(chain3):
     mrp, mu = chain3
-    model = LinearModel(np.eye(3))
+    geom = LazyGeometry.from_model(LinearModel(np.eye(3)), np.zeros(3), mrp, mu)
     run = Trajectory(times=np.array([0.0]), params=np.zeros((1, 3)))
     with pytest.raises(NotUnderParametrized):
-        underparametrized_certificate(model, mrp, mu, 0.0, [10.0], [run])
+        underparametrized_certificate(geom, [10.0], [run])
 
 
 def test_underparametrized_certificate_rejects_nonzero_init(chain3):
@@ -335,8 +338,9 @@ def test_underparametrized_certificate_rejects_nonzero_init(chain3):
     model = TangentModel(SpiralModel(), np.zeros(1))
     run = Trajectory(times=np.array([0.0]), params=np.ones((1, 1)))
     SaveSeries(model, mrp, mu, 0.0, 10.0).attach(run)
+    geom = LazyGeometry.from_model(model, np.ones(1), mrp, mu)
     with pytest.raises(InitNotZero):
-        underparametrized_certificate(model, mrp, mu, 0.0, [10.0], [run])
+        underparametrized_certificate(geom, [10.0], [run])
 
 
 @pytest.mark.parametrize("alphas,n_runs,error", [
@@ -346,10 +350,10 @@ def test_underparametrized_certificate_rejects_nonzero_init(chain3):
 ], ids=["empty-grid", "one-run-short", "array-one-run-short"])
 def test_underparametrized_certificate_rejects_bad_grid(chain3, alphas, n_runs, error):
     mrp, mu = chain3
-    model = TangentModel(SpiralModel(), np.zeros(1))
+    geom = LazyGeometry.from_model(TangentModel(SpiralModel(), np.zeros(1)), np.zeros(1), mrp, mu)
     run = Trajectory(times=np.array([0.0]), params=np.zeros((1, 1)))
     with pytest.raises(error):
-        underparametrized_certificate(model, mrp, mu, 0.0, alphas, [run] * n_runs)
+        underparametrized_certificate(geom, alphas, [run] * n_runs)
 
 
 def test_underparametrized_certificate_records_divergence(chain3):
@@ -360,7 +364,8 @@ def test_underparametrized_certificate_records_divergence(chain3):
     run = integrate(make_lazy_rhs(model, mrp, mu, 0.0, 1.0), np.zeros(1), cfg,
                     divergence_probe=probe)
     SaveSeries(model, mrp, mu, 0.0, 1.0).attach(run)
-    cert = underparametrized_certificate(model, mrp, mu, 0.0, [1.0], [run])
+    geom = LazyGeometry.from_model(model, np.zeros(1), mrp, mu)
+    cert = underparametrized_certificate(geom, [1.0], [run])
     assert cert.diverged == [True]
     assert not cert.passed
 

@@ -465,6 +465,35 @@ def test_integrate_rhs_calls_per_step(chain3, integrator, stages):
     assert run.stats["rhs_calls"] == len(calls) and run.stats["steps"] == 100
 
 
+@pytest.mark.parametrize("n_steps, stop_at", [(28, None), (30, None), (30, 2.0)],
+                         ids=["saves-divide-steps", "short-last-save", "early-stop"])
+def test_rkc_asks_spectral_radius_at_w0_and_each_state_stop_when_read(n_steps, stop_at):
+    # the radius is asked at w0, then right after stop_when reads each saved
+    # state the run steps on from, at an array-equal state, and nowhere else
+    A = np.array([[-1.0, 0.5], [0.0, -3.0]])
+    w0 = np.array([1.0, -2.0])
+    events = []
+
+    def stop_when(w, t):
+        events.append(("saved", w.copy()))
+        return stop_at is not None and t >= stop_at
+
+    def spectral_radius(w):
+        events.append(("radius", w.copy()))
+        return 3.0
+
+    cfg = TrainConfig(dt=0.1, horizon=n_steps * 0.1, save_every=7, integrator="rkc")
+    run = integrate(lambda w: A @ w, w0, cfg, stop_when=stop_when,
+                    spectral_radius=spectral_radius)
+    kinds = ["radius"] + ["saved", "radius"] * (len(run.times) - 2) + ["saved"]
+    assert [kind for kind, _ in events] == kinds
+    assert np.array_equal(events[0][1], w0)
+    for (_, saved), (_, asked) in zip(events[1::2], events[2::2]):
+        assert np.array_equal(asked, saved)
+    np.testing.assert_array_equal([w for kind, w in events if kind == "saved"], run.params[1:])
+    assert run.stats["stop"] == ("horizon" if stop_at is None else "stop_when")
+
+
 def test_rkc_without_spectral_radius_raises_domain_error():
     cfg = TrainConfig(dt=0.1, horizon=1.0, integrator="rkc")
     with pytest.raises(DomainError, match="spectral_radius"):

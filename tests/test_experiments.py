@@ -745,37 +745,28 @@ def test_nn_over_default_reports_where_its_rank_dropped():
     assert rep.extra["metric_drift_note"] == "rank dropped from 30 to 29 at t=857439"
 
 
-@pytest.mark.parametrize("regime, kw, certificate_jacobians", [
-    ("over", SMALL_OVER, 0),
-    ("under", dict(n_units=6, n_states=5), 1),
+@pytest.mark.parametrize("regime, kw", [
+    ("over", SMALL_OVER),
+    ("under", dict(n_units=6, n_states=5)),
 ], ids=["over", "under"])
-def test_network_run_evaluates_each_saved_state_once(monkeypatch, regime, kw,
-                                                     certificate_jacobians):
-    # every per-save series and the certificate read one evaluation of each
-    # saved state; the RKC stage counts' Jacobians are left out of the count
+def test_network_run_evaluates_each_saved_state_once(monkeypatch, regime, kw):
+    # every per-save series, the RKC stage counts and the certificate read
+    # one evaluation of each saved state
     from lazytd import ReluNet
     calls = {"value": 0, "jacobian": 0}
-    in_stage_count = [False]
     for name in calls:
         def counted(self, w, _name=name, _method=getattr(ReluNet, name)):
-            calls[_name] += not in_stage_count[0]
+            calls[_name] += 1
             return _method(self, w)
         monkeypatch.setattr(ReluNet, name, counted)
     runs, engine = [], experiments.integrate
 
-    def integrate(*args, spectral_radius=None, **kwargs):
-        def stage_count_radius(w):
-            in_stage_count[0] = True
-            try:
-                return spectral_radius(w)
-            finally:
-                in_stage_count[0] = False
-        runs.append(engine(*args, spectral_radius=spectral_radius and stage_count_radius,
-                           **kwargs))
+    def integrate(*args, **kwargs):
+        runs.append(engine(*args, **kwargs))
         return runs[-1]
     monkeypatch.setattr(experiments, "integrate", integrate)
     run_nn(regime, **kw)
     saved = len(runs[0].times)
     assert calls["value"] == saved
-    # one per saved state, plus J(w0) for the geometry and the certificate
-    assert calls["jacobian"] == saved + 1 + certificate_jacobians
+    # one per saved state, plus J(w0) for the geometry
+    assert calls["jacobian"] == saved + 1

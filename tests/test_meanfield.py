@@ -23,6 +23,7 @@ from lazytd import (
     h1_profile,
     integrate,
     integrate_ensemble,
+    linearized_gap_bound,
     make_lazy_rhs,
     mu_norm,
     separation_check,
@@ -480,13 +481,15 @@ def test_optimality_report_near_exact_ensemble(chain5):
     ens = exact_fit_ensemble(feat, states, exact_value(mrp))
     sep = separation_check(ens, r0=1.1 * np.abs(ens.omega0).max(),
                            wbar_grid=states, resolution=0.5)
-    rep = fixed_point_optimality(ens, feat, mrp, mu, eps=1e-8, separation=sep,
-                                 features_universal=feat.universal_for_states(states[:, None]),
-                                 gap_constant=10.0)
+    rep = fixed_point_optimality(ens, feat, mrp, mu, eps=1e-8, separation=sep)
     assert rep.velocity_norm < 1e-10
     assert rep.bellman_residual < 1e-10
     assert rep.optimality_gap < 1e-10
     assert rep.stationary and rep.separation_passed and rep.features_universal
+    # the implication is checked under the constant computed at the ensemble
+    assert rep.gap_constant == linearized_gap_bound(ens, feat, mrp, mu)
+    assert rep.gap_constant == pytest.approx(30.69, abs=0.01)
+    assert rep.gap_tolerance == rep.gap_constant * 1e-8
     assert rep.implication_holds
 
 

@@ -103,7 +103,10 @@ def test_stationary_full_support_violation():
 @pytest.mark.parametrize("P", [
     np.eye(2),  # every state absorbing: any measure is invariant
     np.kron(np.eye(2), np.full((2, 2), 0.5)),  # two closed classes of two states
-], ids=["identity", "block-diagonal"])
+    # state 0 reaches every state but none reaches it, then the reverse
+    np.array([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.0, 0.0, 1.0]]),
+    np.array([[1.0, 0.0, 0.0], [0.5, 0.0, 0.5], [0.0, 0.5, 0.5]]),
+], ids=["identity", "block-diagonal", "0-reaches-all", "all-reach-0"])
 def test_stationary_rejects_reducible_chains(P):
     with pytest.raises(FullSupportViolation):
         stationary_measure(Mrp(P=P, rbar=np.zeros(len(P)), gamma=0.5))
