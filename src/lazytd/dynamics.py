@@ -9,6 +9,10 @@ constant step size as time, so that they line up with the averaged flow
 they track. Every engine steps through one run loop (``_run``), which
 owns the state buffers, the save schedule, the divergence rule,
 ``stop_when`` and the returned ``Trajectory``.
+
+A sampled step reads the model at the two states of its transition only;
+its divergence probe reads the model's stated value bound instead of the
+value vector wherever the bound is far below the threshold.
 """
 
 from __future__ import annotations
@@ -22,12 +26,16 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DomainError, NonFiniteState
+from .errors import DimensionMismatch, DomainError, NonFiniteState
 from .models import ValueModel
 from .mrp import Mrp, per_state, td_resolvent
 
 INTEGRATORS = ("euler", "rk4", "rkc")
 DIVERGENCE_THRESHOLD = 1e8        # a state or scaled value past this max-norm has diverged
+# below this max-norm a run is quiet: a non-finite state reached from a quiet
+# state is a fault (NonFiniteState), and the sampled probe may return a stated
+# value bound at or below it in place of the exact max|V|
+QUIET = 1e-3 * DIVERGENCE_THRESHOLD
 RKC_DAMPING = 2.0                 # epsilon of the damped Chebyshev stages
 RKC_MARGIN = 1.3                  # stability length over h times the spectral radius
 
@@ -162,32 +170,34 @@ def sample_chain(mrp: Mrp, mu: np.ndarray, steps: int, rng: np.random.Generator 
 
 
 def stochastic_td_step(
-    value: np.ndarray,
-    row,
+    v_s: float,
+    v_next: float,
+    row: np.ndarray,
     w: np.ndarray,
     z: np.ndarray,
-    s: int,
-    s_next: int,
     reward: float,
     beta: float,
     gamma: float,
     config: TrainConfig,
     out: np.ndarray,
 ) -> None:
-    """One sampled TD(lambda) update with the recursive eligibility trace,
-    from the model's value vector and Jacobian-row map at ``w`` (see
+    """One sampled TD(lambda) update on the transition s -> s', from the
+    model's values V_w(s), V_w(s') and Jacobian row J(w)[s] (see
     ``ValueModel.value_and_row``).
 
     delta uses the alpha-scaled model and the parameter step carries the
     matching 1/alpha factor, so alpha = 1 is the plain unscaled update.
-    The trace z is updated in place to gamma lam z + J(w)[s], and the next
-    parameters, w + beta delta z / alpha, are written into ``out``.
+    The trace is gamma lam z + J(w)[s], written into z in place; at
+    lam = 0 it is the row itself and z is left as it is. The next
+    parameters, w + beta delta trace / alpha, are written into ``out``.
     """
     alpha, lam = config.alpha, config.lam
-    delta = reward + gamma * alpha * value[s_next] - alpha * value[s]
-    z *= gamma * lam
-    z += row(s)
-    np.multiply(z, beta * delta, out)
+    delta = reward + gamma * alpha * v_next - alpha * v_s
+    if lam:
+        z *= gamma * lam
+        z += row
+        row = z
+    np.multiply(row, beta * delta, out)
     out /= alpha
     out += w
 
@@ -202,24 +212,34 @@ def run_stochastic_td(
     """Run sampled TD(lambda) for config.horizon steps along one chain path.
 
     The recursive trace accumulates gradients as they were at sampling time.
-    Each accepted state's value and Jacobian-row map are evaluated once, by
-    ``value_and_row``: the divergence probe reads the scaled value,
-    alpha max|V|, and the next update uses both.
+    Each step reads the model at the two states of its transition only, by
+    ``value_and_row``. The divergence probe is the scaled value's max-norm,
+    alpha max|V|, read off the value vector, except where the model's
+    stated bound alpha ``value_bound(max|w|)`` is at most ``QUIET``: there
+    the probe returns the bound. Either value then lies below the threshold
+    and at or below the run loop's non-finite margin, ``QUIET``, so every
+    divergence decision is the exact probe's. w0's length is checked here,
+    once per run.
     """
     steps = config.n_samples
+    if np.shape(w0) != (model.p,):
+        raise DimensionMismatch(f"expected parameter vector of length {model.p}, "
+                                f"got shape {np.shape(w0)}")
     path = sample_chain(mrp, mu, steps + 1, np.random.default_rng(config.seed)).tolist()
     rewards = mrp.rbar.tolist()
-    beta, gamma = config.beta0, mrp.gamma
+    beta, gamma, alpha = config.beta0, mrp.gamma, config.alpha
     z = np.zeros(model.p)
-    at = [None, None]  # value and row map at the latest state
 
-    def look(w):
-        at[:] = model.value_and_row(w)
-        return config.alpha * float(np.maximum.reduce(np.abs(at[0])))
+    def look(w, mag):
+        bound = alpha * model.value_bound(mag)
+        if bound <= QUIET:
+            return bound
+        return alpha * float(np.maximum.reduce(np.abs(model.value(w))))
 
     def advance(k, w, out):
-        s = path[k]
-        stochastic_td_step(*at, w, z, s, path[k + 1], rewards[s], beta, gamma, config, out)
+        s, s_next = path[k], path[k + 1]
+        stochastic_td_step(*model.value_and_row(w, s, s_next), w, z, rewards[s],
+                           beta, gamma, config, out)
 
     return _run(advance, look, w0, beta, steps, config.save_every)
 
@@ -349,7 +369,7 @@ def integrate(
         calls += 1
         return rhs(w)
 
-    def look(w):
+    def look(w, mag):
         nonlocal k1
         k1 = f(w)
         return 0.0 if divergence_probe is None else divergence_probe(w)
@@ -425,14 +445,16 @@ def _run(advance, look, w0: np.ndarray, h: float, n_steps: int, save_every: int,
     non-finite).
 
     ``advance(k, w, out)`` writes the state after step k + 1 into ``out``;
-    ``look(w)`` evaluates at each accepted state what the next step needs
-    and returns the divergence probe's magnitude (0 for none). The run
+    ``look(w, mag)`` evaluates at each accepted state what the next step
+    needs and returns the divergence probe's magnitude (0 for none), given
+    the state's max-norm mag, which the loop computes anyway. The run
     halts with the diverged flag as soon as the state's max-norm or the
     probe exceeds the divergence threshold (a NaN probe counts); only
     finite states are recorded. A non-finite state reached from an
-    already-large one (within three orders of magnitude of the threshold)
-    counts as divergence, since a single explosive step can overshoot
-    straight past the threshold; otherwise it raises NonFiniteState.
+    already-large one (past ``QUIET``, three orders of magnitude below the
+    threshold) counts as divergence, since a single explosive step can
+    overshoot straight past the threshold; otherwise it raises
+    NonFiniteState.
     ``stop_when(w, t)`` is consulted at save points with the saved copy.
     """
     w = np.array(w0, dtype=float)
@@ -442,19 +464,20 @@ def _run(advance, look, w0: np.ndarray, h: float, n_steps: int, save_every: int,
     stop = "horizon"
     # blowup is detected and classified below; let the steps overflow quietly
     with np.errstate(over="ignore", invalid="ignore"):
-        last_mag = max(float(np.maximum.reduce(np.abs(w))), float(look(w)))
+        mag = float(np.maximum.reduce(np.abs(w)))
+        last_mag = max(mag, float(look(w, mag)))
         for k in range(n_steps):
             advance(k, w, w_new)
             t = (k + 1) * h
             # one max-norm: nan or inf anywhere makes it non-finite
             mag = float(np.maximum.reduce(np.abs(w_new)))
             if not math.isfinite(mag):
-                if last_mag > 1e-3 * DIVERGENCE_THRESHOLD:
+                if last_mag > QUIET:
                     diverged_at, stop = t, "diverged:parameter"
                     break
                 raise NonFiniteState(f"non-finite state at t={t:g}")
             # written so that a NaN probe fails it
-            probe = float(look(w_new))
+            probe = float(look(w_new, mag))
             if not probe <= DIVERGENCE_THRESHOLD:
                 diverged_at, stop = t, "diverged:value"
                 break

@@ -4,6 +4,12 @@ Four families are shipped: plain linear models, the 3-state spiral manifold
 used in the classical divergence experiment, single-hidden-layer ReLU
 networks with paired (sign-flipped) initialization, and the affine tangent
 model of any base model at an anchor point.
+
+Each model serves the averaged flow through ``value_and_vjp`` (the value
+vector and the pullback g -> J^T g) and the sampled step through
+``value_and_row(w, s, t)`` (V(s), V(t) and the row J[s]), and states what
+it can of its own regularity: ``jacobian_lipschitz`` and ``value_bound``,
+a bound on max_s |V_w(s)| from max|w|, both infinite where there is none.
 """
 
 from __future__ import annotations
@@ -25,6 +31,9 @@ RANK_CUTOFF = 1e-10               # relative to the largest singular value
 _SPIRAL_AB = list(zip(SPIRAL_A.tolist(), SPIRAL_B.tolist()))
 _SPIRAL_DAB = list(zip((SPIRAL_GROWTH * SPIRAL_A - SPIRAL_FREQUENCY * SPIRAL_B).tolist(),
                        (SPIRAL_GROWTH * SPIRAL_B + SPIRAL_FREQUENCY * SPIRAL_A).tolist()))
+# |V(theta)_k| <= e^{g |theta|} (|a_k| + |b_k|) + |a_k|: the two maxima over k
+_SPIRAL_AB_MAX = float(np.max(np.abs(SPIRAL_A) + np.abs(SPIRAL_B)))
+_SPIRAL_A_MAX = float(np.max(np.abs(SPIRAL_A)))
 
 
 class ValueModel(ABC):
@@ -46,6 +55,11 @@ class ValueModel(ABC):
     def jacobian(self, w: np.ndarray) -> np.ndarray:
         """Derivative of the value vector in the parameters, shape (d, p)."""
 
+    def value_bound(self, mag: float) -> float:
+        """An upper bound on max_s |V_w(s)| over every w with max|w| <= mag,
+        ``math.inf`` when the model states none."""
+        return math.inf
+
     def value_and_vjp(self, w: np.ndarray):
         """Value vector and the vector-Jacobian product g -> J(w)^T g.
 
@@ -56,18 +70,15 @@ class ValueModel(ABC):
         J = self.jacobian(w)
         return self.value(w), lambda g: J.T @ g
 
-    def value_and_row(self, w: np.ndarray):
-        """Value vector and s -> J(w)[s], one row of the Jacobian: all a
-        sampled TD step needs of a model. Here the row is the pullback of a
-        one-hot vector; models that can read one row cheaper override it."""
+    def value_and_row(self, w: np.ndarray, s: int, t: int):
+        """V_w(s), V_w(t) and the Jacobian row J(w)[s]: all a sampled TD
+        step on the transition s -> t needs of a model. Here the row is the
+        pullback of a one-hot vector; models that can read the two states
+        cheaper override it."""
         value, vjp = self.value_and_vjp(w)
-
-        def row(s: int) -> np.ndarray:
-            one_hot = np.zeros(len(value))
-            one_hot[s] = 1.0
-            return vjp(one_hot)
-
-        return value, row
+        one_hot = np.zeros(len(value))
+        one_hot[s] = 1.0
+        return value[s], value[t], vjp(one_hot)
 
 
 class LinearModel(ValueModel):
@@ -78,9 +89,17 @@ class LinearModel(ValueModel):
         if self.features.ndim != 2:
             raise DimensionMismatch("feature matrix must be d x p")
         self.d, self.p = self.features.shape
+        # max_s ||F[s]||_1, raised by the roundings of F[s] . w and of the bound
+        self._row_l1 = (float(np.abs(self.features).sum(axis=1).max(initial=0.0))
+                        * (1.0 + (self.p + 2) * np.finfo(float).eps))
 
     def value(self, w):
         return self.features @ np.asarray(w, dtype=float)
+
+    def value_bound(self, mag):
+        """max_s ||F[s]||_1 mag, up to a rounding allowance:
+        |F[s] . w| <= ||F[s]||_1 max|w|."""
+        return self._row_l1 * mag
 
     def jacobian(self, w):
         return self.features
@@ -139,6 +158,14 @@ class SpiralModel(ValueModel):
         row = np.array([self._slope(*trig)])
         return self._value(*trig), lambda g: row @ g
 
+    def value_bound(self, mag):
+        """e^{g mag} max_k(|a_k| + |b_k|) + max_k |a_k|, inf once e^{g mag}
+        overflows."""
+        try:
+            return math.exp(SPIRAL_GROWTH * mag) * _SPIRAL_AB_MAX + _SPIRAL_A_MAX
+        except OverflowError:
+            return math.inf
+
 
 class ReluNet(ValueModel):
     """Width-normalized single-hidden-layer ReLU network on fixed input points.
@@ -167,6 +194,11 @@ class ReluNet(ValueModel):
         # rows [s_1..s_m, -1]: pre-activations are [s, -1] @ [b^T; c]
         self._states_aug = np.hstack([states, -np.ones((self.d, 1))])  # (d, m + 1)
         self._states_aug_t = np.ascontiguousarray(self._states_aug.T)
+        # value_bound's 1 + max_s ||s||_1, raised by the roundings of the value
+        # (about N + m + 3) and of the bound, which matter where it is attained
+        self._bound_factor = ((1.0 + float(np.abs(states).sum(axis=1).max(initial=0.0)))
+                              * (1.0 + (self.n_units + self.m + 4) * np.finfo(float).eps))
+        self._pairs = {}  # (s, t) -> rows s and t of the augmented states
 
     def _checked(self, w: np.ndarray) -> np.ndarray:
         w = np.asarray(w, dtype=float)
@@ -238,23 +270,36 @@ class ReluNet(ValueModel):
 
         return value, vjp
 
-    def value_and_row(self, w):
-        """Value and s -> J(w)[s] off one activation pass, reading only row
-        s of the activations: with t = (a/N) [act[s] > 0] the row is act[s]/N
-        for the output weights, s_k t for input coordinate k and -t for the
-        biases. It equals the pullback of a one-hot vector under
-        ``np.array_equal`` (zeros may differ in sign)."""
-        act, a_n, value = self._forward(w)
+    def value_bound(self, mag):
+        """mag^2 (1 + max_s ||s||_1), up to a rounding allowance: each unit
+        adds at most |a_i| |b_i . s - c_i| / N <= mag^2 (||s||_1 + 1) / N."""
+        return mag * mag * self._bound_factor
 
-        def row(s: int) -> np.ndarray:
-            act_s = act[s]
-            out = np.empty((self.m + 2, self.n_units))
-            np.divide(act_s, self._n, out[0])
-            # rows 1..m + 1: [s_1..s_m, -1] times t
-            np.multiply(self._states_aug[s, :, None], (act_s > 0.0) * a_n, out[1:])
-            return out.ravel()
-
-        return value, row
+    def value_and_row(self, w, s, t):
+        """V(s), V(t) and J(w)[s] off one activation pass over the two
+        states only, (2, m + 1) times (m + 1, N): with u = (a/N) [act[s] > 0]
+        the row is act[s]/N for the output weights, s_k u for input
+        coordinate k and -u for the biases, bit for bit ``jacobian(w)[s]``.
+        The rows s and t of [s, -1] are cached per pair, so the cache holds
+        at most the transitions a chain visits; a one-state net reads its one
+        row, as ``_forward`` does, since numpy multiplies a one-row matrix by
+        another path that may round apart. w is not checked: it must be a
+        float array of length p (the sampled engine checks w0)."""
+        pair = self._pairs.get((s, t))
+        if pair is None:
+            pair = self._pairs[s, t] = self._states_aug[[s, t][:self.d]]
+        rows = w.reshape(self.m + 2, self.n_units)
+        act = np.dot(pair, rows[1:])
+        np.maximum(act, 0.0, out=act)
+        a_n = rows[0] / self._n
+        values = np.dot(act, a_n).tolist()
+        v_s, v_t = values[0], values[-1]
+        act_s = act[0]
+        out = np.empty((self.m + 2, self.n_units))
+        np.divide(act_s, self._n, out[0])
+        # rows 1..m + 1: [s_1..s_m, -1] times u
+        np.multiply(pair[0, :, None], (act_s > 0.0) * a_n, out[1:])
+        return v_s, v_t, out.ravel()
 
     def init_doubled(self, rng: np.random.Generator | int) -> np.ndarray:
         """Paired Gaussian initialization forcing value(w0) = 0.

@@ -118,11 +118,16 @@ def test_step_reduces_to_plain_td_at_lam_zero(chain3):
     model = LinearModel(np.eye(3))
     cfg = TrainConfig(lam=0.0, alpha=1.0, beta0=0.1)
     w = np.array([1.0, -2.0, 0.5])
-    z = np.array([9.0, 9.0, 9.0])  # must be forgotten entirely at lam = 0
+    z = np.array([9.0, 9.0, 9.0])  # at lam = 0 the trace is the row: z is not read
     w2 = np.empty(3)
-    stochastic_td_step(*model.value_and_row(w), w, z, 0, 1, 2.0, 0.1, mrp.gamma, cfg, w2)
-    np.testing.assert_allclose(z, model.jacobian(w)[0])
+    stochastic_td_step(*model.value_and_row(w, 0, 1), w, z, 2.0, 0.1, mrp.gamma, cfg, w2)
+    np.testing.assert_array_equal(z, [9.0, 9.0, 9.0])
     delta = 2.0 + mrp.gamma * w[1] - w[0]
+    np.testing.assert_allclose(w2, w + 0.1 * delta * model.jacobian(w)[0])
+    # with lam > 0 the trace decays into z in place
+    stochastic_td_step(*model.value_and_row(w, 0, 1), w, z, 2.0, 0.1, mrp.gamma,
+                       TrainConfig(lam=0.5, beta0=0.1), w2)
+    np.testing.assert_allclose(z, 0.5 * mrp.gamma * 9.0 + model.jacobian(w)[0])
     np.testing.assert_allclose(w2, w + 0.1 * delta * z)
 
 
@@ -135,8 +140,8 @@ def test_expected_update_vanishes_at_fixed_point(chain3):
     total, w2 = np.zeros(3), np.empty(3)
     for s in range(3):
         for s_next in range(3):
-            stochastic_td_step(*model.value_and_row(vstar), vstar, np.zeros(3),
-                               s, s_next, mrp.rbar[s], 1.0, mrp.gamma, cfg, w2)
+            stochastic_td_step(*model.value_and_row(vstar, s, s_next), vstar, np.zeros(3),
+                               mrp.rbar[s], 1.0, mrp.gamma, cfg, w2)
             total += mu[s] * mrp.P[s, s_next] * (w2 - vstar)
     np.testing.assert_allclose(total, np.zeros(3), atol=1e-12)
 
@@ -164,9 +169,11 @@ def test_stochastic_linear_approaches_fixed_point(chain3):
     seed=st.integers(0, 2**16),
 )
 def test_sampled_run_matches_full_jacobian_rows(d, lam, alpha, seed):
-    # the engine reads one Jacobian row per step; the reference is the literal
-    # TD(lambda) recursion with the row read off the full Jacobian, and the
-    # two runs must agree bit for bit
+    # the engine reads the two states of each transition; the reference is
+    # the literal TD(lambda) recursion on the full value vector and Jacobian.
+    # The rows agree bit for bit (test_models), the values of the two-row
+    # pass up to rounding, so the runs agree to rounding (over 300 draws:
+    # 5% of entries differ, by at most 2.2e-15)
     rng = np.random.default_rng(seed)
     mrp = Mrp(P=random_chain(d, rng), rbar=rng.uniform(-1, 1, d), gamma=0.9)
     mu = stationary_measure(mrp)
@@ -185,7 +192,7 @@ def test_sampled_run_matches_full_jacobian_rows(d, lam, alpha, seed):
         w = w + cfg.beta0 * delta * z / cfg.alpha
         ref.append(w.copy())
     assert not run.diverged
-    np.testing.assert_array_equal(run.params, np.asarray(ref))
+    np.testing.assert_allclose(run.params, np.asarray(ref), rtol=1e-11, atol=1e-13)
     np.testing.assert_array_equal(run.times, cfg.beta0 * np.arange(301))
 
 
@@ -553,21 +560,70 @@ def test_rkc_decays_on_a_stiff_flow_where_rk4_diverges():
 
 
 def test_sampled_run_reads_one_row_map_per_state(chain3):
-    # a run of n steps evaluates value_and_row at each of its n + 1 states
-    # and asks the model for nothing else
+    # on a lazy net each of n steps reads the model at its transition's two
+    # states, once, and the stated value bound stands in for the divergence
+    # probe's value vector: no other model call
     mrp, mu = chain3
     model = ReluNet(4, np.linspace(-1, 1, 3))
     calls = {"value_and_row": 0, "value": 0, "jacobian": 0, "value_and_vjp": 0}
     for name in calls:
-        def counted(w, name=name, method=getattr(model, name)):
+        def counted(*args, name=name, method=getattr(model, name)):
             calls[name] += 1
-            return method(w)
+            return method(*args)
         setattr(model, name, counted)
     n = 250
     cfg = TrainConfig(alpha=100.0, beta0=1e-2, horizon=n, save_every=50)
     run = run_stochastic_td(model, mrp, mu, cfg, model.init_doubled(0))
     assert not run.diverged and run.stats == {"steps": n, "stop": "horizon"}
-    assert calls == {"value_and_row": n + 1, "value": 0, "jacobian": 0, "value_and_vjp": 0}
+    assert calls == {"value_and_row": n, "value": 0, "jacobian": 0, "value_and_vjp": 0}
+
+
+class Unbounded(ReluNet):
+    """The ReLU net without its stated value bound."""
+
+    def value_bound(self, mag):
+        return np.inf
+
+
+@pytest.mark.parametrize("beta,horizon,diverges", [(22.0, 100, True), (20.5, 2000, False)],
+                         ids=["diverging", "growing"])
+def test_value_bound_leaves_a_run_as_the_exact_probe_has_it(beta, horizon, diverges):
+    # an unscaled net at a large step grows, and at beta = 22 diverges; with
+    # its value bound the probe skips the value vector while the bound is
+    # small, and the run is the one the exact probe gives, bit for bit
+    rng = np.random.default_rng(4)
+    mrp = Mrp(P=random_chain(5, rng), rbar=rng.uniform(-1, 1, 5), gamma=0.9)
+    mu = stationary_measure(mrp)
+    runs, values = [], []
+    for cls in (ReluNet, Unbounded):
+        model = cls(10, np.linspace(-1, 1, 5))
+        w0 = model.init_doubled(0)
+        calls = [0]
+
+        def value(w, method=model.value):
+            calls[0] += 1
+            return method(w)
+        model.value = value
+        cfg = TrainConfig(lam=0.5, beta0=beta, horizon=horizon, save_every=1, seed=1)
+        runs.append(run_stochastic_td(model, mrp, mu, cfg, w0))
+        values.append(calls[0])
+    bounded, exact = runs
+    assert exact.diverged == diverges
+    assert bounded.params.tobytes() == exact.params.tobytes()
+    assert bounded.times.tobytes() == exact.times.tobytes()
+    assert (bounded.diverged, bounded.diverged_at) == (exact.diverged, exact.diverged_at)
+    assert bounded.stats == exact.stats
+    # the exact probe evaluates every state it reaches; the bound skipped
+    # some but not all of them
+    assert values[1] == exact.stats["steps"] + 1
+    assert 0 < values[0] < values[1]
+
+
+def test_sampled_run_checks_the_parameter_length(chain3):
+    mrp, mu = chain3
+    model = ReluNet(4, np.linspace(-1, 1, 3))
+    with pytest.raises(DimensionMismatch):
+        run_stochastic_td(model, mrp, mu, TrainConfig(horizon=10), np.zeros(model.p + 1))
 
 
 def test_integrate_raises_on_nonfinite_rhs(chain3):

@@ -74,6 +74,17 @@ def test_spiral_stochastic_engine_diverges_unscaled():
     assert np.isfinite(rep.final_projected_error)
 
 
+def test_spiral_stochastic_divergence_is_pinned():
+    # the probe's stated value bound stands in for the spiral's value only
+    # where the bound lies far below the threshold, so the unscaled run
+    # stops where the exact probe always stopped it: step 2663, on its value
+    rep = run_spiral(1.0, mode="stochastic", horizon=200_000, seed=0)
+    assert rep.extra["diverged_at"] == 5.3260000000000005 == 2663 * 2e-3
+    assert rep.extra["stop"] == "diverged:value"
+    assert rep.extra["steps"] == 2663
+    assert rep.extra["theta_final"] == 181.96241578338027
+
+
 def test_nn_over_certificate_passes_small_config():
     # small full-rank net with its natural horizon; the reference-size
     # configuration is exercised by the acceptance suite

@@ -237,30 +237,70 @@ def test_value_and_vjp_matches_finite_difference(kind, seed):
     fd = finite_difference_jacobian(model, w)
     np.testing.assert_allclose(vjp(g), fd.T @ g, rtol=1e-5, atol=1e-8)
     # a one-hot pullback is the Jacobian row itself, bit for bit, and so is
-    # the row value_and_row reads
+    # the row value_and_row reads; its two values are the value vector's
+    # entries (the ReLU net's two-row pass may round them differently)
     J = model.jacobian(w)
-    row_value, row = model.value_and_row(w)
-    np.testing.assert_array_equal(row_value, value)
     for s in range(model.d):
         np.testing.assert_array_equal(vjp(np.eye(model.d)[s]), J[s])
-        np.testing.assert_array_equal(row(s), J[s])
+        t = (s + 1) % model.d
+        v_s, v_t, row = model.value_and_row(w, s, t)
+        np.testing.assert_array_equal(row, J[s])
+        np.testing.assert_allclose([v_s, v_t], value[[s, t]], rtol=1e-14, atol=1e-14)
+
+
+def _relu_draw(m, d, half, integer, seed):
+    """A ReLU net and parameters: integer parameters on a grid of states put
+    units exactly at their kinks and zero some output weights."""
+    rng = np.random.default_rng(seed)
+    states = rng.integers(-2, 3, (d, m)) / 2 if integer else rng.uniform(-1, 1, (d, m))
+    model = ReluNet(2 * half, states)
+    w = rng.integers(-2, 3, model.p).astype(float) if integer else rng.standard_normal(model.p)
+    return model, w
 
 
 @settings(max_examples=60, deadline=None)
 @given(m=st.integers(1, 3), d=st.integers(1, 8), half=st.integers(1, 6),
        integer=st.booleans(), seed=st.integers(0, 2**16))
 def test_relu_value_and_row_match_one_hot_pullback(m, d, half, integer, seed):
-    # integer parameters on a grid of states put units exactly at their
-    # kinks and zero some output weights
-    rng = np.random.default_rng(seed)
-    states = rng.integers(-2, 3, (d, m)) / 2 if integer else rng.uniform(-1, 1, (d, m))
-    model = ReluNet(2 * half, states)
-    w = rng.integers(-2, 3, model.p).astype(float) if integer else rng.standard_normal(model.p)
-    value, row = model.value_and_row(w)
+    # the row of the two-state pass is the full Jacobian's row bit for bit,
+    # and equal to the one-hot pullback (zeros may differ in sign); its two
+    # values differ from the d-state pass's at most by rounding
+    model, w = _relu_draw(m, d, half, integer, seed)
     ref_value, vjp = model.value_and_vjp(w)
-    assert value.tobytes() == ref_value.tobytes()
+    J = model.jacobian(w)
     for s in range(d):
-        assert np.array_equal(row(s), vjp(np.eye(d)[s]))
+        for t in range(d):
+            v_s, v_t, row = model.value_and_row(w, s, t)
+            assert row.tobytes() == J[s].tobytes()
+            assert np.array_equal(row, vjp(np.eye(d)[s]))
+            np.testing.assert_allclose([v_s, v_t], ref_value[[s, t]], rtol=1e-14, atol=1e-14)
+
+
+@settings(max_examples=60, deadline=None)
+@given(m=st.integers(1, 3), d=st.integers(1, 8), half=st.integers(1, 6),
+       integer=st.booleans(), seed=st.integers(0, 2**16), scale=st.floats(1e-3, 1e3))
+def test_relu_value_bound_holds(m, d, half, integer, seed, scale):
+    # the stated bound mag^2 (1 + max_s ||s||_1) covers every value the net
+    # takes at parameters of max-norm mag, on the drawn grid and scaled off it
+    model, w = _relu_draw(m, d, half, integer, seed)
+    for v in (w, w * scale):
+        assert model.value_bound(float(np.abs(v).max())) >= np.abs(model.value(v)).max()
+
+
+@settings(max_examples=200, deadline=None)
+@given(theta=st.floats(-2000.0, 2000.0))
+def test_spiral_value_bound_holds(theta):
+    model = SpiralModel()
+    assert model.value_bound(abs(theta)) >= np.abs(model.value(np.array([theta]))).max()
+
+
+def test_value_bound_is_stated_or_infinite():
+    assert SpiralModel().value_bound(1e6) == np.inf
+    linear = LinearModel(np.array([[1.0, -2.0], [0.5, 0.5]]))
+    assert linear.value_bound(2.0) == pytest.approx(6.0, rel=1e-15)
+    assert linear.value_bound(2.0) >= np.abs(linear.value([2.0, -2.0])).max()
+    base = ReluNet(4, np.linspace(-1, 1, 3))
+    assert TangentModel(base, base.init_doubled(0)).value_bound(1.0) == np.inf
 
 
 # ------------------------------------------------- kernels against reference
