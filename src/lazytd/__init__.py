@@ -2,6 +2,7 @@
 lazily scaled and population-limit nonlinear approximators."""
 
 from .mrp import (
+    Backup,
     Mrp,
     contraction_modulus,
     cyclic_chain,

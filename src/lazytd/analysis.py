@@ -28,14 +28,7 @@ from .errors import (
     RankCollapse,
 )
 from .models import ValueModel, numerical_rank
-from .mrp import (
-    Mrp,
-    exact_value,
-    mu_norm,
-    mu_projection,
-    per_state,
-    td_resolvent,
-)
+from .mrp import Backup, Mrp, mu_norm, mu_projection
 
 # the constants the guarantees are checked at
 ENVELOPE_SLACK = 0.05             # allowed excess of the Lyapunov series over its envelope
@@ -70,8 +63,9 @@ class LazyGeometry:
     very conservative, so certificates report them separately from the
     observed decay.
 
-    ``drive`` is Gamma (gamma P_lam - I), which makes J^T drive J the matrix
-    of the flow linearized at a point with Jacobian J (see ``linearized``).
+    ``backup`` is the chain's ``Backup`` at the geometry's mu and lam; its
+    ``drive`` makes J^T drive J the matrix of the flow linearized at a
+    point with Jacobian J (see ``linearized``).
     ``rate_fast`` and ``rate_slow`` are the fastest and the slowest nonzero
     decay rate of that flow at w0: minus the real parts of its eigenvalues,
     those within 1e-12 * max(fast, 1) of zero being the flat directions.
@@ -89,11 +83,7 @@ class LazyGeometry:
     kappa: float
     radius_bound: float
     alpha_threshold: float
-    gamma: float
-    vstar: np.ndarray
-    mu: np.ndarray                # the weights and the trace parameter it was built at
-    lam: float
-    drive: np.ndarray
+    backup: Backup
     rate_fast: float
     rate_slow: float
     rates_unstable: np.ndarray
@@ -101,7 +91,8 @@ class LazyGeometry:
     @classmethod
     def from_model(cls, model: ValueModel, w0: np.ndarray, mrp: Mrp,
                    mu: np.ndarray, lam: float = 0.0) -> "LazyGeometry":
-        mu = per_state(mu, mrp.d)
+        backup = Backup.of(mrp, mu, lam)
+        mu, vstar = backup.mu, backup.vstar
         J0 = model.jacobian(w0)
         U, S, _ = np.linalg.svd(J0, full_matrices=False)
         smax = float(S[0]) if S.size else 0.0
@@ -117,7 +108,6 @@ class LazyGeometry:
             kappa = float(np.sqrt(max(ratios[-1], 1.0 / ratios[0])))
         lipschitz = model.jacobian_lipschitz
         sigma_min = float(Sr[-1]) if rank else 0.0
-        vstar = exact_value(mrp)
         radius_bound, alpha_threshold = np.inf, 0.0   # a constant Jacobian
         if lipschitz > 0:
             # zero when the Jacobian has no Lipschitz constant or no rank
@@ -127,9 +117,7 @@ class LazyGeometry:
             # norm0(v*) over the radius; no scaling suffices for a zero radius
             size = np.sqrt(max(vstar @ g0 @ vstar, 0.0))
             alpha_threshold = size / radius_bound if radius_bound > 0 else np.inf
-        _, P_lam = td_resolvent(mrp, lam)
-        drive = mu[:, None] * (mrp.gamma * P_lam - np.eye(mrp.d))
-        re = np.linalg.eigvals(_linearized(drive, J0)).real
+        re = np.linalg.eigvals(_linearized(backup.drive, J0)).real
         fast = float(-re.min())
         tol = 1e-12 * max(fast, 1.0)
         nonzero = -re[re < -tol]
@@ -143,11 +131,7 @@ class LazyGeometry:
             kappa=kappa,
             radius_bound=float(radius_bound),
             alpha_threshold=float(alpha_threshold),
-            gamma=mrp.gamma,
-            vstar=vstar,
-            mu=mu,
-            lam=lam,
-            drive=drive,
+            backup=backup,
             rate_fast=fast,
             rate_slow=float(nonzero.min()) if nonzero.size else fast,
             rates_unstable=np.sort(re[re > tol])[::-1],
@@ -156,7 +140,7 @@ class LazyGeometry:
     def linearized(self, J: np.ndarray) -> np.ndarray:
         """A matrix with the nonzero spectrum of the flow linearized at a
         point whose Jacobian is J."""
-        return _linearized(self.drive, J)
+        return _linearized(self.backup.drive, J)
 
     def norm0(self, f: np.ndarray) -> float:
         """Norm of f in the initialization metric.
@@ -169,12 +153,12 @@ class LazyGeometry:
 
     def lyapunov(self, f: np.ndarray) -> float:
         """Squared distance to the target in the initialization norm."""
-        return self.norm0(np.asarray(f, dtype=float) - self.vstar) ** 2
+        return self.norm0(np.asarray(f, dtype=float) - self.backup.vstar) ** 2
 
     @property
     def rate_bound(self) -> float:
         """Guaranteed exponential decay rate of the Lyapunov value."""
-        return (1.0 - self.gamma) / (2.0 * self.kappa**2)
+        return (1.0 - self.backup.gamma) / (2.0 * self.kappa**2)
 
 
 class SaveSeries:
@@ -186,8 +170,8 @@ class SaveSeries:
     residual of alpha V(w) projected on the tangent space at w, which
     vanishes exactly at stationary points of the scaled averaged dynamics
     and so certifies convergence to a local fixed point, and
-    ``value_error``, the weighted distance of alpha V(w) to ``vstar`` (by
-    default the chain's exact value). The ``geometry`` of an
+    ``value_error``, the weighted distance of alpha V(w) to the chain's
+    exact value, both read from the run's ``Backup``. The ``geometry`` of an
     over-parametrized run adds ``lyapunov`` and the metric drift (see
     ``metric_drift``), which stops at the first state whose Jacobian has
     lost rank.
@@ -202,20 +186,17 @@ class SaveSeries:
     """
 
     def __init__(self, model: ValueModel, mrp: Mrp, mu: np.ndarray, lam: float, alpha: float,
-                 vstar: np.ndarray | None = None, geometry: LazyGeometry | None = None):
-        self.model, self.mu, self.alpha, self.geometry = model, mu, alpha, geometry
-        self.vstar = exact_value(mrp) if vstar is None else vstar
-        self.r_lam, P_lam = td_resolvent(mrp, lam)  # the backup, solved once per run
-        self.gP = mrp.gamma * P_lam
+                 geometry: LazyGeometry | None = None):
+        self.model, self.alpha, self.geometry = model, alpha, geometry
+        self.backup = Backup.of(mrp, mu, lam)
         self.values, self.rows, self.drift, self.collapse = [], [], [], None
 
     def record(self, w: np.ndarray, t: float = 0.0) -> float:
         value = self.model.value(w)
         V = self.alpha * value
         J = self.jacobian = self.model.jacobian(w)
-        residual = self.r_lam + self.gP @ V - V
-        row = [mu_norm(mu_projection(J, self.mu, residual), self.mu),
-               mu_norm(V - self.vstar, self.mu)]
+        b = self.backup
+        row = [mu_norm(mu_projection(J, b.mu, b.residual(V)), b.mu), mu_norm(V - b.vstar, b.mu)]
         g = self.geometry
         if g is not None:
             row.append(g.lyapunov(V))
@@ -377,16 +358,16 @@ def underparametrized_certificate(
     if np.max(np.abs(runs[0].values[0])) > 1e-10:
         raise InitNotZero("initial value vector must vanish")
 
-    vstar, mu, gamma = geometry.vstar, geometry.mu, geometry.gamma
-    factor = (1.0 - geometry.lam * gamma) / (1.0 - gamma)
-    base = factor * mu_norm(mu_projection(geometry.j0, mu, vstar) - vstar, mu)
+    b = geometry.backup
+    factor = (1.0 - b.lam * b.gamma) / (1.0 - b.gamma)
+    base = factor * mu_norm(mu_projection(geometry.j0, b.mu, b.vstar) - b.vstar, b.mu)
 
     order = np.argsort(alphas)
     diverged, proj_errors, value_errors, excesses, converged = [], [], [], [], []
-    for a, run in zip(alphas, runs):
+    for run in runs:
         diverged.append(bool(run.diverged))
         pe, err = (float("inf"), float("inf")) if run.diverged else (
-            float(run.diagnostics["projected_error"][-1]), mu_norm(a * run.values[-1] - vstar, mu))
+            float(run.diagnostics["projected_error"][-1]), float(run.diagnostics["value_error"][-1]))
         proj_errors.append(pe)
         value_errors.append(err)
         excesses.append(err - base)

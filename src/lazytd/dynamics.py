@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, DomainError, NonFiniteState
 from .models import ValueModel
-from .mrp import Mrp, per_state, td_resolvent
+from .mrp import Backup, Mrp, per_state
 
 INTEGRATORS = ("euler", "rk4", "rkc")
 DIVERGENCE_THRESHOLD = 1e8        # a state or scaled value past this max-norm has diverged
@@ -249,9 +249,10 @@ def make_lazy_rhs(model: ValueModel, mrp: Mrp, mu: np.ndarray, lam: float, alpha
     alpha = 1 is the averaged flow J^T Gamma (T V - V).
 
     With T V = r_lam + gamma P_lam V the drift is J^T (M V + c), where
-    M = Gamma (gamma P_lam - I) and c = Gamma r_lam / alpha are folded once
-    here, so each call asks the model for one value vector and one
-    vector-Jacobian product and does no scaling by alpha.
+    M = Gamma (gamma P_lam - I), the drive, and c = Gamma r_lam / alpha are
+    read once here from the chain's ``Backup``, so each call asks the model
+    for one value vector and one vector-Jacobian product and does no
+    scaling by alpha. The drift carries that backup as ``rhs.backup``.
 
     It also carries ``rhs.scaled_value_norm(w)``, the max-norm of the scaled
     value vector, alpha max|V|, for use as the divergence probe. When ``w``
@@ -260,12 +261,10 @@ def make_lazy_rhs(model: ValueModel, mrp: Mrp, mu: np.ndarray, lam: float, alpha
     call's value instead of evaluating the model again; ``w`` must not have
     been modified in place since.
     """
-    if alpha < 1.0:
+    if not alpha >= 1.0:  # written so that NaN fails it
         raise DomainError(f"alpha must be >= 1, got {alpha}")
-    mu = per_state(mu, mrp.d)
-    r_lam, P_lam = td_resolvent(mrp, lam)
-    M = mu[:, None] * (mrp.gamma * P_lam - np.eye(mrp.d))
-    c = mu * r_lam / alpha
+    backup = Backup.of(mrp, mu, lam)
+    M, c = backup.drive, backup.mu * backup.r_lam / alpha
     latest = [None, None]  # the last rhs argument and its unscaled value
 
     def rhs(w: np.ndarray) -> np.ndarray:
@@ -280,7 +279,7 @@ def make_lazy_rhs(model: ValueModel, mrp: Mrp, mu: np.ndarray, lam: float, alpha
         # equal to max|alpha V| exactly: scaling by alpha > 0 keeps the order
         return alpha * float(np.maximum.reduce(np.abs(value)))
 
-    rhs.scaled_value_norm = scaled_value_norm
+    rhs.scaled_value_norm, rhs.backup = scaled_value_norm, backup
     return rhs
 
 

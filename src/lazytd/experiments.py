@@ -46,12 +46,7 @@ from .meanfield import (
     separation_check,
 )
 from .models import ReluNet, SpiralModel
-from .mrp import (
-    Mrp,
-    cyclic_chain,
-    exact_value,
-    stationary_measure,
-)
+from .mrp import Mrp, cyclic_chain, stationary_measure
 
 SPIRAL_RBAR = np.array([-6.85, 8.35, -1.5])
 SPIRAL_GAMMA = 0.9
@@ -209,9 +204,8 @@ def _run_report(experiment: str, config: dict, run: Trajectory, t_start: float, 
     )
 
 
-def _train(model, mrp: Mrp, mu: np.ndarray, w0: np.ndarray, vstar: np.ndarray,
-           mode: str, cfg: TrainConfig, stop_tol: float | None = None,
-           geometry: LazyGeometry | None = None) -> Trajectory:
+def _train(model, mrp: Mrp, mu: np.ndarray, w0: np.ndarray, mode: str, cfg: TrainConfig,
+           stop_tol: float | None = None, geometry: LazyGeometry | None = None) -> Trajectory:
     """The one training path of the spiral and network runs: the averaged
     flow ("ode") or sampled TD(lambda) ("stochastic") under ``cfg``, with
     the series of one ``SaveSeries`` attached (given the ``geometry``, the
@@ -220,7 +214,7 @@ def _train(model, mrp: Mrp, mu: np.ndarray, w0: np.ndarray, vstar: np.ndarray,
     the projected residual falls below ``stop_tol``, when given."""
     if mode not in ("ode", "stochastic"):
         raise DomainError(f"mode must be 'ode' or 'stochastic', got {mode!r}")
-    series = SaveSeries(model, mrp, mu, cfg.lam, cfg.alpha, vstar, geometry)
+    series = SaveSeries(model, mrp, mu, cfg.lam, cfg.alpha, geometry)
     if mode == "ode":
         rhs = make_lazy_rhs(model, mrp, mu, cfg.lam, cfg.alpha)
         series.record(w0)
@@ -279,19 +273,19 @@ def run_spiral(
                   save_every=SPIRAL_SAVE_EVERY, gamma=mrp.gamma, lam=lam)
     cfg = TrainConfig(lam=lam, alpha=alpha, beta0=beta, dt=dt, horizon=horizon,
                       integrator=integrator, save_every=SPIRAL_SAVE_EVERY, seed=seed)
-    run = _train(model, mrp, mu, np.zeros(1), exact_value(mrp), mode, cfg, SPIRAL_STOP_TOL)
+    run = _train(model, mrp, mu, np.zeros(1), mode, cfg, SPIRAL_STOP_TOL)
     return _run_report("spiral", config, run, t_start, out_dir, include_params=True, extra={
         "diverged_at": run.diverged_at, "theta_final": float(run.final_params[0])})
 
 
 def _target_chain(n_states: int, gamma: float, rng: np.random.Generator):
-    """The chain of the network and particle runs: a cyclic chain whose exact
-    value function v* is drawn i.i.d. standard normal from ``rng``, with the
-    reward rbar = (I - gamma P) v* it follows from. Returns (mrp, mu, v*)."""
+    """The chain of the network and particle runs: a cyclic chain with reward
+    rbar = (I - gamma P) v for a v drawn i.i.d. standard normal from ``rng``,
+    so that its exact value is v to rounding. Returns (mrp, mu)."""
     P = cyclic_chain(n_states, "backward")
-    vstar = rng.standard_normal(n_states)
-    mrp = Mrp(P=P, rbar=(np.eye(n_states) - gamma * P) @ vstar, gamma=gamma)
-    return mrp, stationary_measure(mrp), vstar
+    rbar = (np.eye(n_states) - gamma * P) @ rng.standard_normal(n_states)
+    mrp = Mrp(P=P, rbar=rbar, gamma=gamma)
+    return mrp, stationary_measure(mrp)
 
 
 def _nn_setup(gamma: float, seed: int, n_units: int, n_states: int):
@@ -301,8 +295,8 @@ def _nn_setup(gamma: float, seed: int, n_units: int, n_states: int):
     rng = np.random.default_rng(seed)
     model = ReluNet(n_units, np.linspace(-1, 1, n_states))
     w0 = model.init_doubled(rng)
-    mrp, mu, vstar = _target_chain(n_states, gamma, rng)
-    return mrp, mu, model, w0, vstar
+    mrp, mu = _target_chain(n_states, gamma, rng)
+    return mrp, mu, model, w0
 
 
 def run_nn(
@@ -346,7 +340,7 @@ def run_nn(
     seed = defaults["seed"] if seed is None else seed
 
     t_start = time.perf_counter()
-    mrp, mu, model, w0, vstar = _nn_setup(gamma, seed, n_units, n_states)
+    mrp, mu, model, w0 = _nn_setup(gamma, seed, n_units, n_states)
     config = dict(experiment=f"nn-{regime}", mode=mode, gamma=gamma, seed=seed, alpha=alpha,
                   n_units=n_units, n_states=n_states, lam=lam, beta=NN_BETA)
 
@@ -362,7 +356,7 @@ def run_nn(
         # only the rank is reported; holding the whole geometry through the
         # run raised the sampled-over workload's peak RSS by about 1 MiB
         rank = LazyGeometry.from_model(model, w0, mrp, mu, lam).rank
-        run = _train(model, mrp, mu, w0, vstar, mode, cfg)
+        run = _train(model, mrp, mu, w0, mode, cfg)
         return _run_report(f"nn-{regime}", config, run, t_start, out_dir, extra={"rank": rank})
 
     geometry = LazyGeometry.from_model(model, w0, mrp, mu, lam)
@@ -389,7 +383,7 @@ def run_nn(
                       integrator="rkc" if over else "rk4")
     cfg = replace(cfg, save_every=max(1, cfg.n_steps // 400))
     config.update(dt=dt, horizon=horizon, stop_tol=NN_STOP_TOL, save_every=cfg.save_every)
-    run = _train(model, mrp, mu, w0, vstar, mode, cfg, None if over else NN_STOP_TOL,
+    run = _train(model, mrp, mu, w0, mode, cfg, None if over else NN_STOP_TOL,
                  geometry if over else None)
 
     extra = {"rate_fast": fast, "rate_slow": slow, "unstable_count": int(unstable.size),
@@ -514,7 +508,7 @@ def run_meanfield(
     save_every = max(1, cfg.n_steps // 40)
     # the target first, then the ensemble, from one seeded stream
     rng = np.random.default_rng(seed)
-    mrp, mu, _ = _target_chain(n_states, gamma, rng)
+    mrp, mu = _target_chain(n_states, gamma, rng)
     features = GaussianBumpFeatures(np.linspace(-1, 1, n_states), width=MF_WIDTH)
     ensemble = doubled_ensemble(
         n_particles,

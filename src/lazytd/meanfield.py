@@ -20,7 +20,7 @@ import numpy as np
 from .dynamics import TrainConfig, Trajectory, integrate, make_lazy_rhs
 from .errors import DimensionMismatch, DomainError
 from .models import ValueModel
-from .mrp import Mrp, exact_value, mu_norm
+from .mrp import Backup, Mrp, mu_norm
 
 
 class GaussianBumpFeatures:
@@ -210,14 +210,10 @@ class EnsembleModel(ValueModel):
         return value, vjp
 
 
-def _averaged_residual(V: np.ndarray, mrp: Mrp) -> np.ndarray:
-    """One-step backup residual rbar + gamma P V - V, the expected TD error."""
-    return mrp.rbar + mrp.gamma * mrp.P @ V - V
-
-
 def _particle_system(features: GaussianBumpFeatures, n: int, mrp: Mrp, mu: np.ndarray):
     """The model of an n-particle system, its particle velocity field and
-    the divergence probe of that field, built once per system.
+    the drift it scales, built once per system: the drift carries the
+    divergence probe of the field and the chain's one-step ``Backup``.
 
     The velocity is n times the averaged TD drift of ``EnsembleModel`` at
     lambda = 0 and alpha = 1: particle time runs n times faster than the
@@ -230,17 +226,17 @@ def _particle_system(features: GaussianBumpFeatures, n: int, mrp: Mrp, mu: np.nd
     model = EnsembleModel(features, n)
     drift = make_lazy_rhs(model, mrp, mu, 0.0, 1.0)
     scale = float(n)
-    return model, lambda w: scale * drift(w), drift.scaled_value_norm
+    return model, lambda w: scale * drift(w), drift
 
 
-def _state_diagnostics(model: EnsembleModel, velocity, w: np.ndarray, mrp: Mrp,
-                       mu: np.ndarray, vstar: np.ndarray) -> tuple[float, float, float]:
+def _state_diagnostics(model: EnsembleModel, velocity, w: np.ndarray,
+                       backup: Backup) -> tuple[float, float, float]:
     """Maximal particle speed, weighted backup residual and weighted distance
-    to the exact value function ``vstar`` at the packed state ``w``."""
+    to the exact value function at the packed state ``w``."""
     do, dw = model.unpack(velocity(w))
     speed = float(np.sqrt(do**2 + np.sum(dw**2, axis=1)).max())
     V = model.value(w)
-    return speed, mu_norm(_averaged_residual(V, mrp), mu), mu_norm(V - vstar, mu)
+    return speed, mu_norm(backup.residual(V), backup.mu), mu_norm(V - backup.vstar, backup.mu)
 
 
 @dataclass
@@ -272,14 +268,13 @@ def integrate_ensemble(
     handling: a run whose particles or value blow up stops early with
     ``diverged`` set. Every saved state carries the maximal particle speed,
     the weighted backup residual, and the distance to the exact value
-    function, all from the run's own velocity field.
+    function, all from the run's own velocity field and its backup.
     """
-    model, velocity, probe = _particle_system(features, ensemble.n, mrp, mu)
+    model, velocity, drift = _particle_system(features, ensemble.n, mrp, mu)
     run = integrate(velocity, model.pack(ensemble),
                     TrainConfig(dt=dt, horizon=horizon, save_every=save_every),
-                    divergence_probe=probe)
-    vstar = exact_value(mrp)
-    series = np.array([_state_diagnostics(model, velocity, w, mrp, mu, vstar)
+                    divergence_probe=drift.scaled_value_norm)
+    series = np.array([_state_diagnostics(model, velocity, w, drift.backup)
                        for w in run.params])
     history = EnsembleHistory(**vars(run),
                               snapshots=[ParticleEnsemble(*model.unpack(w)) for w in run.params])
@@ -300,8 +295,8 @@ def g_profile(
     Its zeros characterize stationary output weights: where the profile is
     far from zero, a particle parked there would keep accelerating.
     """
-    V = ensemble_value(ensemble, features)
-    weighted = mu * _averaged_residual(V, mrp)
+    backup = Backup.of(mrp, mu)
+    weighted = backup.mu * backup.residual(ensemble_value(ensemble, features))
     grid = np.atleast_2d(np.asarray(wbar_grid, dtype=float))
     if grid.shape[1] != features.wbar_dim:
         grid = grid.T
@@ -404,9 +399,8 @@ def fixed_point_optimality(
     (``linearized_gap_bound``) and the universality are computed at the
     ensemble, never assumed; without a premise the implication is None.
     """
-    model, velocity, _ = _particle_system(features, ensemble.n, mrp, mu)
-    speed, bell, gap = _state_diagnostics(model, velocity, model.pack(ensemble), mrp, mu,
-                                          exact_value(mrp))
+    model, velocity, drift = _particle_system(features, ensemble.n, mrp, mu)
+    speed, bell, gap = _state_diagnostics(model, velocity, model.pack(ensemble), drift.backup)
     stationary = speed <= eps
     sep_ok = bool(separation.passed) if separation is not None else False
     universal = features.universal_for_states(features.states)
@@ -444,8 +438,8 @@ def linearized_gap_bound(
     """
     model = EnsembleModel(features, ensemble.n)
     J = model.jacobian(model.pack(ensemble))
-    drive = mu[:, None] * (mrp.gamma * mrp.P - np.eye(mrp.d))   # Gamma(gamma P - I)
-    L = ensemble.n * J.T @ drive / np.sqrt(mu)[None, :]     # unit-mu-norm inputs
+    backup = Backup.of(mrp, mu)
+    L = ensemble.n * J.T @ backup.drive / np.sqrt(backup.mu)[None, :]  # unit-mu-norm inputs
     sv = np.linalg.svd(L, compute_uv=False)
     smin = sv[min(mrp.d, sv.size) - 1]
     if smin <= 0:

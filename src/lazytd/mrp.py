@@ -166,6 +166,34 @@ def td_operator(mrp: Mrp, lam: float, V: np.ndarray) -> np.ndarray:
     return r_lam + mrp.gamma * P_lam @ np.asarray(V, dtype=float)
 
 
+@dataclass(frozen=True)
+class Backup:
+    """The backup T V = r_lam + gamma P_lam V of one chain under weights mu,
+    solved once for every reader: ``gP`` is gamma P_lam, ``vstar`` the exact
+    value (T's fixed point at every lam) and ``drive`` Gamma (gamma P_lam - I),
+    Gamma = diag(mu), so that drive (V - vstar) = Gamma (T V - V)."""
+
+    gamma: float
+    lam: float
+    mu: np.ndarray
+    vstar: np.ndarray
+    r_lam: np.ndarray
+    gP: np.ndarray
+    drive: np.ndarray
+
+    @classmethod
+    def of(cls, mrp: Mrp, mu, lam: float = 0.0) -> "Backup":
+        mu = per_state(mu, mrp.d)
+        r_lam, P_lam = td_resolvent(mrp, lam)
+        gP = mrp.gamma * P_lam
+        return cls(gamma=mrp.gamma, lam=lam, mu=mu, vstar=exact_value(mrp), r_lam=r_lam,
+                   gP=gP, drive=mu[:, None] * (gP - np.eye(mrp.d)))
+
+    def residual(self, V: np.ndarray) -> np.ndarray:
+        """The backup residual T V - V, the expected TD error at V."""
+        return self.r_lam + self.gP @ V - V
+
+
 def mu_projection(J: np.ndarray, mu, W: np.ndarray) -> np.ndarray:
     """Weighted orthogonal projection of W onto the column space of J.
 

@@ -93,7 +93,7 @@ def test_lyapunov_zero_at_target_and_nonnegative(chain3):
     mrp, mu = chain3
     rng = np.random.default_rng(4)
     geom = LazyGeometry.from_model(LinearModel(rng.standard_normal((3, 3))), np.zeros(3), mrp, mu)
-    assert geom.lyapunov(geom.vstar) == pytest.approx(0.0, abs=1e-18)
+    assert geom.lyapunov(geom.backup.vstar) == pytest.approx(0.0, abs=1e-18)
     for _ in range(10):
         assert geom.lyapunov(rng.standard_normal(3)) >= 0.0
 
@@ -473,7 +473,7 @@ def test_rank_zero_jacobian_without_lipschitz_constant_gives_zero_radius():
     # Lipschitz constant the radius is 0 and the threshold infinite, while a
     # constant zero Jacobian keeps the infinite radius and zero threshold
     from lazytd.experiments import _nn_setup
-    mrp, mu, model, w0, _ = _nn_setup(0.9, 13, 4, 5)
+    mrp, mu, model, w0 = _nn_setup(0.9, 13, 4, 5)
     geom = LazyGeometry.from_model(model, w0, mrp, mu)
     assert geom.rank == 0
     assert (geom.radius_bound, geom.alpha_threshold) == (0.0, np.inf)

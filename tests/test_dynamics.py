@@ -301,6 +301,7 @@ def test_lazy_rhs_matches_textbook_drift(lam, alpha):
     model = ReluNet(10, np.linspace(-1, 1, 7))
     rhs = make_lazy_rhs(model, mrp, mu, lam, alpha)
     r_lam, P_lam = td_resolvent(mrp, lam)
+    assert rhs.backup.lam == lam and rhs.backup.r_lam.tobytes() == r_lam.tobytes()
     rng = np.random.default_rng(30)
     for _ in range(4):
         w = model.init_doubled(rng) + 0.1 * rng.standard_normal(model.p)
@@ -338,8 +339,9 @@ def test_train_config_validation(bad):
 
 @pytest.mark.parametrize("call", [
     lambda mrp, mu: make_lazy_rhs(LinearModel(np.eye(3)), mrp, mu, 0.0, 0.5),
+    lambda mrp, mu: make_lazy_rhs(LinearModel(np.eye(3)), mrp, mu, 0.0, np.nan),
     lambda mrp, mu: sample_chain(mrp, mu, 0, 0),
-], ids=["rhs-alpha-below-one", "chain-of-no-steps"])
+], ids=["rhs-alpha-below-one", "rhs-alpha-nan", "chain-of-no-steps"])
 def test_invalid_engine_input_raises_domain_error(chain3, call):
     with pytest.raises(DomainError):
         call(*chain3)

@@ -142,7 +142,7 @@ def test_network_ode_runs_report_their_integration(regime, tmp_path):
 @pytest.mark.parametrize("regime,n_units,n_states", [("over", 20, 5), ("under", 6, 5)])
 def test_nn_reports_the_geometry_of_its_initialization(regime, n_units, n_states):
     rep = run_nn(regime, n_units=n_units, n_states=n_states)
-    mrp, mu, model, w0, _ = _nn_setup(0.9, rep.config["seed"], n_units, n_states)
+    mrp, mu, model, w0 = _nn_setup(0.9, rep.config["seed"], n_units, n_states)
     geometry = LazyGeometry.from_model(model, w0, mrp, mu)
     want = {"rate_fast": geometry.rate_fast, "rate_slow": geometry.rate_slow,
             "unstable_count": geometry.rates_unstable.size, "rank": geometry.rank}
@@ -193,9 +193,9 @@ def test_nn_over_initial_error_is_target_norm(tmp_path):
     assert rep.extra["rank"] == 30
     # paired initialization: value vanishes at start, so the initial error
     # equals the norm of the target itself
-    mrp, mu, model, w0, vstar = _nn_setup(0.9, rep.config["seed"], 100, 30)
+    mrp, mu, model, w0 = _nn_setup(0.9, rep.config["seed"], 100, 30)
     cols = read_csv_columns(tmp_path / "trajectory.csv")
-    assert cols["value_error"][0] == pytest.approx(mu_norm(vstar, mu), abs=1e-12)
+    assert cols["value_error"][0] == pytest.approx(mu_norm(exact_value(mrp), mu), abs=1e-12)
     assert cols["lyapunov"][0] > 0
 
 
@@ -204,6 +204,14 @@ def test_nn_stochastic_mode_runs():
     assert not rep.diverged
     assert rep.certificate is None
     assert rep.final_projected_error < 1.0  # moved toward a fixed point
+
+
+def test_nn_under_value_error_is_the_certificates():
+    # one v* per run: at this seed and scaling the target drawn for the
+    # chain and the value solved from it differ in the last bit, and the
+    # reported final value error is still the certificate's, bit for bit
+    rep = run_nn("under", alpha=25.0, seed=5)
+    assert rep.final_value_error == rep.certificate["value_errors"][0]
 
 
 def test_run_report_files_and_coherence(tmp_path):
@@ -695,7 +703,7 @@ def _rates_in_parameter_space(model, w0, mrp, mu, lam):
     ("under", 4, 30, 5),    # d > p: the p x p form itself
 ])
 def test_linearized_rates_match_parameter_space_form(regime, n_units, n_states, seed):
-    mrp, mu, model, w0, _ = _nn_setup(0.9, seed, n_units, n_states)
+    mrp, mu, model, w0 = _nn_setup(0.9, seed, n_units, n_states)
     assert (model.d < model.p) == (regime == "over")
     for lam in (0.0, 0.5):
         geometry = LazyGeometry.from_model(model, w0, mrp, mu, lam)

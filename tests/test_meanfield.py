@@ -3,10 +3,11 @@ integration, and the fixed-point diagnostics."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from lazytd import dynamics, meanfield
+from lazytd import meanfield
+from lazytd import mrp as mrp_module
 from lazytd import (
     EnsembleModel,
     GaussianBumpFeatures,
@@ -125,16 +126,23 @@ def test_bump_pass_matches_reference_bit_for_bit(k, d, n, width, seed):
 
 @settings(max_examples=80, deadline=None)
 @given(**bump_cases)
+@example(k=3, d=2, n=1, width=0.080078125, seed=1143)  # every bump subnormal, about 1e-312
 def test_bump_pass_matches_column_einsum_oracle(k, d, n, width, seed):
     # the same pass in column layout with an einsum pullback sums in
-    # another order: the two agree to rounding, relative to the largest entry
+    # another order: the two agree to rounding, relative to the largest
+    # entry. Below the normal range rounding is absolute, half a unit of
+    # the smallest subnormal per operation, and the pullback scales it by
+    # omega0 / width^2 (hundreds here) over d terms, so the floor is 2^10
+    # such units
+    floor = 2.0**10 * np.finfo(float).smallest_subnormal
     model, w, g = bump_model_case(k, d, n, width, seed)
     oracle = ColumnEnsembleModel(model.features, n)
     value, vjp = model.value_and_vjp(w)
     want_value, want_vjp = oracle.value_and_vjp(w)
     for got, want in ((value, want_value), (model.value(w), oracle.value(w)),
                       (vjp(g), want_vjp(g)), (model.jacobian(w), oracle.jacobian(w))):
-        np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-13 * np.abs(want).max())
+        np.testing.assert_allclose(got, want, rtol=1e-13,
+                                   atol=max(1e-13 * np.abs(want).max(), floor))
 
 
 # ------------------------------------------------------------- velocities
@@ -285,8 +293,8 @@ def test_run_solves_the_backup_resolvent_once(chain5, monkeypatch):
     # one drift per run serves the steps and every saved state's diagnostics
     mrp, mu, states = chain5
     calls = []
-    solve = dynamics.td_resolvent
-    monkeypatch.setattr(dynamics, "td_resolvent", lambda *a: calls.append(a) or solve(*a))
+    solve = mrp_module.td_resolvent
+    monkeypatch.setattr(mrp_module, "td_resolvent", lambda *a: calls.append(a) or solve(*a))
     feat = GaussianBumpFeatures(states, width=0.4)
     ens = doubled_ensemble(12, uniform_sampler(-1, 1), rng=4)
     hist = integrate_ensemble(ens, feat, mrp, mu, dt=0.1, horizon=3.0, save_every=5)

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lazytd import (
+    Backup,
     Mrp,
     contraction_modulus,
     cyclic_chain,
@@ -300,6 +301,32 @@ def test_td_operator_contracts_with_its_modulus(kind, d, seed, gamma, lam):
     assert mu_norm(T(V) - T(W), mu) <= modulus * mu_norm(V - W, mu) * (1 + 1e-10)
     shift = float(rng.uniform(0.5, 2.0))
     assert mu_norm(T(V + shift) - T(V), mu) == pytest.approx(modulus * shift, rel=1e-9)
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(CHAIN_KINDS), d=st.integers(2, 8), seed=st.integers(0, 2**16),
+       gamma=st.floats(0.05, 0.99), lam=st.floats(0.0, 0.95))
+def test_backup_residual_drive_and_fixed_point(kind, d, seed, gamma, lam):
+    # one solve of the chain serves the operator, the weighted drive and v*
+    rng = np.random.default_rng(seed)
+    mrp = Mrp(P=irreducible_chain(kind, d, rng), rbar=rng.standard_normal(d), gamma=gamma)
+    mu = stationary_measure(mrp)
+    backup = Backup.of(mrp, mu, lam)
+    assert (backup.gamma, backup.lam) == (gamma, lam)
+    V = rng.standard_normal(d)
+    scale = max(1.0, np.abs(V).max(), np.abs(backup.vstar).max())
+    residual = backup.residual(V)
+    want = td_operator(mrp, lam, V) - V
+    np.testing.assert_allclose(residual, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+    np.testing.assert_allclose(backup.drive @ (V - backup.vstar), mu * residual,
+                               rtol=0, atol=1e-14 * scale)
+    assert np.abs(backup.residual(backup.vstar)).max() <= 1e-13 * scale
+
+
+def test_backup_checks_its_weights():
+    mrp = Mrp(P=HALVES, rbar=np.zeros(2), gamma=0.9)
+    with pytest.raises(DimensionMismatch):
+        Backup.of(mrp, np.full(3, 1 / 3))
 
 
 @settings(max_examples=30, deadline=None)

@@ -7,8 +7,11 @@ PARENT and CHANGE are checkouts of the repository (each with its own
 ``python -m lazytd.cli ARGS --out DIR`` with ``OPENBLAS_NUM_THREADS=1``,
 into a temporary directory. The invocations are every benchmark workload
 of ``bench/workloads.py`` (under CHANGE) at each of its stored seeds, plus
-the spiral, narrow-net and sweep runs of ``EXTRA``; CLI ARGS given
-after the two trees replace the list with that one invocation.
+the spiral, narrow-net and sweep runs of ``EXTRA`` and the lambda = 0.5
+network runs of ``CONFIGS``, each written as a JSON config into the
+temporary directory and run with ``--config`` (the CLI has no lambda
+flag); CLI ARGS given after the two trees replace the list with that one
+invocation.
 
 Exit codes, stdout and every output file must match byte for byte, apart
 from the ``wall_clock`` figure in report.json and on stdout. Every file
@@ -49,16 +52,28 @@ EXTRA = (
     ("nn", "--regime", "under", "--mode", "stochastic", "--horizon", "20000"),
     ("sweep", "--kind", "alpha", "--grid", "500,5000"),
 )
+# network runs at lambda = 0.5, so that the backup's resolvent is covered
+# off lambda = 0: the narrow default and a small wide net
+CONFIGS = (
+    {"experiment": "nn-under", "params": {"lam": 0.5}},
+    {"experiment": "nn-over", "seed": 3, "params": {"lam": 0.5, "n_units": 40, "n_states": 12}},
+)
 WALL_CLOCK = re.compile(rb'("wall_clock": )[-+0-9.eE]+')
 DIFF_LINES = 12
 
 
-def invocations(change: Path) -> list[list[str]]:
+def invocations(change: Path, tmp: Path) -> list[list[str]]:
+    """Every invocation of the full list; the ``CONFIGS`` files go into tmp."""
     sys.path.insert(0, str(change / "bench"))
     import workloads
 
     runs = [w.cli_args(seed) for w in workloads.WORKLOADS.values() for seed in w.lazytd_seeds]
-    return runs + [list(argv) for argv in EXTRA]
+    runs += [list(argv) for argv in EXTRA]
+    for i, config in enumerate(CONFIGS):
+        path = tmp / f"config-{i}-{config['experiment']}.json"
+        path.write_text(json.dumps(config))
+        runs.append([config["experiment"].split("-")[0], "--config", str(path)])
+    return runs
 
 
 def run(tree: Path, argv: list[str], out: Path) -> dict[str, bytes]:
@@ -204,9 +219,9 @@ def main(argv: list[str]) -> int:
         print(__doc__, file=sys.stderr)
         return 2
     parent, change = Path(argv[0]).resolve(), Path(argv[1]).resolve()
-    todo = [argv[2:]] if len(argv) > 2 else invocations(change)
     status, overall = 0, Size()
     with tempfile.TemporaryDirectory(prefix="diff_outputs-") as tmp:
+        todo = [argv[2:]] if len(argv) > 2 else invocations(change, Path(tmp))
         for i, args in enumerate(todo):
             outputs = []
             for tree, label in ((parent, "parent"), (change, "change")):
