@@ -30,7 +30,6 @@ from .dynamics import (
     make_lazy_rhs,
     run_stochastic_td,
     sample_chain,
-    stochastic_td_step,
 )
 from .analysis import (
     DecayCertificate,

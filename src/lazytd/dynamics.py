@@ -10,9 +10,10 @@ they track. Every engine steps through one run loop (``_run``), which
 owns the state buffers, the save schedule, the divergence rule,
 ``stop_when`` and the returned ``Trajectory``.
 
-A sampled step reads the model at the two states of its transition only;
-its divergence probe reads the model's stated value bound instead of the
-value vector wherever the bound is far below the threshold.
+A sampled run reads its chain path state by state, and a step reads the
+model at the two states of its transition only; its divergence probe
+reads the model's stated value bound instead of the value vector wherever
+the bound is far below the threshold.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ import csv
 import functools
 import math
 from bisect import bisect_right
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -38,20 +40,23 @@ DIVERGENCE_THRESHOLD = 1e8        # a state or scaled value past this max-norm h
 QUIET = 1e-3 * DIVERGENCE_THRESHOLD
 RKC_DAMPING = 2.0                 # epsilon of the damped Chebyshev stages
 RKC_MARGIN = 1.3                  # stability length over h times the spectral radius
+CHAIN_BLOCK = 4096                # uniforms sample_chain draws at a time
 
 
 @dataclass
 class TrainConfig:
-    """Knobs shared by all engines; see field comments for units."""
+    """Knobs of the engines; see field comments for units and the engine
+    that reads each. ``integrate`` reads only the ode fields, horizon and
+    save_every: the drift it steps carries its own lam and alpha."""
 
-    lam: float = 0.0                 # trace parameter in [0, 1)
-    alpha: float = 1.0               # lazy scaling factor, >= 1
-    beta0: float = 1e-3              # constant step size of the sampled engine
-    horizon: float = 1000.0          # step count (stochastic) or end time (ode)
-    integrator: str = "rk4"
-    dt: float = 1e-2                 # ode step
-    save_every: int = 100            # record state every this many steps
-    seed: int = 0
+    lam: float = 0.0                 # trace parameter in [0, 1) (sampled)
+    alpha: float = 1.0               # lazy scaling factor, >= 1 (sampled)
+    beta0: float = 1e-3              # constant step size (sampled)
+    horizon: float = 1000.0          # step count (sampled) or end time (ode)
+    integrator: str = "rk4"          # (ode)
+    dt: float = 1e-2                 # step (ode)
+    save_every: int = 100            # record state every this many steps (both)
+    seed: int = 0                    # of the chain path (sampled)
 
     def __post_init__(self):
         # every check is written so that NaN fails it
@@ -146,60 +151,32 @@ def write_csv(path: str | Path, header, rows) -> None:
         writer.writerows([_csv_cell(v) for v in row] for row in rows)
 
 
-def sample_chain(mrp: Mrp, mu: np.ndarray, steps: int, rng: np.random.Generator | int) -> np.ndarray:
-    """Sample a state path: s0 from the weights mu, then the chain."""
+def sample_chain(mrp: Mrp, mu: np.ndarray, steps: int,
+                 rng: np.random.Generator | int) -> Iterator[int]:
+    """A state path of ``steps`` states, yielded lazily: s0 from the weights
+    mu, then the chain. The inputs are checked at the call. The uniforms
+    are drawn ``CHAIN_BLOCK`` at a time, the same stream as one draw of all
+    of them, so the path's memory does not grow with its length."""
     if steps < 1:
         raise DomainError("steps must be >= 1")
     rng = np.random.default_rng(rng)
     cum = np.cumsum(mrp.P, axis=1)
     cum[:, -1] = 1.0
-    # bisect on the rows as Python lists: a per-step np.searchsorted costs
-    # microseconds of call overhead on rows of a few entries. The draws stay
-    # an array, since a list of them would add a float object per step.
-    rows = cum.tolist()
-    draws = rng.random(steps)
-    path = np.empty(steps, dtype=np.int64)
     cum_mu = np.cumsum(per_state(mu, mrp.d))
     cum_mu[-1] = 1.0
-    s = int(np.searchsorted(cum_mu, draws[0], side="right"))
-    path[0] = s
-    for t, u in enumerate(draws[1:], start=1):
-        s = bisect_right(rows[s], u)
-        path[t] = s
-    return path
+    # bisect on the rows as Python lists: a per-step np.searchsorted costs
+    # microseconds of call overhead on rows of a few entries
+    rows, first = cum.tolist(), cum_mu.tolist()
 
+    def states():
+        row = first
+        for start in range(0, steps, CHAIN_BLOCK):
+            for u in rng.random(min(CHAIN_BLOCK, steps - start)).tolist():
+                s = bisect_right(row, u)
+                yield s
+                row = rows[s]
 
-def stochastic_td_step(
-    v_s: float,
-    v_next: float,
-    row: np.ndarray,
-    w: np.ndarray,
-    z: np.ndarray,
-    reward: float,
-    beta: float,
-    gamma: float,
-    config: TrainConfig,
-    out: np.ndarray,
-) -> None:
-    """One sampled TD(lambda) update on the transition s -> s', from the
-    model's values V_w(s), V_w(s') and Jacobian row J(w)[s] (see
-    ``ValueModel.value_and_row``).
-
-    delta uses the alpha-scaled model and the parameter step carries the
-    matching 1/alpha factor, so alpha = 1 is the plain unscaled update.
-    The trace is gamma lam z + J(w)[s], written into z in place; at
-    lam = 0 it is the row itself and z is left as it is. The next
-    parameters, w + beta delta trace / alpha, are written into ``out``.
-    """
-    alpha, lam = config.alpha, config.lam
-    delta = reward + gamma * alpha * v_next - alpha * v_s
-    if lam:
-        z *= gamma * lam
-        z += row
-        row = z
-    np.multiply(row, beta * delta, out)
-    out /= alpha
-    out += w
+    return states()
 
 
 def run_stochastic_td(
@@ -209,26 +186,31 @@ def run_stochastic_td(
     config: TrainConfig,
     w0: np.ndarray,
 ) -> Trajectory:
-    """Run sampled TD(lambda) for config.horizon steps along one chain path.
+    """Run sampled TD(lambda) for config.horizon steps along one chain path,
+    read state by state from ``sample_chain``.
 
-    The recursive trace accumulates gradients as they were at sampling time.
-    Each step reads the model at the two states of its transition only, by
-    ``value_and_row``. The divergence probe is the scaled value's max-norm,
-    alpha max|V|, read off the value vector, except where the model's
-    stated bound alpha ``value_bound(max|w|)`` is at most ``QUIET``: there
-    the probe returns the bound. Either value then lies below the threshold
-    and at or below the run loop's non-finite margin, ``QUIET``, so every
-    divergence decision is the exact probe's. w0's length is checked here,
-    once per run.
+    A step on s -> s' reads V_w(s), V_w(s') and the Jacobian row J(w)[s]
+    by ``value_and_row``. The TD error delta = r(s) + gamma alpha V_w(s')
+    - alpha V_w(s) and the step w + beta delta z / alpha carry the scaling
+    (alpha = 1 is plain TD). The trace z = gamma lam z + J(w)[s] keeps the
+    gradients as they were at sampling time; at lam = 0 it is the row
+    itself, and z is not read.
+
+    The divergence probe is alpha max|V|, except where the stated bound
+    alpha ``value_bound(max|w|)`` is at most ``QUIET``: there it returns
+    the bound, which lies below the threshold and at or below the run
+    loop's non-finite margin, so every divergence decision is the exact
+    probe's. w0's length is checked here, once per run.
     """
     steps = config.n_samples
     if np.shape(w0) != (model.p,):
         raise DimensionMismatch(f"expected parameter vector of length {model.p}, "
                                 f"got shape {np.shape(w0)}")
-    path = sample_chain(mrp, mu, steps + 1, np.random.default_rng(config.seed)).tolist()
+    chain = sample_chain(mrp, mu, steps + 1, np.random.default_rng(config.seed))
     rewards = mrp.rbar.tolist()
-    beta, gamma, alpha = config.beta0, mrp.gamma, config.alpha
+    beta, gamma, alpha, lam = config.beta0, mrp.gamma, config.alpha, config.lam
     z = np.zeros(model.p)
+    s = next(chain)
 
     def look(w, mag):
         bound = alpha * model.value_bound(mag)
@@ -237,9 +219,18 @@ def run_stochastic_td(
         return alpha * float(np.maximum.reduce(np.abs(model.value(w))))
 
     def advance(k, w, out):
-        s, s_next = path[k], path[k + 1]
-        stochastic_td_step(*model.value_and_row(w, s, s_next), w, z, rewards[s],
-                           beta, gamma, config, out)
+        nonlocal s, z  # the chain's current state; z for *= and +=, which work in place
+        s_next = next(chain)
+        v_s, v_next, row = model.value_and_row(w, s, s_next)
+        delta = rewards[s] + gamma * alpha * v_next - alpha * v_s
+        if lam:
+            z *= gamma * lam
+            z += row
+            row = z
+        np.multiply(row, beta * delta, out)
+        out /= alpha
+        out += w
+        s = s_next
 
     return _run(advance, look, w0, beta, steps, config.save_every)
 
@@ -453,7 +444,7 @@ def _run(advance, look, w0: np.ndarray, h: float, n_steps: int, save_every: int,
     already-large one (past ``QUIET``, three orders of magnitude below the
     threshold) counts as divergence, since a single explosive step can
     overshoot straight past the threshold; otherwise it raises
-    NonFiniteState.
+    NonFiniteState. A non-finite w0 raises DomainError before any step.
     ``stop_when(w, t)`` is consulted at save points with the saved copy.
     """
     w = np.array(w0, dtype=float)
@@ -464,6 +455,8 @@ def _run(advance, look, w0: np.ndarray, h: float, n_steps: int, save_every: int,
     # blowup is detected and classified below; let the steps overflow quietly
     with np.errstate(over="ignore", invalid="ignore"):
         mag = float(np.maximum.reduce(np.abs(w)))
+        if not math.isfinite(mag):
+            raise DomainError(f"the initial state must be finite, got max|w0| = {mag}")
         last_mag = max(mag, float(look(w, mag)))
         for k in range(n_steps):
             advance(k, w, w_new)

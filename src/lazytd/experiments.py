@@ -246,7 +246,8 @@ def run_spiral(
     The averaged (ode) engine is the default; the sampled engine with the
     reference constant step size is available for visual comparison.
     ``horizon`` is flow time for the ode engine (default 2000, i.e. 2e5
-    steps of 1e-2) and a step count for the sampled engine (default 2e5).
+    steps of 1e-2) and a step count for the sampled engine (default 2e5),
+    which config.json records rounded down, as the engine counts it.
     ``dt`` and ``integrator`` (default 1e-2 and "rk4") set the ode step and
     ``beta`` (default ``SPIRAL_BETA``) the sampled one; giving the other
     engine's setting is an error. config.json records all three.
@@ -274,6 +275,8 @@ def run_spiral(
     cfg = TrainConfig(lam=lam, alpha=alpha, beta0=beta, dt=dt, horizon=horizon,
                       integrator=integrator, save_every=SPIRAL_SAVE_EVERY, seed=seed)
     run = _train(model, mrp, mu, np.zeros(1), mode, cfg, SPIRAL_STOP_TOL)
+    if mode != "ode":  # the whole steps the sampled engine counts, as run_nn records them
+        config.update(horizon=cfg.n_samples)
     return _run_report("spiral", config, run, t_start, out_dir, include_params=True, extra={
         "diverged_at": run.diverged_at, "theta_final": float(run.final_params[0])})
 

@@ -22,11 +22,10 @@ from lazytd import (
     run_stochastic_td,
     sample_chain,
     stationary_measure,
-    stochastic_td_step,
     td_operator,
     td_resolvent,
 )
-from lazytd.dynamics import RKC_MARGIN, rkc_scheme, rkc_stage_count, write_csv
+from lazytd.dynamics import CHAIN_BLOCK, RKC_MARGIN, rkc_scheme, rkc_stage_count, write_csv
 from lazytd.errors import DimensionMismatch, DomainError, NonFiniteState
 
 from oracles import CHAIN_KINDS, irreducible_chain, linear_td_fixed_point, series_td_components
@@ -42,17 +41,22 @@ def chain3():
 
 # ------------------------------------------------------------- chain sampling
 
+def path_of(mrp, mu, steps, rng):
+    """The states sample_chain yields, as one array."""
+    return np.fromiter(sample_chain(mrp, mu, steps, rng), dtype=np.int64, count=steps)
+
+
 def test_sample_chain_symmetric_frequency():
     mrp = Mrp(P=np.array([[0.5, 0.5], [0.5, 0.5]]), rbar=np.zeros(2), gamma=0.5)
     mu = stationary_measure(mrp)
-    path = sample_chain(mrp, mu, 10**6, 42)
+    path = path_of(mrp, mu, 10**6, 42)
     freq = np.mean(path == 0)
     assert abs(freq - 0.5) < 0.005
 
 
 def test_sample_chain_cyclic_uniform(chain3):
     mrp, mu = chain3
-    path = sample_chain(mrp, mu, 200_000, 7)
+    path = path_of(mrp, mu, 200_000, 7)
     freqs = np.bincount(path, minlength=3) / path.size
     # 3 standard errors for a multinomial frequency around 1/3
     assert np.abs(freqs - 1 / 3).max() < 3 * np.sqrt((1 / 3) * (2 / 3) / path.size)
@@ -60,19 +64,20 @@ def test_sample_chain_cyclic_uniform(chain3):
 
 def test_sample_chain_deterministic(chain3):
     mrp, mu = chain3
-    a = sample_chain(mrp, mu, 1000, 5)
-    b = sample_chain(mrp, mu, 1000, 5)
+    a = path_of(mrp, mu, 1000, 5)
+    b = path_of(mrp, mu, 1000, 5)
     np.testing.assert_array_equal(a, b)
 
 
-def test_sample_chain_matches_searchsorted_reference():
+@pytest.mark.parametrize("steps", [1, CHAIN_BLOCK - 1, CHAIN_BLOCK, CHAIN_BLOCK + 1, 9000])
+def test_sample_chain_matches_searchsorted_reference(steps):
     rng = np.random.default_rng(3)
     P = rng.random((6, 6)) ** 3
     P /= P.sum(axis=1, keepdims=True)
     mrp = Mrp(P=P, rbar=np.zeros(6), gamma=0.5)
     mu = stationary_measure(mrp)
-    steps = 5000
-    # the per-step searchsorted loop sample_chain replaces, same draws
+    # the per-step searchsorted loop sample_chain replaces, on one draw of
+    # every uniform: the blocks it draws them in give the same stream
     cum = np.cumsum(P, axis=1)
     cum[:, -1] = 1.0
     draws = np.random.default_rng(11).random(steps)
@@ -80,7 +85,8 @@ def test_sample_chain_matches_searchsorted_reference():
     ref[0] = np.searchsorted(np.cumsum(mu), draws[0], side="right")
     for t in range(1, steps):
         ref[t] = np.searchsorted(cum[ref[t - 1]], draws[t], side="right")
-    np.testing.assert_array_equal(sample_chain(mrp, mu, steps, 11), ref)
+    chain = sample_chain(mrp, mu, steps, 11)
+    np.testing.assert_array_equal(np.fromiter(chain, dtype=np.int64), ref)
 
 
 def test_sample_chain_first_draw_past_cumulative_mu():
@@ -94,7 +100,7 @@ def test_sample_chain_first_draw_past_cumulative_mu():
 
     mrp = Mrp(P=cyclic_chain(3, "backward"), rbar=np.zeros(3), gamma=0.9)
     mu = np.array([1 / 3, 1 / 3, 1 / 3 - 1e-12])
-    path = sample_chain(mrp, mu, 6, TopFirstDraw(np.random.PCG64(0)))
+    path = path_of(mrp, mu, 6, TopFirstDraw(np.random.PCG64(0)))
     assert path[0] == 2
     assert all(mrp.P[s, s_next] > 0 for s, s_next in zip(path[:-1], path[1:]))
 
@@ -113,37 +119,63 @@ def test_weights_of_another_length_are_rejected(chain3, weights):
 
 # --------------------------------------------------------------- sampled step
 
+def one_step(model, mrp, mu, w, seed, **cfg):
+    """The transition (s, s') a one-step sampled run at ``seed`` takes, read
+    from sample_chain at that seed, and the state the run steps to."""
+    cfg = TrainConfig(horizon=1, save_every=1, seed=seed, **cfg)
+    s, s_next = sample_chain(mrp, mu, 2, np.random.default_rng(seed))
+    run = run_stochastic_td(model, mrp, mu, cfg, w)
+    return (s, s_next), run.final_params
+
+
 def test_step_reduces_to_plain_td_at_lam_zero(chain3):
     mrp, mu = chain3
     model = LinearModel(np.eye(3))
-    cfg = TrainConfig(lam=0.0, alpha=1.0, beta0=0.1)
     w = np.array([1.0, -2.0, 0.5])
-    z = np.array([9.0, 9.0, 9.0])  # at lam = 0 the trace is the row: z is not read
-    w2 = np.empty(3)
-    stochastic_td_step(*model.value_and_row(w, 0, 1), w, z, 2.0, 0.1, mrp.gamma, cfg, w2)
-    np.testing.assert_array_equal(z, [9.0, 9.0, 9.0])
-    delta = 2.0 + mrp.gamma * w[1] - w[0]
-    np.testing.assert_allclose(w2, w + 0.1 * delta * model.jacobian(w)[0])
-    # with lam > 0 the trace decays into z in place
-    stochastic_td_step(*model.value_and_row(w, 0, 1), w, z, 2.0, 0.1, mrp.gamma,
-                       TrainConfig(lam=0.5, beta0=0.1), w2)
-    np.testing.assert_allclose(z, 0.5 * mrp.gamma * 9.0 + model.jacobian(w)[0])
-    np.testing.assert_allclose(w2, w + 0.1 * delta * z)
+    for seed in range(3):
+        (s, s_next), w1 = one_step(model, mrp, mu, w, seed, beta0=0.1)
+        delta = mrp.rbar[s] + mrp.gamma * w[s_next] - w[s]
+        np.testing.assert_allclose(w1, w + 0.1 * delta * model.jacobian(w)[s])
+
+
+def transition_updates(model, mrp, mu, w, alpha):
+    """The one-step updates w1 - w of lam = 0 sampled runs from w, by
+    transition (s, s'), over seeds until every transition of the chain
+    has been taken."""
+    pairs = {(s, t) for s, t in zip(*np.nonzero(mrp.P))}
+    updates = {}
+    for seed in range(10_000):
+        pair, w1 = one_step(model, mrp, mu, w, seed, alpha=alpha, beta0=0.5)
+        updates.setdefault(pair, w1 - w)
+        if updates.keys() == pairs:
+            return updates
+    raise AssertionError(f"transitions {pairs - updates.keys()} were never sampled")
 
 
 def test_expected_update_vanishes_at_fixed_point(chain3):
     mrp, mu = chain3
     model = LinearModel(np.eye(3))
     vstar = exact_value(mrp)
-    cfg = TrainConfig(lam=0.0, alpha=1.0, beta0=1.0)
     # expectation over (s, s') ~ mu x P of the lam = 0 update, by direct sum
-    total, w2 = np.zeros(3), np.empty(3)
-    for s in range(3):
-        for s_next in range(3):
-            stochastic_td_step(*model.value_and_row(vstar, s, s_next), vstar, np.zeros(3),
-                               mrp.rbar[s], 1.0, mrp.gamma, cfg, w2)
-            total += mu[s] * mrp.P[s, s_next] * (w2 - vstar)
+    updates = transition_updates(model, mrp, mu, vstar, 1.0)
+    total = sum(mu[s] * mrp.P[s, t] * u for (s, t), u in updates.items())
     np.testing.assert_allclose(total, np.zeros(3), atol=1e-12)
+
+
+@pytest.mark.parametrize("alpha", [1.0, 50.0])
+def test_expected_update_is_the_scaled_drift(alpha):
+    # at lam = 0 the mu x P expectation of one sampled step is beta times
+    # the scaled dynamics' drift, at any w
+    rng = np.random.default_rng(4)
+    mrp = Mrp(P=random_chain(3, rng), rbar=rng.uniform(-1, 1, 3), gamma=0.9)
+    mu = stationary_measure(mrp)
+    model = ReluNet(8, np.linspace(-1, 1, 3))
+    w = model.init_doubled(rng) + 0.1 * rng.standard_normal(model.p)
+    updates = transition_updates(model, mrp, mu, w, alpha)
+    total = sum(mu[s] * mrp.P[s, t] * u for (s, t), u in updates.items())
+    drift = make_lazy_rhs(model, mrp, mu, 0.0, alpha)(w)
+    assert np.abs(drift).max() > 1e-3
+    np.testing.assert_allclose(total, 0.5 * drift, rtol=1e-10, atol=1e-14)
 
 
 def test_stochastic_linear_approaches_fixed_point(chain3):
@@ -182,7 +214,7 @@ def test_sampled_run_matches_full_jacobian_rows(d, lam, alpha, seed):
     cfg = TrainConfig(lam=lam, alpha=alpha, beta0=0.05, horizon=300, save_every=1, seed=seed)
     run = run_stochastic_td(model, mrp, mu, cfg, w0)
 
-    path = sample_chain(mrp, mu, 301, np.random.default_rng(cfg.seed))
+    path = path_of(mrp, mu, 301, np.random.default_rng(cfg.seed))
     w, z, ref = w0.copy(), np.zeros(model.p), [w0.copy()]
     for k in range(300):
         s, s_next = path[k], path[k + 1]
@@ -194,6 +226,26 @@ def test_sampled_run_matches_full_jacobian_rows(d, lam, alpha, seed):
     assert not run.diverged
     np.testing.assert_allclose(run.params, np.asarray(ref), rtol=1e-11, atol=1e-13)
     np.testing.assert_array_equal(run.times, cfg.beta0 * np.arange(301))
+
+
+def test_sampled_run_memory_is_flat_in_the_horizon(chain3):
+    # the chain is read state by state: ten times the steps may not hold
+    # ten times the path (saves only at the end, so the record is constant)
+    import tracemalloc
+    mrp, mu = chain3
+    model = LinearModel(np.eye(3))
+
+    def peak(steps):
+        cfg = TrainConfig(beta0=1e-3, horizon=steps, save_every=steps, seed=1)
+        tracemalloc.start()
+        try:
+            run_stochastic_td(model, mrp, mu, cfg, np.zeros(3))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(5_000)  # warm-up: first-call allocations
+    assert peak(50_000) - peak(5_000) < 64 * 1024
 
 
 # -------------------------------------------------------------- averaged flow
@@ -345,6 +397,22 @@ def test_train_config_validation(bad):
 def test_invalid_engine_input_raises_domain_error(chain3, call):
     with pytest.raises(DomainError):
         call(*chain3)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "minus-inf"])
+@pytest.mark.parametrize("engine", ["integrate", "run_stochastic_td"])
+def test_non_finite_initial_state_is_rejected(chain3, engine, bad):
+    # before any step: not a NonFiniteState blamed on the first step, nor a
+    # diverged run whose first saved state is not finite
+    mrp, mu = chain3
+    model = LinearModel(np.eye(3))
+    w0 = np.array([0.0, bad, 1.0])
+    cfg = TrainConfig(dt=0.1, horizon=10.0, save_every=1)
+    with pytest.raises(DomainError, match="initial state"):
+        if engine == "integrate":
+            integrate(make_lazy_rhs(model, mrp, mu, 0.0, 1.0), w0, cfg)
+        else:
+            run_stochastic_td(model, mrp, mu, cfg, w0)
 
 
 # ----------------------------------------------------------------- integrator

@@ -289,6 +289,16 @@ def test_unstable_step_is_reported_as_divergence(chain5):
     assert all(np.all(np.isfinite(v)) for v in hist.diagnostics.values())
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+def test_non_finite_ensemble_is_rejected(chain5, bad):
+    mrp, mu, states = chain5
+    feat = GaussianBumpFeatures(states, width=0.4)
+    ens = doubled_ensemble(4, uniform_sampler(-1, 1), rng=4)
+    ens.omega0[1] = bad
+    with pytest.raises(DomainError, match="initial state"):
+        integrate_ensemble(ens, feat, mrp, mu, dt=0.1, horizon=1.0, save_every=5)
+
+
 def test_run_solves_the_backup_resolvent_once(chain5, monkeypatch):
     # one drift per run serves the steps and every saved state's diagnostics
     mrp, mu, states = chain5

@@ -8,10 +8,10 @@ PARENT and CHANGE are checkouts of the repository (each with its own
 into a temporary directory. The invocations are every benchmark workload
 of ``bench/workloads.py`` (under CHANGE) at each of its stored seeds, plus
 the spiral, narrow-net and sweep runs of ``EXTRA`` and the lambda = 0.5
-network runs of ``CONFIGS``, each written as a JSON config into the
-temporary directory and run with ``--config`` (the CLI has no lambda
-flag); CLI ARGS given after the two trees replace the list with that one
-invocation.
+network runs of ``CONFIGS`` (averaged and sampled), each written as a JSON
+config into the temporary directory and run with ``--config`` (the CLI has
+no lambda flag); CLI ARGS given after the two trees replace the list with
+that one invocation.
 
 Exit codes, stdout and every output file must match byte for byte, apart
 from the ``wall_clock`` figure in report.json and on stdout. Every file
@@ -53,10 +53,13 @@ EXTRA = (
     ("sweep", "--kind", "alpha", "--grid", "500,5000"),
 )
 # network runs at lambda = 0.5, so that the backup's resolvent is covered
-# off lambda = 0: the narrow default and a small wide net
+# off lambda = 0: the narrow default and a small wide net, averaged and
+# sampled (the sampled engine's trace is read only off lambda = 0)
 CONFIGS = (
     {"experiment": "nn-under", "params": {"lam": 0.5}},
     {"experiment": "nn-over", "seed": 3, "params": {"lam": 0.5, "n_units": 40, "n_states": 12}},
+    {"experiment": "nn-over", "seed": 3, "params": {"lam": 0.5, "n_units": 40, "n_states": 12,
+                                                    "mode": "stochastic", "horizon": 20000}},
 )
 WALL_CLOCK = re.compile(rb'("wall_clock": )[-+0-9.eE]+')
 DIFF_LINES = 12
