@@ -54,7 +54,6 @@ from .meanfield import (
     g_profile,
     h1_profile,
     integrate_ensemble,
-    linearized_gap_bound,
     separation_check,
 )
 

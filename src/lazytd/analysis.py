@@ -28,7 +28,7 @@ from .errors import (
     RankCollapse,
 )
 from .models import ValueModel, numerical_rank
-from .mrp import Backup, Mrp, mu_norm, mu_projection
+from .mrp import Backup, mu_norm, mu_projection, per_state
 
 # the constants the guarantees are checked at
 ENVELOPE_SLACK = 0.05             # allowed excess of the Lyapunov series over its envelope
@@ -63,7 +63,7 @@ class LazyGeometry:
     very conservative, so certificates report them separately from the
     observed decay.
 
-    ``backup`` is the chain's ``Backup`` at the geometry's mu and lam; its
+    ``backup`` is the run's ``Backup``, read here, never formed; its
     ``drive`` makes J^T drive J the matrix of the flow linearized at a
     point with Jacobian J (see ``linearized``).
     ``rate_fast`` and ``rate_slow`` are the fastest and the slowest nonzero
@@ -89,11 +89,9 @@ class LazyGeometry:
     rates_unstable: np.ndarray
 
     @classmethod
-    def from_model(cls, model: ValueModel, w0: np.ndarray, mrp: Mrp,
-                   mu: np.ndarray, lam: float = 0.0) -> "LazyGeometry":
-        backup = Backup.of(mrp, mu, lam)
-        mu, vstar = backup.mu, backup.vstar
+    def from_model(cls, model: ValueModel, w0: np.ndarray, backup: Backup) -> "LazyGeometry":
         J0 = model.jacobian(w0)
+        mu, vstar = per_state(backup.mu, J0.shape[0]), backup.vstar
         U, S, _ = np.linalg.svd(J0, full_matrices=False)
         smax = float(S[0]) if S.size else 0.0
         rank = numerical_rank(S)
@@ -111,7 +109,7 @@ class LazyGeometry:
         radius_bound, alpha_threshold = np.inf, 0.0   # a constant Jacobian
         if lipschitz > 0:
             # zero when the Jacobian has no Lipschitz constant or no rank
-            radius_bound = (1.0 - mrp.gamma) ** 2 * sigma_min**2 / (
+            radius_bound = (1.0 - backup.gamma) ** 2 * sigma_min**2 / (
                 192.0 * kappa**2 * lipschitz * smax
             ) if rank else 0.0
             # norm0(v*) over the radius; no scaling suffices for a zero radius
@@ -171,8 +169,9 @@ class SaveSeries:
     vanishes exactly at stationary points of the scaled averaged dynamics
     and so certifies convergence to a local fixed point, and
     ``value_error``, the weighted distance of alpha V(w) to the chain's
-    exact value, both read from the run's ``Backup``. The ``geometry`` of an
-    over-parametrized run adds ``lyapunov`` and the metric drift (see
+    exact value, both read from the run's ``backup``. The ``geometry`` of an
+    over-parametrized run, built on that same backup (DomainError
+    otherwise), adds ``lyapunov`` and the metric drift (see
     ``metric_drift``), which stops at the first state whose Jacobian has
     lost rank.
 
@@ -185,10 +184,11 @@ class SaveSeries:
     or the RankCollapse that ended it, into ``run.drift``.
     """
 
-    def __init__(self, model: ValueModel, mrp: Mrp, mu: np.ndarray, lam: float, alpha: float,
+    def __init__(self, model: ValueModel, backup: Backup, alpha: float,
                  geometry: LazyGeometry | None = None):
-        self.model, self.alpha, self.geometry = model, alpha, geometry
-        self.backup = Backup.of(mrp, mu, lam)
+        if geometry is not None and geometry.backup is not backup:
+            raise DomainError("the geometry was built on another backup than the series'")
+        self.model, self.backup, self.alpha, self.geometry = model, backup, alpha, geometry
         self.values, self.rows, self.drift, self.collapse = [], [], [], None
 
     def record(self, w: np.ndarray, t: float = 0.0) -> float:

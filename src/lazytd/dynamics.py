@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, DomainError, NonFiniteState
 from .models import ValueModel
-from .mrp import Backup, Mrp, per_state
+from .mrp import Backup, Mrp, state_weights
 
 INTEGRATORS = ("euler", "rk4", "rkc")
 DIVERGENCE_THRESHOLD = 1e8        # a state or scaled value past this max-norm has diverged
@@ -162,7 +162,7 @@ def sample_chain(mrp: Mrp, mu: np.ndarray, steps: int,
     rng = np.random.default_rng(rng)
     cum = np.cumsum(mrp.P, axis=1)
     cum[:, -1] = 1.0
-    cum_mu = np.cumsum(per_state(mu, mrp.d))
+    cum_mu = np.cumsum(state_weights(mu, mrp.d))
     cum_mu[-1] = 1.0
     # bisect on the rows as Python lists: a per-step np.searchsorted costs
     # microseconds of call overhead on rows of a few entries

@@ -45,8 +45,8 @@ from .meanfield import (
     integrate_ensemble,
     separation_check,
 )
-from .models import ReluNet, SpiralModel
-from .mrp import Mrp, cyclic_chain, stationary_measure
+from .models import ReluNet, SpiralModel, numerical_rank
+from .mrp import Backup, Mrp, cyclic_chain, stationary_measure
 
 SPIRAL_RBAR = np.array([-6.85, 8.35, -1.5])
 SPIRAL_GAMMA = 0.9
@@ -204,19 +204,20 @@ def _run_report(experiment: str, config: dict, run: Trajectory, t_start: float, 
     )
 
 
-def _train(model, mrp: Mrp, mu: np.ndarray, w0: np.ndarray, mode: str, cfg: TrainConfig,
+def _train(model, mrp: Mrp, mu: np.ndarray, w0: np.ndarray, rhs, cfg: TrainConfig,
            stop_tol: float | None = None, geometry: LazyGeometry | None = None) -> Trajectory:
     """The one training path of the spiral and network runs: the averaged
-    flow ("ode") or sampled TD(lambda) ("stochastic") under ``cfg``, with
-    the series of one ``SaveSeries`` attached (given the ``geometry``, the
-    Lyapunov value, the metric drift and the RKC stage counts too). The
-    averaged flow records each state as it saves it and stops early once
-    the projected residual falls below ``stop_tol``, when given."""
-    if mode not in ("ode", "stochastic"):
-        raise DomainError(f"mode must be 'ode' or 'stochastic', got {mode!r}")
-    series = SaveSeries(model, mrp, mu, cfg.lam, cfg.alpha, geometry)
-    if mode == "ode":
-        rhs = make_lazy_rhs(model, mrp, mu, cfg.lam, cfg.alpha)
+    flow of the drift ``rhs`` (``make_lazy_rhs``), or sampled TD(lambda)
+    when ``rhs`` is None, under ``cfg``, with the series of one
+    ``SaveSeries`` on the drift's backup (a sampled run forms one) attached;
+    given the ``geometry``, the Lyapunov value, the metric drift and the RKC
+    stage counts too. The averaged flow records each state as it saves it
+    and stops early once the projected residual falls below ``stop_tol``."""
+    if rhs is None:
+        series = SaveSeries(model, Backup.of(mrp, mu, cfg.lam), cfg.alpha)
+        run = run_stochastic_td(model, mrp, mu, cfg, w0)
+    else:
+        series = SaveSeries(model, rhs.backup, cfg.alpha, geometry)
         series.record(w0)
 
         def stop(w, t):
@@ -224,8 +225,6 @@ def _train(model, mrp: Mrp, mu: np.ndarray, w0: np.ndarray, mode: str, cfg: Trai
             return stop_tol is not None and error < stop_tol
         run = integrate(rhs, w0, cfg, divergence_probe=rhs.scaled_value_norm, stop_when=stop,
                         spectral_radius=None if geometry is None else series.spectral_radius)
-    else:
-        run = run_stochastic_td(model, mrp, mu, cfg, w0)
     series.attach(run)
     return run
 
@@ -255,6 +254,8 @@ def run_spiral(
     below ``SPIRAL_STOP_TOL``; divergence is a recorded outcome, not an error.
     """
     alpha, dt, horizon, beta = _floats(alpha, dt, horizon, beta)
+    if mode not in ("ode", "stochastic"):
+        raise DomainError(f"mode must be 'ode' or 'stochastic', got {mode!r}")
     if mode == "ode" and beta is not None:
         raise DomainError("beta is the sampled step; the ode engine steps by dt")
     if mode != "ode" and (dt is not None or integrator is not None):
@@ -274,7 +275,8 @@ def run_spiral(
                   save_every=SPIRAL_SAVE_EVERY, gamma=mrp.gamma, lam=lam)
     cfg = TrainConfig(lam=lam, alpha=alpha, beta0=beta, dt=dt, horizon=horizon,
                       integrator=integrator, save_every=SPIRAL_SAVE_EVERY, seed=seed)
-    run = _train(model, mrp, mu, np.zeros(1), mode, cfg, SPIRAL_STOP_TOL)
+    rhs = make_lazy_rhs(model, mrp, mu, lam, alpha) if mode == "ode" else None
+    run = _train(model, mrp, mu, np.zeros(1), rhs, cfg, SPIRAL_STOP_TOL)
     if mode != "ode":  # the whole steps the sampled engine counts, as run_nn records them
         config.update(horizon=cfg.n_samples)
     return _run_report("spiral", config, run, t_start, out_dir, include_params=True, extra={
@@ -334,6 +336,8 @@ def run_nn(
     """
     if regime not in ("over", "under"):
         raise DomainError(f"regime must be 'over' or 'under', got {regime!r}")
+    if mode not in ("ode", "stochastic"):
+        raise DomainError(f"mode must be 'ode' or 'stochastic', got {mode!r}")
     gamma, alpha, lam, dt, horizon = _floats(gamma, alpha, lam, dt, horizon)
     over = regime == "over"
     defaults = OVER_DEFAULTS if over else UNDER_DEFAULTS
@@ -347,7 +351,7 @@ def run_nn(
     config = dict(experiment=f"nn-{regime}", mode=mode, gamma=gamma, seed=seed, alpha=alpha,
                   n_units=n_units, n_states=n_states, lam=lam, beta=NN_BETA)
 
-    if mode != "ode":  # the sampled engine; _train rejects any other mode
+    if mode != "ode":  # the sampled engine
         if dt is not None:
             raise DomainError("dt is the ode step; the sampled engine steps by beta")
         # the config checks the horizon before it becomes a step count
@@ -356,13 +360,12 @@ def run_nn(
         steps = cfg.n_samples
         cfg = replace(cfg, horizon=steps, save_every=max(1, steps // 400))
         config.update(horizon=steps, save_every=cfg.save_every)
-        # only the rank is reported; holding the whole geometry through the
-        # run raised the sampled-over workload's peak RSS by about 1 MiB
-        rank = LazyGeometry.from_model(model, w0, mrp, mu, lam).rank
-        run = _train(model, mrp, mu, w0, mode, cfg)
+        rank = numerical_rank(np.linalg.svd(model.jacobian(w0), compute_uv=False))
+        run = _train(model, mrp, mu, w0, None, cfg)
         return _run_report(f"nn-{regime}", config, run, t_start, out_dir, extra={"rank": rank})
 
-    geometry = LazyGeometry.from_model(model, w0, mrp, mu, lam)
+    rhs = make_lazy_rhs(model, mrp, mu, lam, alpha)
+    geometry = LazyGeometry.from_model(model, w0, rhs.backup)
     fast, slow, unstable = geometry.rate_fast, geometry.rate_slow, geometry.rates_unstable
     if (dt is None or horizon is None) and not fast > 0.0:
         raise FlatLinearization(
@@ -386,7 +389,7 @@ def run_nn(
                       integrator="rkc" if over else "rk4")
     cfg = replace(cfg, save_every=max(1, cfg.n_steps // 400))
     config.update(dt=dt, horizon=horizon, stop_tol=NN_STOP_TOL, save_every=cfg.save_every)
-    run = _train(model, mrp, mu, w0, mode, cfg, None if over else NN_STOP_TOL,
+    run = _train(model, mrp, mu, w0, rhs, cfg, None if over else NN_STOP_TOL,
                  geometry if over else None)
 
     extra = {"rate_fast": fast, "rate_slow": slow, "unstable_count": int(unstable.size),
@@ -419,7 +422,8 @@ def run_sweep(
     """Grid of network runs: "gamma" sweeps the discount at fixed scaling,
     "alpha" sweeps the scaling at fixed discount (displacement check).
 
-    The runs execute one after another in this thread, in grid order.
+    ``base`` holds every run's other ``run_nn`` arguments, never ``kind``'s
+    key or ``out_dir``. The runs execute one after another, in grid order.
     ``workers`` (>= 1) is checked and recorded only: the runs hold the
     interpreter lock, so two threads made the narrow-net alpha sweep
     2.1-2.7x slower. Individual divergences are recorded and the sweep continues.
@@ -435,6 +439,8 @@ def run_sweep(
     run_name = {v: f"run_{v:g}" for v in grid}
     if len(set(run_name.values())) < len(grid):
         raise DomainError(f"sweep grid values must have distinct run names, got {list(grid)}")
+    if {kind, "out_dir"} & set(base or {}):
+        raise DomainError(f"base cannot set {kind!r} or 'out_dir': the sweep sets them per run")
     base = {"regime": "over", **(base or {})}
     t_start = time.perf_counter()
 

@@ -376,7 +376,7 @@ class OptimalityReport:
     stationary: bool             # velocity_norm <= eps
     separation_passed: bool
     features_universal: bool
-    gap_constant: float          # linearized_gap_bound at the ensemble
+    gap_constant: float          # gap/velocity bound of the tangent reduction at the ensemble
     gap_tolerance: float         # gap_constant * eps, the gap bound implied when all hold
     implication_holds: bool | None
 
@@ -395,16 +395,28 @@ def fixed_point_optimality(
     family the approximator equals the exact value function. The desk-scale
     surrogate: when the maximal particle speed is below ``eps``, the
     separation surrogate passes and bumps at the states span value space,
-    the gap must fall below ``gap_constant * eps``. The constant
-    (``linearized_gap_bound``) and the universality are computed at the
-    ensemble, never assumed; without a premise the implication is None.
+    the gap must fall below ``gap_constant * eps``. The constant and the
+    universality are computed at the ensemble, never assumed; without a
+    premise the implication is None.
+
+    The constant bounds gap/velocity for the tangent reduction: with the
+    particle positions held fixed, a value-space error e moves the output
+    weights at rates <phi_i, (gamma P - I)e> and the feature parameters at
+    omega0_i times the gradient analogue, together the map N J^T drive (J
+    the ``EnsembleModel`` Jacobian). So the gap, the weighted norm of any e
+    the tangent model reaches, is at most the speed times sqrt(N) over the
+    map's smallest singular value. All three read one particle system.
     """
     model, velocity, drift = _particle_system(features, ensemble.n, mrp, mu)
-    speed, bell, gap = _state_diagnostics(model, velocity, model.pack(ensemble), drift.backup)
+    w, backup = model.pack(ensemble), drift.backup
+    speed, bell, gap = _state_diagnostics(model, velocity, w, backup)
     stationary = speed <= eps
     sep_ok = bool(separation.passed) if separation is not None else False
     universal = features.universal_for_states(features.states)
-    constant = linearized_gap_bound(ensemble, features, mrp, mu)
+    L = ensemble.n * model.jacobian(w).T @ backup.drive / np.sqrt(backup.mu)  # unit-mu-norm inputs
+    sv = np.linalg.svd(L, compute_uv=False)
+    smin = sv[min(mrp.d, sv.size) - 1]
+    constant = float("inf") if smin <= 0 else float(np.sqrt(ensemble.n) / smin)
     implication = bool(gap <= constant * eps) if stationary and sep_ok and universal else None
     return OptimalityReport(
         velocity_norm=speed,
@@ -417,31 +429,3 @@ def fixed_point_optimality(
         gap_tolerance=constant * eps,
         implication_holds=implication,
     )
-
-
-def linearized_gap_bound(
-    ensemble: ParticleEnsemble,
-    features: GaussianBumpFeatures,
-    mrp: Mrp,
-    mu: np.ndarray,
-) -> float:
-    """Provable gap/velocity bound for the tangent reduction at an ensemble.
-
-    Holding particle positions fixed, a value-space error e drives every
-    particle linearly: the output weight at rate <phi_i, (gamma P - I)e>
-    and the feature parameters at omega0_i times the gradient analogue.
-    The worst ratio of weighted error norm to maximal particle speed is
-    bounded by sqrt(N) over the smallest singular value of that stacked
-    linear map, so gap <= bound * velocity holds for any error reachable
-    by the tangent model at this configuration. The stacked map is
-    N J^T Gamma (gamma P - I), J the Jacobian of ``EnsembleModel``.
-    """
-    model = EnsembleModel(features, ensemble.n)
-    J = model.jacobian(model.pack(ensemble))
-    backup = Backup.of(mrp, mu)
-    L = ensemble.n * J.T @ backup.drive / np.sqrt(backup.mu)[None, :]  # unit-mu-norm inputs
-    sv = np.linalg.svd(L, compute_uv=False)
-    smin = sv[min(mrp.d, sv.size) - 1]
-    if smin <= 0:
-        return float("inf")
-    return float(np.sqrt(ensemble.n) / smin)

@@ -112,6 +112,15 @@ def per_state(x, d: int) -> np.ndarray:
     return x
 
 
+def state_weights(mu, d: int) -> np.ndarray:
+    """``mu`` as ``per_state`` reads it, checked to be a weight, finite and
+    positive, on every state; DomainError otherwise (NaN fails)."""
+    mu = per_state(mu, d)
+    if not np.all((mu > 0) & (mu < np.inf)):
+        raise DomainError("state weights must be finite and positive")
+    return mu
+
+
 def mu_inner(a: np.ndarray, b: np.ndarray, mu) -> float:
     """Inner product sum_s a(s) b(s) mu(s)."""
     a = np.asarray(a, dtype=float)
@@ -183,7 +192,7 @@ class Backup:
 
     @classmethod
     def of(cls, mrp: Mrp, mu, lam: float = 0.0) -> "Backup":
-        mu = per_state(mu, mrp.d)
+        mu = state_weights(mu, mrp.d)
         r_lam, P_lam = td_resolvent(mrp, lam)
         gP = mrp.gamma * P_lam
         return cls(gamma=mrp.gamma, lam=lam, mu=mu, vstar=exact_value(mrp), r_lam=r_lam,

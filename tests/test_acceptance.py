@@ -20,6 +20,7 @@ import numpy as np
 import pytest
 
 from lazytd import (
+    Backup,
     GaussianBumpFeatures,
     LazyGeometry,
     LinearModel,
@@ -130,8 +131,8 @@ def test_criterion_06_local_fixed_point_error_bound():
         cfg = TrainConfig(dt=1e-2, horizon=2000.0, save_every=100)
         probe = lambda w, _a=a: _a * np.max(np.abs(model.value(w)))
         runs.append(integrate(rhs, np.zeros(1), cfg, divergence_probe=probe))
-        SaveSeries(model, mrp, mu, 0.0, a).attach(runs[-1])
-    geometry = LazyGeometry.from_model(model, np.zeros(1), mrp, mu)
+        SaveSeries(model, Backup.of(mrp, mu), a).attach(runs[-1])
+    geometry = LazyGeometry.from_model(model, np.zeros(1), Backup.of(mrp, mu))
     cert_s = underparametrized_certificate(geometry, alphas, runs)
 
     # narrow network grid

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from lazytd import (
+    Backup,
     LazyGeometry,
     LinearModel,
     Mrp,
@@ -52,7 +53,7 @@ def chain3():
 def test_norm0_orthonormal_span_is_euclidean(chain3):
     mrp, mu = chain3
     Q, _ = np.linalg.qr(np.random.default_rng(0).standard_normal((3, 2)))
-    geom = LazyGeometry.from_model(LinearModel(Q), np.zeros(2), mrp, mu)
+    geom = LazyGeometry.from_model(LinearModel(Q), np.zeros(2), Backup.of(mrp, mu))
     f = Q @ np.array([1.5, -2.0])
     assert geom.norm0(f) == pytest.approx(np.linalg.norm(f), abs=1e-12)
 
@@ -61,7 +62,7 @@ def test_norm0_matches_svd_oracle(chain3):
     mrp, mu = chain3
     rng = np.random.default_rng(1)
     J = rng.standard_normal((3, 2))
-    geom = LazyGeometry.from_model(LinearModel(J), np.zeros(2), mrp, mu)
+    geom = LazyGeometry.from_model(LinearModel(J), np.zeros(2), Backup.of(mrp, mu))
     f = J[:, 0]
     # explicit pseudo-inverse of J J^T through its SVD
     U, S, _ = np.linalg.svd(J, full_matrices=False)
@@ -73,7 +74,7 @@ def test_norm0_homogeneous(chain3):
     mrp, mu = chain3
     rng = np.random.default_rng(2)
     J = rng.standard_normal((3, 3))
-    geom = LazyGeometry.from_model(LinearModel(J), np.zeros(3), mrp, mu)
+    geom = LazyGeometry.from_model(LinearModel(J), np.zeros(3), Backup.of(mrp, mu))
     f = rng.standard_normal(3)
     assert geom.norm0(2.0 * f) == pytest.approx(2.0 * geom.norm0(f), rel=1e-12)
 
@@ -82,7 +83,7 @@ def test_norm_equivalence_constant_contains_ratios(chain3):
     mrp, mu = chain3
     rng = np.random.default_rng(3)
     J = rng.standard_normal((3, 3))
-    geom = LazyGeometry.from_model(LinearModel(J), np.zeros(3), mrp, mu)
+    geom = LazyGeometry.from_model(LinearModel(J), np.zeros(3), Backup.of(mrp, mu))
     for _ in range(100):
         f = geom.span @ rng.standard_normal(geom.rank)
         ratio = mu_norm(f, mu) / geom.norm0(f)
@@ -92,7 +93,8 @@ def test_norm_equivalence_constant_contains_ratios(chain3):
 def test_lyapunov_zero_at_target_and_nonnegative(chain3):
     mrp, mu = chain3
     rng = np.random.default_rng(4)
-    geom = LazyGeometry.from_model(LinearModel(rng.standard_normal((3, 3))), np.zeros(3), mrp, mu)
+    geom = LazyGeometry.from_model(LinearModel(rng.standard_normal((3, 3))), np.zeros(3),
+                                   Backup.of(mrp, mu))
     assert geom.lyapunov(geom.backup.vstar) == pytest.approx(0.0, abs=1e-18)
     for _ in range(10):
         assert geom.lyapunov(rng.standard_normal(3)) >= 0.0
@@ -108,7 +110,7 @@ def test_geometry_constants_reproduce_formulas(chain3):
     mrp, mu = chain3
     rng = np.random.default_rng(21)
     model = _StatedLipschitz(rng.standard_normal((3, 3)))
-    geom = LazyGeometry.from_model(model, np.zeros(3), mrp, mu)
+    geom = LazyGeometry.from_model(model, np.zeros(3), Backup.of(mrp, mu))
     # metric is symmetric positive definite on the full-rank span
     np.testing.assert_allclose(geom.g0, geom.g0.T, atol=1e-14)
     assert np.all(np.linalg.eigvalsh(geom.g0) > 0)
@@ -124,25 +126,27 @@ def test_geometry_constants_reproduce_formulas(chain3):
 def test_constant_jacobian_gives_infinite_radius(chain3):
     mrp, mu = chain3
     model = LinearModel(np.random.default_rng(5).standard_normal((3, 3)))
-    geom = LazyGeometry.from_model(model, np.zeros(3), mrp, mu)
+    geom = LazyGeometry.from_model(model, np.zeros(3), Backup.of(mrp, mu))
     assert geom.radius_bound == np.inf
     assert geom.alpha_threshold == 0.0
 
 
 def test_zero_jacobian_gives_rank_zero_and_infinite_kappa(chain3):
     mrp, mu = chain3
-    geom = LazyGeometry.from_model(LinearModel(np.zeros((3, 2))), np.zeros(2), mrp, mu)
+    geom = LazyGeometry.from_model(LinearModel(np.zeros((3, 2))), np.zeros(2), Backup.of(mrp, mu))
     assert geom.rank == 0 and geom.sigma_min == geom.sigma_max == 0.0
     assert geom.kappa == np.inf and geom.rate_bound == 0.0
     assert geom.rate_fast == geom.rate_slow == 0.0 and geom.rates_unstable.size == 0
 
 
 @pytest.mark.parametrize("weights", [[0.5], np.full(4, 0.25)], ids=["one", "four"])
-def test_geometry_rejects_weights_of_another_length(chain3, weights):
-    # a single weight would broadcast and give kappa = 1 on any chain
-    mrp, _ = chain3
+def test_geometry_rejects_weights_of_another_length(weights):
+    # the backup of a chain with another number of states: a single weight
+    # would broadcast and give kappa = 1 on any chain
+    n = len(weights)
+    backup = Backup.of(Mrp(P=np.full((n, n), 1.0 / n), rbar=np.zeros(n), gamma=0.9), weights)
     with pytest.raises(DimensionMismatch):
-        LazyGeometry.from_model(LinearModel(np.eye(3)), np.zeros(3), mrp, weights)
+        LazyGeometry.from_model(LinearModel(np.eye(3)), np.zeros(3), backup)
 
 
 def test_relu_net_gives_zero_radius_and_infinite_threshold():
@@ -155,12 +159,12 @@ def test_relu_net_gives_zero_radius_and_infinite_threshold():
     mu = stationary_measure(mrp)
     model = ReluNet(40, np.linspace(-1, 1, d))
     w0 = model.init_doubled(4)
-    geom = LazyGeometry.from_model(model, w0, mrp, mu)
+    geom = LazyGeometry.from_model(model, w0, Backup.of(mrp, mu))
     assert geom.rank == d
     assert geom.radius_bound == 0.0
     assert geom.alpha_threshold == np.inf
     run = Trajectory(times=np.array([0.0]), params=w0[None, :])
-    SaveSeries(model, mrp, mu, 0.0, 1e12, geometry=geom).attach(run)
+    SaveSeries(model, geom.backup, 1e12, geometry=geom).attach(run)
     cert = overparametrized_certificate(geom, run, 1e12)
     assert not cert.init_within_radius and not cert.alpha_above_threshold
 
@@ -171,7 +175,7 @@ def test_projected_error_zero_at_exact_value(chain3):
     mrp, mu = chain3
     model = LinearModel(np.eye(3))
     vstar = exact_value(mrp)
-    assert SaveSeries(model, mrp, mu, 0.0, 1.0).record(vstar) < 1e-12
+    assert SaveSeries(model, Backup.of(mrp, mu), 1.0).record(vstar) < 1e-12
 
 
 def test_projected_error_full_rank_equals_unprojected(chain3):
@@ -182,13 +186,14 @@ def test_projected_error_full_rank_equals_unprojected(chain3):
     V = model.value(w)
     td = td_operator(mrp, 0.3, V) - V
     want = mu_norm(td, mu)
-    assert SaveSeries(model, mrp, mu, 0.3, 1.0).record(w) == pytest.approx(want, rel=1e-10)
+    got = SaveSeries(model, Backup.of(mrp, mu, 0.3), 1.0).record(w)
+    assert got == pytest.approx(want, rel=1e-10)
 
 
 def test_projected_error_spiral_origin_by_quadrature(chain3):
     mrp, mu = chain3
     model = SpiralModel()
-    got = SaveSeries(model, mrp, mu, 0.0, 1.0).record(np.zeros(1))
+    got = SaveSeries(model, Backup.of(mrp, mu), 1.0).record(np.zeros(1))
     # one-dimensional tangent: |<residual, j>_mu| / ||j||_mu, residual = rbar at 0
     j = model.jacobian(np.zeros(1))[:, 0]
     inner = np.sum(mu * SPIRAL_RBAR * j)
@@ -205,12 +210,12 @@ def test_stationarity_equivalence(chain3):
     target = linear_td_fixed_point(features, mu, mrp.P, mrp.rbar, mrp.gamma, 0.0)
     alpha = 20.0
     at_fixed = target / alpha
-    assert SaveSeries(model, mrp, mu, 0.0, alpha).record(at_fixed) < 1e-9
+    assert SaveSeries(model, Backup.of(mrp, mu), alpha).record(at_fixed) < 1e-9
     rhs = make_lazy_rhs(model, mrp, mu, 0.0, alpha)
     assert np.linalg.norm(rhs(at_fixed)) < 1e-9
     for _ in range(10):
         w = rng.standard_normal(2)
-        pe = SaveSeries(model, mrp, mu, 0.0, alpha).record(w)
+        pe = SaveSeries(model, Backup.of(mrp, mu), alpha).record(w)
         rh = np.linalg.norm(rhs(w))
         assert (pe < 1e-9) == (rh < 1e-9)
 
@@ -237,12 +242,12 @@ def test_overparametrized_certificate_linear_full_rank(chain3):
     rng = np.random.default_rng(8)
     model = LinearModel(rng.standard_normal((3, 3)))
     w0 = np.zeros(3)
-    geom = LazyGeometry.from_model(model, w0, mrp, mu)
+    geom = LazyGeometry.from_model(model, w0, Backup.of(mrp, mu))
     alpha = 50.0
     rhs = make_lazy_rhs(model, mrp, mu, 0.0, alpha)
     cfg = TrainConfig(dt=1e-2, horizon=400.0, save_every=100)
     run = integrate(rhs, w0, cfg)
-    SaveSeries(model, mrp, mu, 0.0, alpha, geometry=geom).attach(run)
+    SaveSeries(model, geom.backup, alpha, geometry=geom).attach(run)
     cert = overparametrized_certificate(geom, run, alpha)
     assert cert.sigma_min_positive
     assert cert.envelope_ok
@@ -255,7 +260,7 @@ def test_overparametrized_certificate_linear_full_rank(chain3):
 def test_overparametrized_certificate_rejects_rank_deficient(chain3):
     mrp, mu = chain3
     model = SpiralModel()
-    geom = LazyGeometry.from_model(model, np.zeros(1), mrp, mu)
+    geom = LazyGeometry.from_model(model, np.zeros(1), Backup.of(mrp, mu))
     run = Trajectory(times=np.array([0.0]), params=np.zeros((1, 1)))
     with pytest.raises(NotOverParametrized):
         overparametrized_certificate(geom, run, 10.0)
@@ -268,17 +273,17 @@ def test_run_that_starts_at_its_target_holds_the_envelope():
     mu = stationary_measure(mrp)
     model = LinearModel(np.eye(4))
     w0 = np.zeros(4)
-    geom = LazyGeometry.from_model(model, w0, mrp, mu)
+    geom = LazyGeometry.from_model(model, w0, Backup.of(mrp, mu))
     run = integrate(make_lazy_rhs(model, mrp, mu, 0.0, 1.0), w0,
                     TrainConfig(dt=0.1, horizon=1.0, save_every=2))
-    SaveSeries(model, mrp, mu, 0.0, 1.0, geometry=geom).attach(run)
+    SaveSeries(model, geom.backup, 1.0, geometry=geom).attach(run)
     cert = overparametrized_certificate(geom, run, 1.0)
     np.testing.assert_array_equal(run.diagnostics["lyapunov"], 0.0)
     assert cert.envelope_margin == 1.0
     assert cert.envelope_ok
     # a positive value against a zero envelope still breaks it
     moved = Trajectory(times=run.times, params=run.params + (run.times > 0)[:, None])
-    SaveSeries(model, mrp, mu, 0.0, 1.0, geometry=geom).attach(moved)
+    SaveSeries(model, geom.backup, 1.0, geometry=geom).attach(moved)
     assert overparametrized_certificate(geom, moved, 1.0).envelope_margin == np.inf
 
 
@@ -293,8 +298,8 @@ def test_underparametrized_certificate_tangent_model(chain3):
     runs = [integrate(make_lazy_rhs(model, mrp, mu, 0.0, a), np.zeros(1), cfg)
             for a in alphas]
     for a, run in zip(alphas, runs):
-        SaveSeries(model, mrp, mu, 0.0, a).attach(run)
-    geom = LazyGeometry.from_model(model, np.zeros(1), mrp, mu)
+        SaveSeries(model, Backup.of(mrp, mu), a).attach(run)
+    geom = LazyGeometry.from_model(model, np.zeros(1), Backup.of(mrp, mu))
     cert = underparametrized_certificate(geom, alphas, runs)
     assert all(cert.converged)
     # exactly linear model: the reached point is the linear fixed point and
@@ -317,8 +322,8 @@ def test_error_bound_factor_reduces_at_lam_zero(chain3):
     best_error = mu_norm(mu_projection(model.j0, mu, vstar) - vstar, mu)
     for lam in (0.0, 0.3):
         run = integrate(make_lazy_rhs(model, mrp, mu, lam, 50.0), np.zeros(1), cfg)
-        SaveSeries(model, mrp, mu, lam, 50.0).attach(run)
-        geom = LazyGeometry.from_model(model, np.zeros(1), mrp, mu, lam)
+        SaveSeries(model, Backup.of(mrp, mu, lam), 50.0).attach(run)
+        geom = LazyGeometry.from_model(model, np.zeros(1), Backup.of(mrp, mu, lam))
         cert = underparametrized_certificate(geom, [50.0], [run])
         want = best_error * (1.0 - lam * mrp.gamma) / (1.0 - mrp.gamma)
         assert cert.bound_base == pytest.approx(want, rel=1e-12)
@@ -326,7 +331,7 @@ def test_error_bound_factor_reduces_at_lam_zero(chain3):
 
 def test_underparametrized_certificate_rejects_full_rank(chain3):
     mrp, mu = chain3
-    geom = LazyGeometry.from_model(LinearModel(np.eye(3)), np.zeros(3), mrp, mu)
+    geom = LazyGeometry.from_model(LinearModel(np.eye(3)), np.zeros(3), Backup.of(mrp, mu))
     run = Trajectory(times=np.array([0.0]), params=np.zeros((1, 3)))
     with pytest.raises(NotUnderParametrized):
         underparametrized_certificate(geom, [10.0], [run])
@@ -337,8 +342,8 @@ def test_underparametrized_certificate_rejects_nonzero_init(chain3):
     mrp, mu = chain3
     model = TangentModel(SpiralModel(), np.zeros(1))
     run = Trajectory(times=np.array([0.0]), params=np.ones((1, 1)))
-    SaveSeries(model, mrp, mu, 0.0, 10.0).attach(run)
-    geom = LazyGeometry.from_model(model, np.ones(1), mrp, mu)
+    SaveSeries(model, Backup.of(mrp, mu), 10.0).attach(run)
+    geom = LazyGeometry.from_model(model, np.ones(1), Backup.of(mrp, mu))
     with pytest.raises(InitNotZero):
         underparametrized_certificate(geom, [10.0], [run])
 
@@ -350,7 +355,8 @@ def test_underparametrized_certificate_rejects_nonzero_init(chain3):
 ], ids=["empty-grid", "one-run-short", "array-one-run-short"])
 def test_underparametrized_certificate_rejects_bad_grid(chain3, alphas, n_runs, error):
     mrp, mu = chain3
-    geom = LazyGeometry.from_model(TangentModel(SpiralModel(), np.zeros(1)), np.zeros(1), mrp, mu)
+    geom = LazyGeometry.from_model(TangentModel(SpiralModel(), np.zeros(1)), np.zeros(1),
+                                   Backup.of(mrp, mu))
     run = Trajectory(times=np.array([0.0]), params=np.zeros((1, 1)))
     with pytest.raises(error):
         underparametrized_certificate(geom, alphas, [run] * n_runs)
@@ -363,8 +369,8 @@ def test_underparametrized_certificate_records_divergence(chain3):
     probe = lambda w: np.max(np.abs(model.value(w)))
     run = integrate(make_lazy_rhs(model, mrp, mu, 0.0, 1.0), np.zeros(1), cfg,
                     divergence_probe=probe)
-    SaveSeries(model, mrp, mu, 0.0, 1.0).attach(run)
-    geom = LazyGeometry.from_model(model, np.zeros(1), mrp, mu)
+    SaveSeries(model, Backup.of(mrp, mu), 1.0).attach(run)
+    geom = LazyGeometry.from_model(model, np.zeros(1), Backup.of(mrp, mu))
     cert = underparametrized_certificate(geom, [1.0], [run])
     assert cert.diverged == [True]
     assert not cert.passed
@@ -400,10 +406,10 @@ def test_metric_drift_zero_for_tangent(chain3):
     mrp, mu = chain3
     rng = np.random.default_rng(10)
     model = LinearModel(rng.standard_normal((3, 3)))
-    geom = LazyGeometry.from_model(model, np.zeros(3), mrp, mu)
+    geom = LazyGeometry.from_model(model, np.zeros(3), Backup.of(mrp, mu))
     run = Trajectory(times=np.linspace(0, 1, 5),
                      params=rng.standard_normal((5, 3)))
-    SaveSeries(model, mrp, mu, 0.0, 1.0, geometry=geom).attach(run)
+    SaveSeries(model, geom.backup, 1.0, geometry=geom).attach(run)
     np.testing.assert_allclose(metric_drift(run), np.zeros(5), atol=1e-10)
 
 
@@ -423,10 +429,10 @@ def test_metric_drift_rank_collapse(chain3):
     mrp2 = Mrp(P=np.array([[0.5, 0.5], [0.5, 0.5]]), rbar=np.zeros(2), gamma=0.9)
     mu2 = stationary_measure(mrp2)
     model = _RankDropModel()
-    geom = LazyGeometry.from_model(model, np.array([1.0, 1.0]), mrp2, mu2)
+    geom = LazyGeometry.from_model(model, np.array([1.0, 1.0]), Backup.of(mrp2, mu2))
     run = Trajectory(times=np.array([0.0, 1.0]),
                      params=np.array([[1.0, 1.0], [0.0, 0.0]]))
-    SaveSeries(model, mrp2, mu2, 0.0, 1.0, geometry=geom).attach(run)
+    SaveSeries(model, geom.backup, 1.0, geometry=geom).attach(run)
     with pytest.raises(RankCollapse):
         metric_drift(run)
 
@@ -436,7 +442,7 @@ def test_metric_drift_needs_the_series_of_a_geometry(chain3):
     run = Trajectory(times=np.array([0.0]), params=np.zeros((1, 3)))
     with pytest.raises(DomainError):
         metric_drift(run)
-    SaveSeries(LinearModel(np.eye(3)), mrp, mu, 0.0, 1.0).attach(run)  # no geometry, no drift
+    SaveSeries(LinearModel(np.eye(3)), Backup.of(mrp, mu), 1.0).attach(run)  # no geometry, no drift
     with pytest.raises(DomainError):
         metric_drift(run)
 
@@ -450,17 +456,17 @@ def test_metric_drift_small_in_lazy_relu_run():
     mu = stationary_measure(mrp)
     model = ReluNet(40, np.linspace(-1, 1, d))
     w0 = model.init_doubled(4)
-    geom = LazyGeometry.from_model(model, w0, mrp, mu)
+    geom = LazyGeometry.from_model(model, w0, Backup.of(mrp, mu))
     assert geom.rank == d
     cfg = TrainConfig(dt=1.0, horizon=2000.0, save_every=200)
     lazy = integrate(make_lazy_rhs(model, mrp, mu, 0.0, 500.0), w0, cfg)
-    SaveSeries(model, mrp, mu, 0.0, 500.0, geometry=geom).attach(lazy)
+    SaveSeries(model, geom.backup, 500.0, geometry=geom).attach(lazy)
     drift = metric_drift(lazy)
     assert np.max(drift) < (1.0 - mrp.gamma) / 4.0
     # contrast: without the scaling the parameters travel far and the metric
     # drifts well past the lazy regime (reported, not a guarantee)
     unscaled = integrate(make_lazy_rhs(model, mrp, mu, 0.0, 1.0), w0, cfg)
-    SaveSeries(model, mrp, mu, 0.0, 1.0, geometry=geom).attach(unscaled)
+    SaveSeries(model, geom.backup, 1.0, geometry=geom).attach(unscaled)
     try:
         drift1 = float(np.max(metric_drift(unscaled)))
     except RankCollapse:
@@ -474,12 +480,12 @@ def test_rank_zero_jacobian_without_lipschitz_constant_gives_zero_radius():
     # constant zero Jacobian keeps the infinite radius and zero threshold
     from lazytd.experiments import _nn_setup
     mrp, mu, model, w0 = _nn_setup(0.9, 13, 4, 5)
-    geom = LazyGeometry.from_model(model, w0, mrp, mu)
+    geom = LazyGeometry.from_model(model, w0, Backup.of(mrp, mu))
     assert geom.rank == 0
     assert (geom.radius_bound, geom.alpha_threshold) == (0.0, np.inf)
     for constant, w in ((LinearModel(np.zeros((5, 2))), np.zeros(2)),
                         (TangentModel(model, w0), w0)):
-        geom = LazyGeometry.from_model(constant, w, mrp, mu)
+        geom = LazyGeometry.from_model(constant, w, Backup.of(mrp, mu))
         assert geom.rank == 0
         assert (geom.radius_bound, geom.alpha_threshold) == (np.inf, 0.0)
 
@@ -492,8 +498,8 @@ def test_series_a_stop_recorded_equal_those_attached_after_the_run(chain3):
     cfg = TrainConfig(dt=1e-2, horizon=5.0, save_every=50)
     run = integrate(make_lazy_rhs(model, mrp, mu, 0.0, 100.0), np.zeros(1), cfg)
     whole = Trajectory(times=run.times, params=run.params)
-    SaveSeries(model, mrp, mu, 0.0, 100.0).attach(whole)
-    series = SaveSeries(model, mrp, mu, 0.0, 100.0)
+    SaveSeries(model, Backup.of(mrp, mu), 100.0).attach(whole)
+    series = SaveSeries(model, Backup.of(mrp, mu), 100.0)
     for i in range(4):
         pe = series.record(run.params[i], run.times[i])
         assert pe == whole.diagnostics["projected_error"][i]
@@ -502,3 +508,13 @@ def test_series_a_stop_recorded_equal_those_attached_after_the_run(chain3):
     for name in ("projected_error", "value_error", "displacement"):
         np.testing.assert_array_equal(run.diagnostics[name], whole.diagnostics[name])
     np.testing.assert_array_equal(run.values, whole.values)
+
+
+def test_save_series_rejects_a_geometry_of_another_backup(chain3):
+    # a series measured at a lambda its run's geometry was not built at
+    mrp, mu = chain3
+    model = LinearModel(np.eye(3))
+    geom = LazyGeometry.from_model(model, np.zeros(3), Backup.of(mrp, mu))
+    with pytest.raises(DomainError, match="another backup"):
+        SaveSeries(model, Backup.of(mrp, mu, 0.5), 1.0, geometry=geom)
+    assert SaveSeries(model, geom.backup, 1.0, geometry=geom).backup is geom.backup

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from lazytd import GaussianBumpFeatures, LinearModel, Mrp, experiments
+from lazytd import Backup, GaussianBumpFeatures, LinearModel, Mrp, experiments
 from lazytd.analysis import LazyGeometry, fit_exponential_rate
 from lazytd.cli import main as cli_main
 from lazytd.dynamics import TrainConfig, integrate
@@ -143,7 +143,7 @@ def test_network_ode_runs_report_their_integration(regime, tmp_path):
 def test_nn_reports_the_geometry_of_its_initialization(regime, n_units, n_states):
     rep = run_nn(regime, n_units=n_units, n_states=n_states)
     mrp, mu, model, w0 = _nn_setup(0.9, rep.config["seed"], n_units, n_states)
-    geometry = LazyGeometry.from_model(model, w0, mrp, mu)
+    geometry = LazyGeometry.from_model(model, w0, Backup.of(mrp, mu))
     want = {"rate_fast": geometry.rate_fast, "rate_slow": geometry.rate_slow,
             "unstable_count": geometry.rates_unstable.size, "rank": geometry.rank}
     if regime == "over":
@@ -174,7 +174,7 @@ def test_linearized_rates_returns_unstable_eigenvalues():
     model = LinearModel(np.array([[1.0], [2.0]]))
     mrp = Mrp(P=np.array([[0.0, 1.0], [0.0, 1.0]]), rbar=np.zeros(2), gamma=0.9)
     mu = np.array([0.5, 0.5])
-    geometry = LazyGeometry.from_model(model, np.zeros(1), mrp, mu)
+    geometry = LazyGeometry.from_model(model, np.zeros(1), Backup.of(mrp, mu))
     np.testing.assert_allclose(geometry.rates_unstable, [0.2])
 
 
@@ -706,7 +706,7 @@ def test_linearized_rates_match_parameter_space_form(regime, n_units, n_states, 
     mrp, mu, model, w0 = _nn_setup(0.9, seed, n_units, n_states)
     assert (model.d < model.p) == (regime == "over")
     for lam in (0.0, 0.5):
-        geometry = LazyGeometry.from_model(model, w0, mrp, mu, lam)
+        geometry = LazyGeometry.from_model(model, w0, Backup.of(mrp, mu, lam))
         want = _rates_in_parameter_space(model, w0, mrp, mu, lam)
         np.testing.assert_allclose([geometry.rate_fast, geometry.rate_slow], want[:2], rtol=1e-10)
         assert geometry.rates_unstable.size == want[2].size == 0
@@ -719,7 +719,7 @@ def test_linearized_rates_unstable_case_matches_parameter_space_form():
     P = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 1.0], [0.0, 0.0, 1.0]])
     mrp = Mrp(P=P, rbar=np.zeros(3), gamma=0.9)
     mu = np.array([0.4, 0.4, 0.2])
-    geometry = LazyGeometry.from_model(model, np.zeros(4), mrp, mu)
+    geometry = LazyGeometry.from_model(model, np.zeros(4), Backup.of(mrp, mu))
     want = _rates_in_parameter_space(model, np.zeros(4), mrp, mu, 0.0)
     assert geometry.rates_unstable.size == want[2].size == 2
     np.testing.assert_allclose(geometry.rates_unstable, want[2], rtol=1e-10)
@@ -789,3 +789,60 @@ def test_network_run_evaluates_each_saved_state_once(monkeypatch, regime, kw):
     assert calls["value"] == saved
     # one per saved state, plus J(w0) for the geometry
     assert calls["jacobian"] == saved + 1
+
+
+@pytest.mark.parametrize("run", [
+    lambda: run_spiral(100.0, horizon=5.0),
+    lambda: run_spiral(100.0, mode="stochastic", horizon=1000),
+    lambda: run_nn("over", **SMALL_OVER),
+    lambda: run_nn("under", n_units=6, n_states=5),
+    lambda: run_nn("over", mode="stochastic", horizon=1000, **SMALL_OVER),
+    lambda: run_nn("under", n_units=6, n_states=5, mode="stochastic", horizon=1000),
+], ids=["spiral-ode", "spiral-sampled", "over-ode", "under-ode", "over-sampled", "under-sampled"])
+def test_run_forms_one_backup(monkeypatch, run):
+    # an ode run's drift owns the backup its geometry and series read; a
+    # sampled run forms the one its series reads
+    calls, of = [], Backup.of
+    monkeypatch.setattr(Backup, "of", classmethod(lambda cls, *a: calls.append(a) or of(*a)))
+    run()
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("key", ["alpha", "out_dir"])
+def test_sweep_base_cannot_set_what_the_sweep_sets(tmp_path, capsys, key):
+    from lazytd.errors import DomainError
+    base = {"regime": "under", "n_units": 6, "n_states": 6, key: 7.0}
+    with pytest.raises(DomainError, match="base cannot set"):
+        run_sweep("alpha", [100.0, 200.0], base=base, out_dir=tmp_path / "direct")
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"experiment": "alpha-sweep",
+                                "params": {"grid": [100, 200], "base": base}}))
+    assert cli_main(["sweep", "--config", str(path), "--out", str(tmp_path / "cli")]) == 2
+    assert "base cannot set" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+
+def test_entry_points_the_benchmark_hook_wraps(monkeypatch):
+    # the benchmark's hook wraps these names in lazytd.experiments and reads
+    # their arguments by position or by name, the drift's model before the
+    # ode run it integrates, and the particle run's final ensemble
+    names = lambda fn: list(inspect.signature(fn).parameters)
+    assert names(experiments.make_lazy_rhs) == ["model", "mrp", "mu", "lam", "alpha"]
+    assert names(experiments.run_stochastic_td) == ["model", "mrp", "mu", "config", "w0"]
+    assert names(experiments.integrate_ensemble) == [
+        "ensemble", "features", "mrp", "mu", "dt", "horizon", "save_every"]
+    assert names(experiments.integrate)[:5] == [
+        "rhs", "w0", "config", "divergence_probe", "stop_when"]
+    mrp, mu = experiments._target_chain(5, 0.9, np.random.default_rng(0))
+    features = GaussianBumpFeatures(np.linspace(-1, 1, 5))
+    ensemble = experiments.doubled_ensemble(4, lambda n, r: r.uniform(-1, 1, (n, 1)), rng=0)
+    history = experiments.integrate_ensemble(ensemble, features, mrp, mu, dt=0.1, horizon=1.0)
+    assert history.final.n == 4
+    order = []
+    for name in ("make_lazy_rhs", "integrate"):
+        def logged(*args, _name=name, _fn=getattr(experiments, name), **kwargs):
+            order.append(_name)
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(experiments, name, logged)
+    run_nn("under", n_units=6, n_states=5)
+    assert order == ["make_lazy_rhs", "integrate"]

@@ -7,6 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from lazytd import (
+    Backup,
     EnsembleModel,
     GaussianBumpFeatures,
     LazyGeometry,
@@ -157,7 +158,7 @@ def test_linear_model_jacobian_constant():
 def _geometry(model, w):
     # the rank is the model's own; any chain on its states serves
     mrp = Mrp(P=cyclic_chain(model.d), rbar=np.zeros(model.d), gamma=0.9)
-    return LazyGeometry.from_model(model, w, mrp, stationary_measure(mrp))
+    return LazyGeometry.from_model(model, w, Backup.of(mrp, stationary_measure(mrp)))
 
 
 def test_rank_profile_orthonormal_tangent():

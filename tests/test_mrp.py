@@ -10,14 +10,17 @@ from hypothesis import strategies as st
 
 from lazytd import (
     Backup,
+    LinearModel,
     Mrp,
     contraction_modulus,
     cyclic_chain,
     exact_value,
+    make_lazy_rhs,
     mu_inner,
     mu_norm,
     mu_projection,
     random_chain,
+    sample_chain,
     stationary_measure,
     td_operator,
     td_resolvent,
@@ -400,3 +403,18 @@ def test_mrp_validation():
         Mrp(P=np.array([[0.5, 0.6], [0.5, 0.5]]), rbar=np.zeros(2), gamma=0.9)
     with pytest.raises(DomainError):
         Mrp(P=np.eye(2), rbar=np.zeros(2), gamma=1.5)
+
+
+@pytest.mark.parametrize("weights", [[np.nan, 0.5, 0.5], [-0.2, 0.6, 0.6], [0.0, 0.5, 0.5],
+                                     [np.inf, 0.5, 0.5]], ids=["nan", "negative", "zero", "inf"])
+@pytest.mark.parametrize("use", [
+    lambda mrp, mu: Backup.of(mrp, mu),
+    lambda mrp, mu: make_lazy_rhs(LinearModel(np.eye(3)), mrp, mu, 0.0, 1.0),
+    lambda mrp, mu: sample_chain(mrp, mu, 10, 0),
+], ids=["backup", "drift", "chain"])
+def test_state_weights_must_be_finite_and_positive(weights, use):
+    # NaN weights made integrate blame the run at its first save, negative
+    # ones gave a geometry a kappa from no norm and a chain silent draws
+    mrp = Mrp(P=cyclic_chain(3, "backward"), rbar=np.ones(3), gamma=0.9)
+    with pytest.raises(DomainError, match="finite and positive"):
+        use(mrp, np.array(weights))
