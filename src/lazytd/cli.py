@@ -62,8 +62,9 @@ def build_parser(require_experiment: bool = False) -> argparse.ArgumentParser:
     p.add_argument("--grid", type=str, required=require_experiment,
                    help="comma-separated grid values, e.g. 0.8,0.85,0.9")
     p.add_argument("--regime", choices=["over", "under"])
-    p.add_argument("--workers", type=int,
-                   help="recorded only: the runs execute one after another in this process")
+    p.add_argument("--workers", type=int, metavar="N",
+                   help="processes the grid runs on (default 1): the runs are dealt "
+                        "round-robin, in grid order, to this process and N-1 forked ones")
 
     p = sub.add_parser("meanfield", help="particle-ensemble run")
     _add_common(p)

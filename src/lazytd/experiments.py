@@ -12,11 +12,13 @@ initialization rather than hard-coded.
 from __future__ import annotations
 
 import json
+import os
 import time
 from dataclasses import dataclass, field, asdict, replace
 from pathlib import Path
 
 import numpy as np
+import numpy.random  # numpy loads it lazily: here, before a sweep forks, not once per process
 
 from .analysis import (
     LazyGeometry,
@@ -412,6 +414,62 @@ def run_nn(
                        certificate=asdict(cert), extra=extra)
 
 
+def _run_shares(run, shares: list[list]) -> list[list]:
+    """``[[run(v) for v in share] for share in shares]``. Share 0 runs here;
+    each other share runs in one process forked before share 0 starts and
+    sends back its reports, or a run's exception with its traceback. That
+    exception is raised here from a ``ChildProcessError`` holding the
+    traceback (the lowest failing share's, which need not be the first
+    failure in grid order); a worker that sends nothing raises
+    ``ChildProcessError`` naming its exit code. Every exit that unwinds
+    this call (return, exception, Ctrl-C) joins every worker. A worker whose
+    parent ended without unwinding (``os._exit``, a signal) starts no
+    further run."""
+    import multiprocessing
+
+    context, parent = multiprocessing.get_context("fork"), os.getpid()
+
+    def work(share, inlet, outlet):
+        inlet.close()
+        try:
+            reports = []
+            for v in share:
+                if os.getppid() != parent:  # the sweep is gone: nobody reads the rest
+                    return
+                reports.append(run(v))
+            sent = (reports, None)
+        except Exception as exc:
+            import traceback
+            sent = (exc, traceback.format_exc())
+        outlet.send(sent)
+
+    started = []
+    try:
+        for share in shares[1:]:
+            inlet, outlet = context.Pipe(duplex=False)
+            proc = context.Process(target=work, args=(share, inlet, outlet))
+            proc.start()
+            outlet.close()  # so that a worker ending without sending reads as EOF
+            started.append((proc, inlet))
+        results = [[run(v) for v in shares[0]]]
+        for proc, inlet in started:
+            try:
+                reports, trace = inlet.recv()
+            except EOFError:
+                proc.join()
+                raise ChildProcessError(f"a sweep worker exited with code {proc.exitcode} "
+                                        "without sending its runs") from None
+            proc.join()
+            if trace is not None:
+                raise reports from ChildProcessError(f"raised in a sweep worker:\n{trace}")
+            results.append(reports)
+        return results
+    finally:
+        for proc, _ in started:
+            proc.terminate()  # no-op once joined
+            proc.join()
+
+
 def run_sweep(
     kind: str,
     grid: list[float],
@@ -423,18 +481,21 @@ def run_sweep(
     "alpha" sweeps the scaling at fixed discount (displacement check).
 
     ``base`` holds every run's other ``run_nn`` arguments, never ``kind``'s
-    key or ``out_dir``. The runs execute one after another, in grid order.
-    ``workers`` (>= 1) is checked and recorded only: the runs hold the
-    interpreter lock, so two threads made the narrow-net alpha sweep
-    2.1-2.7x slower. Individual divergences are recorded and the sweep continues.
+    key or ``out_dir``. The grid is dealt round-robin, in grid order, into
+    min(``workers``, len(grid)) shares (``workers`` an integer >= 1): this
+    process runs share 0 and each other share runs in one process forked
+    from it (``multiprocessing``'s "fork" context, so POSIX only; see
+    ``_run_shares``). With one share nothing forks. Runs are
+    deterministic, so the results and files do not depend on ``workers``.
+    Individual divergences are recorded and the sweep continues.
     """
     if kind not in ("gamma", "alpha"):
         raise DomainError(f"sweep kind must be 'gamma' or 'alpha', got {kind!r}")
     if not grid:
         raise DomainError("sweep grid must be nonempty")
     grid = _floats(*grid)
-    if not workers >= 1:
-        raise DomainError(f"workers must be >= 1, got {workers}")
+    if isinstance(workers, bool) or not isinstance(workers, (int, np.integer)) or workers < 1:
+        raise DomainError(f"workers must be an integer >= 1, got {workers!r}")
     # each run's directory name; two values that format alike would share one
     run_name = {v: f"run_{v:g}" for v in grid}
     if len(set(run_name.values())) < len(grid):
@@ -444,12 +505,16 @@ def run_sweep(
     base = {"regime": "over", **(base or {})}
     t_start = time.perf_counter()
 
-    by_value = {}
-    for v in grid:
+    def run(v):
         kw = {**base, kind: v}  # kind names run_nn's gamma or alpha
         if out_dir is not None:
             kw["out_dir"] = Path(out_dir) / run_name[v]
-        by_value[v] = run_nn(**kw)
+        return run_nn(**kw)
+
+    n = min(workers, len(grid))
+    shares = [grid[i::n] for i in range(n)]
+    by_value = {v: rep for share, reps in zip(shares, _run_shares(run, shares))
+                for v, rep in zip(share, reps)}
     ordered = sorted(by_value)
 
     rows = []

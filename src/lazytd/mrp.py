@@ -122,17 +122,14 @@ def state_weights(mu, d: int) -> np.ndarray:
 
 
 def mu_inner(a: np.ndarray, b: np.ndarray, mu) -> float:
-    """Inner product sum_s a(s) b(s) mu(s)."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    m = np.asarray(mu, dtype=float)
-    if a.shape != b.shape or a.shape != m.shape:
-        raise DimensionMismatch(f"shapes {a.shape}, {b.shape}, {m.shape} do not match")
-    return float(np.sum(a * b * m))
+    """Inner product sum_s a(s) b(s) mu(s) of two vectors over the states
+    of the weights ``mu`` (checked by ``state_weights``)."""
+    mu = state_weights(mu, np.size(mu))
+    return float(np.sum(per_state(a, mu.size) * per_state(b, mu.size) * mu))
 
 
 def mu_norm(a: np.ndarray, mu) -> float:
-    return float(np.sqrt(max(mu_inner(a, a, mu), 0.0)))
+    return float(np.sqrt(mu_inner(a, a, mu)))
 
 
 def contraction_modulus(gamma: float, lam: float) -> float:
@@ -210,11 +207,11 @@ def mu_projection(J: np.ndarray, mu, W: np.ndarray) -> np.ndarray:
     squares problem after scaling rows by sqrt(mu), with the package's rank
     rule (``models.RANK_CUTOFF``) deciding which singular values count as
     zero, so rank-deficient J is fine. J's rows, W and mu run over the same
-    states; DimensionMismatch otherwise.
+    states (DimensionMismatch otherwise), and mu passes ``state_weights``.
     """
     J = np.asarray(J, dtype=float)
     W = per_state(W, J.shape[0])
-    root = np.sqrt(per_state(mu, J.shape[0]))
+    root = np.sqrt(state_weights(mu, J.shape[0]))
     A = J * root[:, None]
     y = W * root
     coef, *_ = np.linalg.lstsq(A, y, rcond=RANK_CUTOFF)

@@ -5,8 +5,11 @@ import csv
 import inspect
 import io
 import json
+import multiprocessing
+import os
 import re
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -355,32 +358,127 @@ def test_singleton_sweep_matches_single_run():
     assert row["displacement"] == single.displacement
 
 
-def test_sweep_worker_count_independence():
+def _sweep_files(root):
+    """Every file under a sweep's output directory, its wall_clock and the
+    sweep's recorded workers blanked."""
+    return {str(path.relative_to(root)):
+            re.sub(r'("wall_clock"|"workers"): [-+0-9.eE]+', r"\1: null", path.read_text())
+            for path in sorted(p for p in root.rglob("*") if p.is_file())}
+
+
+def test_sweep_worker_count_independence(tmp_path):
+    # the same rows and files at every worker count; 3 is more than the grid holds
     base = {"regime": "under"}
-    seq = run_sweep("gamma", [0.85, 0.9], base=base, workers=1)
-    par = run_sweep("gamma", [0.85, 0.9], base=base, workers=2)
-    for a, b in zip(seq.extra["rows"], par.extra["rows"]):
-        assert a == b
+    sweeps = {workers: run_sweep("gamma", [0.85, 0.9], base=base,
+                                 out_dir=tmp_path / str(workers), workers=workers)
+              for workers in (1, 2, 3)}
+    assert sweeps[2].extra["rows"] == sweeps[1].extra["rows"] == sweeps[3].extra["rows"]
+    one = _sweep_files(tmp_path / "1")
+    assert "run_0.85/trajectory.csv" in one
+    assert _sweep_files(tmp_path / "2") == one == _sweep_files(tmp_path / "3")
+    assert multiprocessing.active_children() == []
 
 
-def test_sweep_runs_in_the_calling_thread(monkeypatch, tmp_path):
-    # workers is checked and recorded only: every run executes in this
-    # thread, in grid order, and no thread is started
+def test_sweep_runs_in_the_calling_thread_or_forked_processes(monkeypatch, tmp_path):
+    # workers=1 runs the grid in this thread, in grid order, and starts no
+    # thread; workers=2 deals it round-robin to this process and one fork
     from lazytd import experiments
-    real, seen = experiments.run_nn, []
+    real, log = experiments.run_nn, tmp_path / "calls"
 
     def spy(*args, **kwargs):
-        seen.append((threading.get_ident(), threading.active_count(), kwargs["alpha"]))
+        with open(log, "a") as fh:
+            fh.write(f"{os.getpid()} {threading.get_ident()} {kwargs['alpha']}\n")
         return real(*args, **kwargs)
 
+    def calls():
+        lines = log.read_text().split("\n")[:-1]
+        log.unlink()
+        return [(int(pid), int(ident), float(alpha))
+                for pid, ident, alpha in (line.split() for line in lines)]
+
     monkeypatch.setattr(experiments, "run_nn", spy)
-    before = threading.active_count()
-    run_sweep("alpha", [100.0, 50.0], base={"regime": "under", "n_units": 4, "n_states": 5},
-              out_dir=tmp_path, workers=2)
-    here = threading.get_ident()
-    assert seen == [(here, before, 100.0), (here, before, 50.0)]
+    base = {"regime": "under", "n_units": 4, "n_states": 5}
+    before, here = threading.active_count(), (os.getpid(), threading.get_ident())
+    run_sweep("alpha", [100.0, 50.0], base=base, out_dir=tmp_path / "one", workers=1)
+    assert calls() == [(*here, 100.0), (*here, 50.0)]
     assert threading.active_count() == before
-    assert json.loads((tmp_path / "config.json").read_text())["workers"] == 2
+    run_sweep("alpha", [100.0, 50.0], base=base, out_dir=tmp_path / "two", workers=2)
+    pids = {alpha: pid for pid, _, alpha in calls()}
+    assert pids[100.0] == os.getpid() != pids[50.0]
+    assert json.loads((tmp_path / "two" / "config.json").read_text())["workers"] == 2
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("grid", [[100.0, 0.5], [0.5, 100.0]], ids=["worker", "parent"])
+def test_sweep_raises_the_typed_error_of_either_share(monkeypatch, grid):
+    # alpha = 0.5 is refused by the run's config; the other run stalls, so
+    # when the parent's own share raises, the worker is still running
+    from lazytd import experiments
+    from lazytd.errors import DomainError
+    real = experiments.run_nn
+
+    def stalling(**kw):
+        if kw["alpha"] == 100.0 and grid[0] == 0.5:  # the worker's run
+            time.sleep(60)
+        return real(**kw)
+
+    monkeypatch.setattr(experiments, "run_nn", stalling)
+    start = time.perf_counter()
+    with pytest.raises(DomainError, match="alpha must be >= 1") as raised:
+        run_sweep("alpha", grid, base={"regime": "under", "n_units": 4, "n_states": 5},
+                  workers=2)
+    assert time.perf_counter() - start < 30
+    assert multiprocessing.active_children() == []
+    if grid[0] == 100.0:  # the worker's traceback is kept in the cause
+        cause = raised.value.__cause__
+        assert isinstance(cause, ChildProcessError)
+        assert "Traceback" in str(cause) and "alpha must be >= 1" in str(cause)
+
+
+def test_sweep_names_the_exit_code_of_a_worker_that_sent_nothing(monkeypatch):
+    from lazytd import experiments
+    real = experiments.run_nn
+    monkeypatch.setattr(experiments, "run_nn",
+                        lambda **kw: os._exit(3) if kw["alpha"] == 50.0 else real(**kw))
+    with pytest.raises(ChildProcessError, match="exited with code 3"):
+        run_sweep("alpha", [100.0, 50.0], base={"regime": "under", "n_units": 4, "n_states": 5},
+                  workers=2)
+    assert multiprocessing.active_children() == []
+
+
+def test_worker_of_a_sweep_that_ended_starts_no_run(monkeypatch, tmp_path):
+    # the sweep's process ends without unwinding (os._exit here, as under
+    # the benchmark's set-up probe; a signal alike): its worker finishes the
+    # run it is in and starts no other
+    from lazytd import experiments
+    real, log, here = experiments.run_nn, tmp_path / "calls", os.getpid()
+
+    def spy(**kw):
+        if os.getppid() == here:  # the sweep's own process: end once the worker has started
+            time.sleep(0.5)
+            os._exit(0)
+        with open(log, "a") as fh:
+            fh.write(f"start {kw['alpha']}\n")
+        time.sleep(1.5)  # the sweep's process ends meanwhile
+        report = real(**kw)
+        with open(log, "a") as fh:
+            fh.write(f"end {kw['alpha']}\n")
+        return report
+
+    monkeypatch.setattr(experiments, "run_nn", spy)
+    sweeper = os.fork()
+    if sweeper == 0:
+        try:
+            run_sweep("alpha", [100.0, 50.0, 200.0, 400.0], workers=2,
+                      base={"regime": "under", "n_units": 4, "n_states": 5})
+        finally:
+            os._exit(1)
+    assert os.waitstatus_to_exitcode(os.waitpid(sweeper, 0)[1]) == 0
+    deadline = time.monotonic() + 30
+    while "end" not in (log.read_text() if log.exists() else "") and time.monotonic() < deadline:
+        time.sleep(0.05)
+    time.sleep(0.5)  # the worker's next run would have started by now
+    assert log.read_text() == "start 50.0\nend 50.0\n"
 
 
 def test_sweep_summary_file(tmp_path):
@@ -408,6 +506,7 @@ def test_sweep_rejects_values_sharing_a_run_name(tmp_path, grid):
     lambda: GaussianBumpFeatures(np.linspace(-1, 1, 5), width=float("inf")),
     lambda: run_sweep("alpha", [100.0], base={"regime": "under"}, workers=0),
     lambda: run_sweep("alpha", [100.0], base={"regime": "under"}, workers=-2),
+    lambda: run_sweep("alpha", [100.0], base={"regime": "under"}, workers=1.5),
     lambda: run_nn("over", n_units=0, n_states=5),
     lambda: ExperimentConfig("bogus"),
     lambda: run_spiral(mode="bogus"),
@@ -415,8 +514,8 @@ def test_sweep_rejects_values_sharing_a_run_name(tmp_path, grid):
     lambda: run_sweep("beta", [0.9]),
     lambda: run_sweep("alpha", []),
 ], ids=["no-particles", "nan-width", "inf-width", "zero-workers", "negative-workers",
-        "no-units", "unknown-experiment", "unknown-mode", "unknown-regime", "unknown-sweep",
-        "empty-grid"])
+        "fractional-workers", "no-units", "unknown-experiment", "unknown-mode",
+        "unknown-regime", "unknown-sweep", "empty-grid"])
 def test_invalid_run_input_raises_domain_error(call):
     from lazytd.errors import DomainError
     with pytest.raises(DomainError):

@@ -411,10 +411,14 @@ def test_mrp_validation():
     lambda mrp, mu: Backup.of(mrp, mu),
     lambda mrp, mu: make_lazy_rhs(LinearModel(np.eye(3)), mrp, mu, 0.0, 1.0),
     lambda mrp, mu: sample_chain(mrp, mu, 10, 0),
-], ids=["backup", "drift", "chain"])
+    lambda mrp, mu: mu_inner(np.ones(3), np.ones(3), mu),
+    lambda mrp, mu: mu_norm(np.array([1.0, 0.0, 0.0]), mu),
+    lambda mrp, mu: mu_projection(np.eye(3)[:, :2], mu, np.ones(3)),
+], ids=["backup", "drift", "chain", "inner", "norm", "projection"])
 def test_state_weights_must_be_finite_and_positive(weights, use):
     # NaN weights made integrate blame the run at its first save, negative
-    # ones gave a geometry a kappa from no norm and a chain silent draws
+    # ones gave a geometry a kappa from no norm and a chain silent draws; a
+    # norm read 0.0 or nan and a projection raised numpy's LinAlgError
     mrp = Mrp(P=cyclic_chain(3, "backward"), rbar=np.ones(3), gamma=0.9)
     with pytest.raises(DomainError, match="finite and positive"):
         use(mrp, np.array(weights))

@@ -42,13 +42,15 @@ from dataclasses import dataclass
 from pathlib import Path
 
 # runs no benchmark workload covers: the spiral, the narrow net, the
-# wide nets' rates in the rows of a discount sweep, the rank a sampled
-# narrow net reports, and the wide net's decay certificate at two scalings
+# wide nets' rates in the rows of a discount sweep (serial, and on more
+# workers than runs), the rank a sampled narrow net reports, and the wide
+# net's decay certificate at two scalings
 EXTRA = (
     ("spiral", "--alpha", "100"),
     ("spiral", "--mode", "stochastic", "--horizon", "20000"),
     ("nn", "--regime", "under"),
     ("sweep", "--kind", "gamma", "--grid", "0.85,0.9"),
+    ("sweep", "--kind", "gamma", "--grid", "0.85,0.9", "--workers", "3"),
     ("nn", "--regime", "under", "--mode", "stochastic", "--horizon", "20000"),
     ("sweep", "--kind", "alpha", "--grid", "500,5000"),
 )
