@@ -47,6 +47,7 @@ from .meanfield import (
     GaussianBumpFeatures,
     OptimalityReport,
     ParticleEnsemble,
+    ParticleSystem,
     SeparationReport,
     doubled_ensemble,
     ensemble_value,

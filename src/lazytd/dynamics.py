@@ -335,7 +335,11 @@ def integrate(
     ``make_lazy_rhs``) finds that state's value already computed. A run of
     n steps makes 4n rhs calls with RK4 (n with Euler), plus at most one.
     The stages are written in place into buffers the step reuses, so rhs
-    must not keep its argument past the call.
+    must not keep its argument past the call. A step whose state is not
+    finite counts as divergence when one of its stage states passed
+    ``QUIET`` in max-norm or in the probe, or dt times one of its stage rhs
+    values did in max-norm (NaN entries aside); ``_run`` asks this of the
+    step only then, and the step runs again to answer.
 
     The "rkc" integrator is meant for stiff flows whose fastest modes are
     real and decaying. Its stage count s is set at w0 and at every saved
@@ -417,15 +421,33 @@ def integrate(
             y += stage
         np.copyto(out, y)
 
+    def overshot(k, w):
+        # the step from w that went non-finite runs again, its stages through
+        # an uncounted rhs that notes each stage state's max-norm and probe
+        # and dt times its rhs's max-norm; the run ends here either way
+        nonlocal f
+
+        def largest(a):  # max|a| over the entries that are not NaN
+            return float(np.fmax.reduce(np.abs(a)))
+        sizes = [dt * largest(k1)]
+
+        def f(x):
+            kx = rhs(x)
+            sizes.extend([largest(x), dt * largest(kx),
+                          0.0 if divergence_probe is None else divergence_probe(x)])
+            return kx
+        advance(k, w, np.empty_like(w))
+        return any(size > QUIET for size in sizes)
+
     advance = {"rk4": rk4, "euler": euler, "rkc": rkc}[config.integrator]
-    run = _run(advance, look, w0, dt, config.n_steps, config.save_every, stop_when)
+    run = _run(advance, look, w0, dt, config.n_steps, config.save_every, stop_when, overshot)
     run.stats.update(integrator=config.integrator, rhs_calls=calls,
                      stages_min=min(stage_counts), stages_max=max(stage_counts))
     return run
 
 
 def _run(advance, look, w0: np.ndarray, h: float, n_steps: int, save_every: int,
-         stop_when=None) -> Trajectory:
+         stop_when=None, overshot=None) -> Trajectory:
     """The one run loop of every engine: n_steps >= 1 steps of size h, the
     state after step k + 1 at time (k + 1) h, saved every save_every steps
     and at the last. The trajectory's ``stats`` count the steps taken, the
@@ -440,11 +462,12 @@ def _run(advance, look, w0: np.ndarray, h: float, n_steps: int, save_every: int,
     the state's max-norm mag, which the loop computes anyway. The run
     halts with the diverged flag as soon as the state's max-norm or the
     probe exceeds the divergence threshold (a NaN probe counts); only
-    finite states are recorded. A non-finite state reached from an
-    already-large one (past ``QUIET``, three orders of magnitude below the
-    threshold) counts as divergence, since a single explosive step can
-    overshoot straight past the threshold; otherwise it raises
-    NonFiniteState. A non-finite w0 raises DomainError before any step.
+    finite states are recorded. A non-finite state counts as divergence
+    when it is reached from an already-large one (past ``QUIET``, three
+    orders of magnitude below the threshold) or when ``overshot(k, w)``
+    says that the step from w passed ``QUIET`` on its way, since a single
+    explosive step can overshoot straight past the threshold; otherwise it
+    raises NonFiniteState. A non-finite w0 raises DomainError before any step.
     ``stop_when(w, t)`` is consulted at save points with the saved copy.
     """
     w = np.array(w0, dtype=float)
@@ -464,7 +487,7 @@ def _run(advance, look, w0: np.ndarray, h: float, n_steps: int, save_every: int,
             # one max-norm: nan or inf anywhere makes it non-finite
             mag = float(np.maximum.reduce(np.abs(w_new)))
             if not math.isfinite(mag):
-                if last_mag > QUIET:
+                if last_mag > QUIET or (overshot is not None and overshot(k, w)):
                     diverged_at, stop = t, "diverged:parameter"
                     break
                 raise NonFiniteState(f"non-finite state at t={t:g}")

@@ -600,14 +600,14 @@ def run_meanfield(
     theta_grid = np.linspace(-1.1, 1.1, MF_GRID_POINTS)
     separation = [separation_check(s, r0=MF_R0, wbar_grid=theta_grid, resolution=MF_RESOLUTION)
                   for s in history.snapshots]
-    final_report = fixed_point_optimality(history.final, features, mrp, mu, eps=MF_EPS,
+    final_report = fixed_point_optimality(history.system, history.final, eps=MF_EPS,
                                           separation=separation[-1])
     gaps = history.diagnostics["optimality_gap"]
     tail = gaps[len(gaps) // 2:]
     tail_monotone = bool(np.all(np.diff(tail) <= 1e-12))
 
     profile_grid = np.linspace(MF_CENTER_LOW, MF_CENTER_HIGH, 33)
-    g_vals = g_profile(history.final, features, mrp, mu, profile_grid)
+    g_vals = g_profile(history.system, history.final, profile_grid)
     wbar_final = history.final.wbar[:, 0]
     edges = np.linspace(min(MF_CENTER_LOW - 0.5, wbar_final.min()),
                         max(MF_CENTER_HIGH + 0.5, wbar_final.max()), 13)

@@ -13,6 +13,7 @@ the support-separation condition, and an optimality report.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,7 +21,7 @@ import numpy as np
 from .dynamics import TrainConfig, Trajectory, integrate, make_lazy_rhs
 from .errors import DimensionMismatch, DomainError
 from .models import ValueModel
-from .mrp import Backup, Mrp, mu_norm
+from .mrp import Mrp, mu_norm
 
 
 class GaussianBumpFeatures:
@@ -149,7 +150,7 @@ class EnsembleModel(ValueModel):
     Parameters pack as w = [omega0_1..omega0_N, wbar_1..wbar_N], the wbar
     rows raveled in particle order, and value(w) = (1/N) sum_i omega0_i
     phi(.; wbar_i): the width-normalized function a lazily scaled network
-    computes, here run on the particle time scale (see ``_particle_system``).
+    computes, here run on the particle time scale (see ``ParticleSystem``).
     Every evaluation is one ``phi_matrix`` pass in particle rows, the bumps
     F (N, d) and the differences D (N, d, k): the value is (omega0 . F) / N,
     and the pullback of g is [F g, omega0 * ((D_j * F) g)_j / width^2] / N,
@@ -210,40 +211,44 @@ class EnsembleModel(ValueModel):
         return value, vjp
 
 
-def _particle_system(features: GaussianBumpFeatures, n: int, mrp: Mrp, mu: np.ndarray):
-    """The model of an n-particle system, its particle velocity field and
-    the drift it scales, built once per system: the drift carries the
-    divergence probe of the field and the chain's one-step ``Backup``.
-
-    The velocity is n times the averaged TD drift of ``EnsembleModel`` at
-    lambda = 0 and alpha = 1: particle time runs n times faster than the
-    flow time of the network dynamics. Unpacked, the omega0 component of
-    particle i is the weighted correlation of its feature with the backup
-    residual, and the wbar component is omega0_i times that correlation
-    taken against the feature gradient, so particles with omega0 = 0 do not
-    move in wbar.
+@dataclass(frozen=True)
+class ParticleSystem:
+    """The one system of a particle run: the ``EnsembleModel`` of its n
+    particles and the drift ``make_lazy_rhs`` builds for it at lambda = 0 and
+    alpha = 1, which carries the divergence probe and the run's one ``Backup``.
+    The velocity is n times the drift, so particle time runs n times faster
+    than the network flow's time. Unpacked, particle i's omega0 velocity is
+    the weighted correlation of its feature with the backup residual, and its
+    wbar velocity omega0_i times that correlation against the feature
+    gradient, so particles with omega0 = 0 do not move in wbar.
     """
-    model = EnsembleModel(features, n)
-    drift = make_lazy_rhs(model, mrp, mu, 0.0, 1.0)
-    scale = float(n)
-    return model, lambda w: scale * drift(w), drift
 
+    model: EnsembleModel
+    drift: Callable[[np.ndarray], np.ndarray]
 
-def _state_diagnostics(model: EnsembleModel, velocity, w: np.ndarray,
-                       backup: Backup) -> tuple[float, float, float]:
-    """Maximal particle speed, weighted backup residual and weighted distance
-    to the exact value function at the packed state ``w``."""
-    do, dw = model.unpack(velocity(w))
-    speed = float(np.sqrt(do**2 + np.sum(dw**2, axis=1)).max())
-    V = model.value(w)
-    return speed, mu_norm(backup.residual(V), backup.mu), mu_norm(V - backup.vstar, backup.mu)
+    @classmethod
+    def of(cls, features: GaussianBumpFeatures, n: int, mrp: Mrp, mu) -> "ParticleSystem":
+        model = EnsembleModel(features, n)
+        return cls(model, make_lazy_rhs(model, mrp, mu, 0.0, 1.0))
+
+    def velocity(self, w: np.ndarray) -> np.ndarray:
+        return float(self.model.n) * self.drift(w)
+
+    def diagnostics(self, w: np.ndarray) -> tuple[float, float, float]:
+        """Maximal particle speed, weighted backup residual and weighted
+        distance to the exact value function at the packed state ``w``."""
+        do, dw = self.model.unpack(self.velocity(w))
+        speed = float(np.sqrt(do**2 + np.sum(dw**2, axis=1)).max())
+        V, backup = self.model.value(w), self.drift.backup
+        return speed, mu_norm(backup.residual(V), backup.mu), mu_norm(V - backup.vstar, backup.mu)
 
 
 @dataclass
 class EnsembleHistory(Trajectory):
     """A particle run: the trajectory of packed states ``integrate``
-    returned, with every saved state unpacked into a snapshot."""
+    returned, its particle system, and every saved state as a snapshot."""
 
+    system: ParticleSystem | None = None
     snapshots: list[ParticleEnsemble] = field(default_factory=list)
 
     @property
@@ -268,34 +273,29 @@ def integrate_ensemble(
     handling: a run whose particles or value blow up stops early with
     ``diverged`` set. Every saved state carries the maximal particle speed,
     the weighted backup residual, and the distance to the exact value
-    function, all from the run's own velocity field and its backup.
+    function, all from the run's one ``ParticleSystem``, kept as ``system``.
     """
-    model, velocity, drift = _particle_system(features, ensemble.n, mrp, mu)
-    run = integrate(velocity, model.pack(ensemble),
+    system = ParticleSystem.of(features, ensemble.n, mrp, mu)
+    run = integrate(system.velocity, system.model.pack(ensemble),
                     TrainConfig(dt=dt, horizon=horizon, save_every=save_every),
-                    divergence_probe=drift.scaled_value_norm)
-    series = np.array([_state_diagnostics(model, velocity, w, drift.backup)
-                       for w in run.params])
-    history = EnsembleHistory(**vars(run),
-                              snapshots=[ParticleEnsemble(*model.unpack(w)) for w in run.params])
+                    divergence_probe=system.drift.scaled_value_norm)
+    series = np.array([system.diagnostics(w) for w in run.params])
+    history = EnsembleHistory(**vars(run), system=system,
+                              snapshots=[ParticleEnsemble(*system.model.unpack(w))
+                                         for w in run.params])
     history.diagnostics.update(velocity_norm=series[:, 0], bellman_residual=series[:, 1],
                                optimality_gap=series[:, 2])
     return history
 
 
-def g_profile(
-    ensemble: ParticleEnsemble,
-    features: GaussianBumpFeatures,
-    mrp: Mrp,
-    mu: np.ndarray,
-    wbar_grid: np.ndarray,
-) -> np.ndarray:
+def g_profile(system: ParticleSystem, ensemble: ParticleEnsemble,
+              wbar_grid: np.ndarray) -> np.ndarray:
     """Feature-space correlation of the backup residual over a parameter grid.
 
     Its zeros characterize stationary output weights: where the profile is
     far from zero, a particle parked there would keep accelerating.
     """
-    backup = Backup.of(mrp, mu)
+    features, backup = system.model.features, system.drift.backup
     weighted = backup.mu * backup.residual(ensemble_value(ensemble, features))
     grid = np.atleast_2d(np.asarray(wbar_grid, dtype=float))
     if grid.shape[1] != features.wbar_dim:
@@ -381,14 +381,8 @@ class OptimalityReport:
     implication_holds: bool | None
 
 
-def fixed_point_optimality(
-    ensemble: ParticleEnsemble,
-    features: GaussianBumpFeatures,
-    mrp: Mrp,
-    mu: np.ndarray,
-    eps: float,
-    separation: SeparationReport | None = None,
-) -> OptimalityReport:
+def fixed_point_optimality(system: ParticleSystem, ensemble: ParticleEnsemble, eps: float,
+                           separation: SeparationReport | None = None) -> OptimalityReport:
     """Test the optimality-of-fixed-points statement at numerical tolerance.
 
     At an exact fixed point with separated support and a universal feature
@@ -405,18 +399,20 @@ def fixed_point_optimality(
     omega0_i times the gradient analogue, together the map N J^T drive (J
     the ``EnsembleModel`` Jacobian). So the gap, the weighted norm of any e
     the tangent model reaches, is at most the speed times sqrt(N) over the
-    map's smallest singular value. All three read one particle system.
+    map's smallest singular value. All three read the given system, whose
+    particle count the ensemble must have (DimensionMismatch otherwise).
     """
-    model, velocity, drift = _particle_system(features, ensemble.n, mrp, mu)
-    w, backup = model.pack(ensemble), drift.backup
-    speed, bell, gap = _state_diagnostics(model, velocity, w, backup)
+    model, backup, w = system.model, system.drift.backup, system.model.pack(ensemble)
+    if ensemble.n != model.n:
+        raise DimensionMismatch(f"a system of {model.n} particles, an ensemble of {ensemble.n}")
+    speed, bell, gap = system.diagnostics(w)
     stationary = speed <= eps
     sep_ok = bool(separation.passed) if separation is not None else False
-    universal = features.universal_for_states(features.states)
-    L = ensemble.n * model.jacobian(w).T @ backup.drive / np.sqrt(backup.mu)  # unit-mu-norm inputs
+    universal = model.features.universal_for_states(model.features.states)
+    L = model.n * model.jacobian(w).T @ backup.drive / np.sqrt(backup.mu)  # unit-mu-norm inputs
     sv = np.linalg.svd(L, compute_uv=False)
-    smin = sv[min(mrp.d, sv.size) - 1]
-    constant = float("inf") if smin <= 0 else float(np.sqrt(ensemble.n) / smin)
+    smin = sv[min(model.d, sv.size) - 1]
+    constant = float("inf") if smin <= 0 else float(np.sqrt(model.n) / smin)
     implication = bool(gap <= constant * eps) if stationary and sep_ok and universal else None
     return OptimalityReport(
         velocity_norm=speed,

@@ -202,7 +202,7 @@ def test_criterion_09_meanfield_optimality():
                               save_every=375)
     sep = separation_check(hist.final, r0=8.0, wbar_grid=np.linspace(-1.1, 1.1, 9),
                            resolution=0.4)
-    rep = fixed_point_optimality(hist.final, features, mrp, mu, eps=1e-5, separation=sep)
+    rep = fixed_point_optimality(hist.system, hist.final, eps=1e-5, separation=sep)
     if rep.stationary:
         ok = sep.passed and rep.optimality_gap <= 1e-2
         detail = "velocity %.2e <= 1e-5, separation %s, gap %.2e <= 1e-2" % (

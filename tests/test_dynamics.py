@@ -724,6 +724,20 @@ def test_nonfinite_step_from_a_large_state_is_divergence():
     assert run.stats["steps"] == 1
 
 
+@pytest.mark.parametrize("integrator,diverged_at", [("rk4", 0.1), ("rkc", 0.2)])
+def test_nonfinite_step_through_a_loud_stage_is_divergence(integrator, diverged_at):
+    # from a quiet state, a stage's rhs of 1e8 sends the next stage far past
+    # QUIET, where the rhs turns NaN: the run diverged, and the re-run of the
+    # step that tells so is not counted among the 4 rhs calls
+    def rhs(w):
+        x = abs(w[0])
+        return np.array([10.0 if x < 0.9 else 1e8 if x < 2.0 else np.nan])
+    run = integrate(rhs, np.array([0.5]), TrainConfig(dt=0.1, horizon=1.0, integrator=integrator),
+                    spectral_radius=lambda w: 1.0)
+    assert run.diverged and run.diverged_at == pytest.approx(diverged_at)
+    assert run.stats["stop"] == "diverged:parameter" and run.stats["rhs_calls"] == 4
+
+
 def test_run_that_takes_every_step_stops_at_the_horizon():
     run = integrate(lambda w: -w, np.ones(2), TrainConfig(dt=0.1, horizon=1.0, save_every=3))
     assert not run.diverged and run.stats["stop"] == "horizon" and run.stats["steps"] == 10

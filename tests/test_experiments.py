@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from lazytd import Backup, GaussianBumpFeatures, LinearModel, Mrp, experiments
+from lazytd import Backup, GaussianBumpFeatures, LinearModel, Mrp, experiments, meanfield
 from lazytd.analysis import LazyGeometry, fit_exponential_rate
 from lazytd.cli import main as cli_main
 from lazytd.dynamics import TrainConfig, integrate
@@ -49,6 +49,17 @@ def test_spiral_mrp_reproduces_target_values():
 def test_spiral_unscaled_diverges():
     rep = run_spiral(1.0)
     assert rep.diverged
+    assert rep.extra["diverged_at"] is not None
+
+
+@pytest.mark.parametrize("dt", [2e-2, 1e-2, 5e-3, 2.5e-3])
+@pytest.mark.parametrize("alpha", [1.0, 1.0005, 1.0018])
+def test_spiral_below_its_critical_scaling_reports_divergence(alpha, dt):
+    # below alpha* = 1.00189 the last step may jump from a quiet state
+    # through a huge stage to NaN; at every step size the run reports that
+    # it diverged instead of raising NonFiniteState
+    rep = run_spiral(alpha, dt=dt)
+    assert rep.diverged and rep.extra["stop"].startswith("diverged")
     assert rep.extra["diverged_at"] is not None
 
 
@@ -924,19 +935,21 @@ def test_sweep_base_cannot_set_what_the_sweep_sets(tmp_path, capsys, key):
 def test_entry_points_the_benchmark_hook_wraps(monkeypatch):
     # the benchmark's hook wraps these names in lazytd.experiments and reads
     # their arguments by position or by name, the drift's model before the
-    # ode run it integrates, and the particle run's final ensemble
+    # ode run it integrates, and the particle run's final ensemble, which it
+    # values with meanfield.ensemble_value, and its diverged flag
     names = lambda fn: list(inspect.signature(fn).parameters)
     assert names(experiments.make_lazy_rhs) == ["model", "mrp", "mu", "lam", "alpha"]
     assert names(experiments.run_stochastic_td) == ["model", "mrp", "mu", "config", "w0"]
     assert names(experiments.integrate_ensemble) == [
         "ensemble", "features", "mrp", "mu", "dt", "horizon", "save_every"]
+    assert names(meanfield.ensemble_value) == ["ensemble", "features"]
     assert names(experiments.integrate)[:5] == [
         "rhs", "w0", "config", "divergence_probe", "stop_when"]
     mrp, mu = experiments._target_chain(5, 0.9, np.random.default_rng(0))
     features = GaussianBumpFeatures(np.linspace(-1, 1, 5))
     ensemble = experiments.doubled_ensemble(4, lambda n, r: r.uniform(-1, 1, (n, 1)), rng=0)
     history = experiments.integrate_ensemble(ensemble, features, mrp, mu, dt=0.1, horizon=1.0)
-    assert history.final.n == 4
+    assert history.final.n == 4 and history.diverged is False
     order = []
     for name in ("make_lazy_rhs", "integrate"):
         def logged(*args, _name=name, _fn=getattr(experiments, name), **kwargs):

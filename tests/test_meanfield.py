@@ -13,6 +13,7 @@ from lazytd import (
     GaussianBumpFeatures,
     Mrp,
     ParticleEnsemble,
+    ParticleSystem,
     ReluNet,
     TrainConfig,
     cyclic_chain,
@@ -42,11 +43,16 @@ def chain5():
     return mrp, stationary_measure(mrp), states
 
 
+def system_of(ensemble, features, mrp, mu):
+    """The particle system of the ensemble's size on the chain."""
+    return ParticleSystem.of(features, ensemble.n, mrp, mu)
+
+
 def particle_velocities(ensemble, features, mrp, mu):
     """Output-weight (N,) and feature-parameter (N, k) velocities of every
     particle, from the velocity field a particle run integrates."""
-    model, velocity, _ = meanfield._particle_system(features, ensemble.n, mrp, mu)
-    return model.unpack(velocity(model.pack(ensemble)))
+    system = system_of(ensemble, features, mrp, mu)
+    return system.model.unpack(system.velocity(system.model.pack(ensemble)))
 
 
 def uniform_sampler(lo, hi):
@@ -311,16 +317,38 @@ def test_run_solves_the_backup_resolvent_once(chain5, monkeypatch):
     assert len(calls) == 1
 
 
-def test_optimality_report_solves_the_backup_resolvent_once(chain5, monkeypatch):
-    # the speed, the gap and the gap constant read one particle system
-    mrp, mu, states = chain5
-    calls = []
-    solve = mrp_module.td_resolvent
+def test_meanfield_run_builds_one_particle_system(monkeypatch):
+    # the steps, the saved states, the optimality report and the g profile
+    # all read the run's one system and the backup its drift carries
+    calls, systems = [], []
+    solve, of = mrp_module.td_resolvent, ParticleSystem.of
     monkeypatch.setattr(mrp_module, "td_resolvent", lambda *a: calls.append(a) or solve(*a))
-    feat = GaussianBumpFeatures(states, width=0.4)
-    fixed_point_optimality(doubled_ensemble(12, uniform_sampler(-1, 1), rng=4), feat, mrp, mu,
-                           eps=1e-5)
+    monkeypatch.setattr(ParticleSystem, "of",
+                        classmethod(lambda cls, *a: systems.append(a) or of(*a)))
+    run_meanfield(horizon=20.0)
     assert len(calls) == 1
+    assert len(systems) == 1
+
+
+def test_optimality_report_rejects_an_ensemble_of_another_size(chain5):
+    mrp, mu, states = chain5
+    feat = GaussianBumpFeatures(states, width=0.4)
+    system = ParticleSystem.of(feat, 12, mrp, mu)
+    with pytest.raises(DimensionMismatch):
+        fixed_point_optimality(system, doubled_ensemble(10, uniform_sampler(-1, 1), rng=4),
+                               eps=1e-5)
+
+
+def test_optimality_report_matches_the_final_saved_row(chain5):
+    # the report on the final ensemble and the run's last saved row read
+    # the same system at the same state
+    mrp, mu, states = chain5
+    feat = GaussianBumpFeatures(states, width=0.4)
+    ens = doubled_ensemble(12, uniform_sampler(-1, 1), rng=4)
+    hist = integrate_ensemble(ens, feat, mrp, mu, dt=0.1, horizon=3.0, save_every=5)
+    rep = fixed_point_optimality(hist.system, hist.final, eps=1e-5)
+    for key in ("velocity_norm", "bellman_residual", "optimality_gap"):
+        assert getattr(rep, key) == hist.diagnostics[key][-1]
 
 
 def test_particle_run_matches_column_einsum_oracle(chain5, monkeypatch):
@@ -375,7 +403,7 @@ def test_g_profile_zero_at_exact_value(chain5):
     feat = GaussianBumpFeatures(states, width=0.4)
     ens = exact_fit_ensemble(feat, states, exact_value(mrp))
     grid = np.linspace(-1.2, 1.2, 17)
-    np.testing.assert_allclose(g_profile(ens, feat, mrp, mu, grid), np.zeros(17),
+    np.testing.assert_allclose(g_profile(system_of(ens, feat, mrp, mu), ens, grid), np.zeros(17),
                                atol=1e-10)
 
 
@@ -385,7 +413,7 @@ def test_g_profile_narrow_bump_picks_single_state(chain5):
     feat = GaussianBumpFeatures(states, width=width)
     ens = ParticleEnsemble(np.zeros(2), np.array([0.0, 0.5]))  # value identically 0
     s0 = 2  # state at 0.0
-    got = g_profile(ens, feat, mrp, mu, np.array([states[s0]]))[0]
+    got = g_profile(system_of(ens, feat, mrp, mu), ens, np.array([states[s0]]))[0]
     residual_at_s0 = mrp.rbar[s0]  # V = 0 so the residual is the reward
     assert got == pytest.approx(mu[s0] * residual_at_s0, rel=1e-6)
 
@@ -397,8 +425,8 @@ def test_g_profile_sign_flips_with_reward(chain5):
     flipped = Mrp(P=mrp.P, rbar=-mrp.rbar, gamma=mrp.gamma)
     grid = np.linspace(-1, 1, 9)
     np.testing.assert_allclose(
-        g_profile(ens, feat, flipped, mu, grid),
-        -g_profile(ens, feat, mrp, mu, grid),
+        g_profile(system_of(ens, feat, flipped, mu), ens, grid),
+        -g_profile(system_of(ens, feat, mrp, mu), ens, grid),
         atol=1e-14,
     )
 
@@ -510,7 +538,7 @@ def test_optimality_report_near_exact_ensemble(chain5):
     ens = exact_fit_ensemble(feat, states, exact_value(mrp))
     sep = separation_check(ens, r0=1.1 * np.abs(ens.omega0).max(),
                            wbar_grid=states, resolution=0.5)
-    rep = fixed_point_optimality(ens, feat, mrp, mu, eps=1e-8, separation=sep)
+    rep = fixed_point_optimality(system_of(ens, feat, mrp, mu), ens, eps=1e-8, separation=sep)
     assert rep.velocity_norm < 1e-10
     assert rep.bellman_residual < 1e-10
     assert rep.optimality_gap < 1e-10
@@ -526,7 +554,8 @@ def test_stalled_zero_weights_is_not_a_fixed_point(chain5):
     feat = GaussianBumpFeatures(states, width=0.4)
     ens = ParticleEnsemble(np.zeros(6), np.linspace(-1, 1, 6))
     grid = np.linspace(-1, 1, 7)
-    assert np.abs(g_profile(ens, feat, mrp, mu, grid)).max() > 1e-3
-    rep = fixed_point_optimality(ens, feat, mrp, mu, eps=1e-8)
+    system = system_of(ens, feat, mrp, mu)
+    assert np.abs(g_profile(system, ens, grid)).max() > 1e-3
+    rep = fixed_point_optimality(system, ens, eps=1e-8)
     assert rep.velocity_norm > 1e-3  # output weights accelerate
     assert not rep.stationary

@@ -41,18 +41,21 @@ import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 
-# runs no benchmark workload covers: the spiral, the narrow net, the
-# wide nets' rates in the rows of a discount sweep (serial, and on more
-# workers than runs), the rank a sampled narrow net reports, and the wide
-# net's decay certificate at two scalings
+# runs no benchmark workload covers: the spiral (converging, and diverging
+# through a step that overshoots to NaN), the narrow net, the wide nets'
+# rates in the rows of a discount sweep (serial, and on more workers than
+# runs), the rank a sampled narrow net reports, the wide net's decay
+# certificate at two scalings, and a particle run of another size
 EXTRA = (
     ("spiral", "--alpha", "100"),
+    ("spiral", "--dt", "0.02"),
     ("spiral", "--mode", "stochastic", "--horizon", "20000"),
     ("nn", "--regime", "under"),
     ("sweep", "--kind", "gamma", "--grid", "0.85,0.9"),
     ("sweep", "--kind", "gamma", "--grid", "0.85,0.9", "--workers", "3"),
     ("nn", "--regime", "under", "--mode", "stochastic", "--horizon", "20000"),
     ("sweep", "--kind", "alpha", "--grid", "500,5000"),
+    ("meanfield", "--particles", "40", "--horizon", "300"),
 )
 # network runs at lambda = 0.5, so that the backup's resolvent is covered
 # off lambda = 0: the narrow default and a small wide net, averaged and
